@@ -1,7 +1,7 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one table or figure of the paper (see
-DESIGN.md's experiment index).  Simulated durations are scaled down from
+Each benchmark regenerates one table or figure of the paper (``python -m
+repro.experiments list`` prints the index).  Simulated durations are scaled down from
 the paper's 10 s so the whole harness completes in minutes; the asserted
 properties are the orderings/shapes the paper reports, which are stable at
 these durations.  Every benchmark runs exactly one round — the interesting

@@ -1,6 +1,6 @@
 """A1 — Ablations: RIPPLE's aggregation limit and forwarder-list cap.
 
-Not a paper figure; quantifies the two design choices DESIGN.md calls out:
+Not a paper figure; quantifies two of RIPPLE's design choices:
 how much of RIPPLE's gain comes from aggregation (interpolating between the
 paper's R1 and R16 bars) and how sensitive it is to the maximum number of
 forwarders (Section III-B4 defaults to 5 and discusses up to 7).

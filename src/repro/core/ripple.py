@@ -126,10 +126,6 @@ class RippleMac(MacLayer):
         self.reorder = ReorderBuffer()  # the paper's Rq
         self.ripple_stats = RippleStats()
         self.access = ChannelAccess(sim, radio, timing, self.rng, self._on_access_granted)
-        self.add_busy_listener(self._on_busy_for_relays)
-        self.add_idle_listener(self._on_idle_for_relays)
-        self.add_busy_listener(self.access.notify_busy)
-        self.add_idle_listener(self.access.notify_idle)
         # --- source-side state -------------------------------------------------
         self._mac_seq: Dict[int, int] = {}
         self._pending: List[SubPacket] = []  # sub-packets of the frame in flight
@@ -367,25 +363,14 @@ class RippleMac(MacLayer):
             released.extend(self.reorder.flush(frame.origin, frame.flush_below))
         held = self.reorder.pending(frame.origin)
         self.ripple_stats.rq_held_max = max(self.ripple_stats.rq_held_max, held)
+        # The Rq has already removed duplicates and restored order, so its
+        # releases bypass deliver_up's sequence-number filter.
         for packet in released:
             self.ripple_stats.rq_releases += 1
-            self.deliver_up(packet, frame.origin, self._release_key(frame.origin))
+            self._pass_up(packet)
         # The destination also suppresses any relay it might have pending for
         # this frame (it has obviously reached the destination already).
         self._cancel_relay(frame.frame_id, suppressed=True)
-
-    _release_counter = 0
-
-    def _release_key(self, origin: int) -> int:
-        """Monotonic key for deliver_up's duplicate filter.
-
-        The Rq has already performed duplicate elimination and ordering, so
-        each released packet gets a fresh key rather than its MAC sequence
-        number (which may legitimately be re-delivered after a lost ACK and
-        must not be double-filtered here).
-        """
-        self._release_counter += 1
-        return self._release_counter
 
     def _transmit_destination_ack(self, ack: MacFrame) -> None:
         if self.radio.is_transmitting:
@@ -450,6 +435,10 @@ class RippleMac(MacLayer):
         pending = _PendingRelay(frame=relay_frame, required_idle_ns=required_idle_ns)
         self._pending_relays[relay_frame.frame_id] = pending
         self._arm_relay(pending)
+        if pending.event is not None:
+            # Armed during frame delivery, after the idle edge re-armed our
+            # own grant: the relay must still win a tie with it.
+            self.access.defer_to(pending.event.time)
 
     def _arm_relay(self, pending: _PendingRelay) -> None:
         if self.radio.busy:
@@ -458,19 +447,20 @@ class RippleMac(MacLayer):
         remaining = max(0, pending.required_idle_ns - idle_for)
         pending.event = self.sim.schedule(remaining, self._fire_relay, pending)
 
-    def _on_busy_for_relays(self) -> None:
-        if not self._pending_relays:  # almost always empty: every busy/idle transition lands here
-            return
-        for pending in self._pending_relays.values():
-            if pending.event is not None:
-                pending.event.cancel()
-                pending.event = None
+    def on_channel_busy(self) -> None:
+        if self._pending_relays:  # almost always empty
+            for pending in self._pending_relays.values():
+                if pending.event is not None:
+                    pending.event.cancel()
+                    pending.event = None
+        self.access.notify_busy()
 
-    def _on_idle_for_relays(self) -> None:
-        if not self._pending_relays:
-            return
-        for pending in list(self._pending_relays.values()):
-            self._arm_relay(pending)
+    def on_channel_idle(self) -> None:
+        # Relays are armed before the grant, so they win a tie with it.
+        if self._pending_relays:
+            for pending in self._pending_relays.values():
+                self._arm_relay(pending)
+        self.access.notify_idle()
 
     def _fire_relay(self, pending: _PendingRelay) -> None:
         pending.event = None

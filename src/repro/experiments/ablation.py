@@ -1,5 +1,5 @@
-"""Ablations over RIPPLE's design parameters (not a paper figure, but called
-out in DESIGN.md as design-choice studies).
+"""Ablations over RIPPLE's design parameters (not a paper figure, but
+design-choice studies).
 
 Two sweeps:
 

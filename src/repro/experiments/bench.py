@@ -7,13 +7,16 @@ topologies, the Roofnet and Wigle meshes, and a random-waypoint mobility
 run, each under the paper's D/A/R1/R16 schemes — and reports, per case,
 
 * processed simulation events and wall-clock seconds,
-* the headline **events/second** throughput of the event engine + PHY
-  dispatch + MAC hot path.
+* the events/second throughput of the event engine + PHY dispatch + MAC
+  hot path, a diagnostic: ``compare`` gates on simulated seconds per
+  wall-clock second instead.
 
 Results are written to ``BENCH_<revision>.json`` so every future PR has a
 trajectory to compare against, and ``bench compare`` diffs two such
-reports case by case (exit code 4 when any case's events/s drops by more
-than ``--threshold`` percent)::
+reports case by case (exit code 4 when any case's simulated seconds per
+wall-clock second drop by more than ``--threshold`` percent; events/s is
+shown alongside but never gates, since deleting work also deletes
+events)::
 
     python -m repro.experiments bench                 # full matrix
     python -m repro.experiments bench --quick         # CI smoke subset
@@ -448,6 +451,12 @@ def _case_name(case: Dict[str, object]) -> str:
     return f"{case.get('family', '?')}/{case.get('scheme', '?')}"
 
 
+def _sim_speed(case: Dict[str, object]) -> float:
+    """Simulated seconds per wall-clock second of one report case."""
+    wall = float(case.get("wall_s", 0.0))
+    return float(case.get("sim_duration_s", 0.0)) / wall if wall > 0 else 0.0
+
+
 def compare_reports_data(
     baseline: Dict[str, object],
     current: Dict[str, object],
@@ -460,7 +469,8 @@ def compare_reports_data(
     ``only_in_baseline`` / ``only_in_current`` and never gate.  Each
     compared row carries a ``status``:
 
-    * ``"regression"`` — events/s dropped by more than ``threshold_pct``,
+    * ``"regression"`` — simulated seconds per wall second dropped by more
+      than ``threshold_pct`` (events/s is reported but never gates),
     * ``"durations differ"`` — timed at different simulated durations, so
       the numbers are only loosely comparable and the row is not gated,
     * ``"ok"`` — everything else.
@@ -472,9 +482,9 @@ def compare_reports_data(
     for name in sorted(set(base_cases) & set(cur_cases)):
         base = base_cases[name]
         cur = cur_cases[name]
-        base_eps = float(base.get("events_per_sec", 0.0))
-        cur_eps = float(cur.get("events_per_sec", 0.0))
-        delta_pct = 100.0 * (cur_eps - base_eps) / base_eps if base_eps > 0 else 0.0
+        base_speed = _sim_speed(base)
+        cur_speed = _sim_speed(cur)
+        delta_pct = 100.0 * (cur_speed - base_speed) / base_speed if base_speed > 0 else 0.0
         if base.get("sim_duration_s") != cur.get("sim_duration_s"):
             status = "durations differ"
         elif delta_pct < -threshold_pct:
@@ -485,9 +495,11 @@ def compare_reports_data(
         rows.append(
             {
                 "name": name,
-                "baseline_events_per_sec": base_eps,
-                "current_events_per_sec": cur_eps,
+                "baseline_sim_s_per_wall_s": round(base_speed, 4),
+                "current_sim_s_per_wall_s": round(cur_speed, 4),
                 "delta_pct": round(delta_pct, 2),
+                "baseline_events_per_sec": float(base.get("events_per_sec", 0.0)),
+                "current_events_per_sec": float(cur.get("events_per_sec", 0.0)),
                 "baseline_sim_duration_s": base.get("sim_duration_s"),
                 "current_sim_duration_s": cur.get("sim_duration_s"),
                 "status": status,
@@ -533,17 +545,18 @@ def compare_reports(
     """Diff two bench reports case by case.
 
     Returns ``(table_text, regressions)`` where ``regressions`` lists the
-    case names whose events/s dropped by more than ``threshold_pct``
-    relative to the baseline.  Cases present in only one report (renamed
-    or added between revisions) are reported as a symmetric difference
-    but never counted as regressions; cases timed at different simulated
-    durations are flagged (warm-up effects make their events/s only
-    loosely comparable) and excluded from regression accounting too.
+    case names whose simulated seconds per wall second dropped by more
+    than ``threshold_pct`` relative to the baseline.  Cases present in only
+    one report (renamed or added between revisions) are reported as a
+    symmetric difference but never counted as regressions; cases timed at
+    different simulated durations are flagged (warm-up effects make their
+    speeds only loosely comparable) and excluded from regression
+    accounting too.  The events/s columns are diagnostic only.
     """
     data = compare_reports_data(baseline, current, threshold_pct=threshold_pct)
     header = (
-        f"{'case':<20} {'base ev/s':>12} {'current ev/s':>13} {'delta':>8}   "
-        f"(threshold -{threshold_pct:g}%)"
+        f"{'case':<20} {'base sim-s/s':>12} {'cur sim-s/s':>12} {'delta':>8} "
+        f"{'base ev/s':>12} {'cur ev/s':>12}   (threshold -{threshold_pct:g}%)"
     )
     lines = [
         f"baseline {data['baseline_revision']}  vs  current {data['current_revision']}",
@@ -560,18 +573,20 @@ def compare_reports(
         elif row["status"] == "regression":
             note = "   REGRESSION"
         lines.append(
-            f"{row['name']:<20} {row['baseline_events_per_sec']:>12,.0f} "
-            f"{row['current_events_per_sec']:>13,.0f} {row['delta_pct']:>+7.1f}%{note}"
+            f"{row['name']:<20} {row['baseline_sim_s_per_wall_s']:>12.3f} "
+            f"{row['current_sim_s_per_wall_s']:>12.3f} {row['delta_pct']:>+7.1f}% "
+            f"{row['baseline_events_per_sec']:>12,.0f} {row['current_events_per_sec']:>12,.0f}{note}"
         )
     for name in data["only_in_baseline"]:
-        lines.append(f"{name:<20} {'—':>12} {'—':>13} {'—':>8}   only in baseline")
+        lines.append(f"{name:<20} {'—':>12} {'—':>12} {'—':>8}   only in baseline")
     for name in data["only_in_current"]:
-        lines.append(f"{name:<20} {'—':>12} {'—':>13} {'—':>8}   only in current")
+        lines.append(f"{name:<20} {'—':>12} {'—':>12} {'—':>8}   only in current")
     for row in data["dispatch"]:
         note = "   REGRESSION" if row["status"] == "regression" else ""
         lines.append(
             f"{row['name']:<20} {row['baseline_transmissions_per_sec']:>12,.0f} "
-            f"{row['current_transmissions_per_sec']:>13,.0f} {row['delta_pct']:>+7.1f}%{note}"
+            f"{row['current_transmissions_per_sec']:>12,.0f} {row['delta_pct']:>+7.1f}%"
+            f"   (tx/s){note}"
         )
     lines.append("-" * len(header))
     if data["only_in_baseline"] or data["only_in_current"]:
@@ -632,11 +647,12 @@ def add_bench_arguments(parser) -> None:
     parser.add_argument(
         "positional", nargs="*", metavar="compare A.json B.json",
         help="subcommand: 'compare BASELINE CURRENT' diffs two bench reports "
-             "(per-case events/s delta; exit 4 on regression); empty = run the bench",
+             "(per-case sim-s/s delta; exit 4 on regression); empty = run the bench",
     )
     parser.add_argument(
         "--threshold", type=float, default=5.0, metavar="PCT",
-        help="events/s drop (in %%) counted as a regression by 'compare' (default 5)",
+        help="drop in simulated seconds per wall second (in %%) counted as a "
+             "regression by 'compare' (default 5)",
     )
     parser.add_argument(
         "--json", action="store_true",

@@ -79,8 +79,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: counters (``retransmissions``/``fast_retransmits``/``timeouts``/
 #: ``rto_backoffs`` and TCP ``packets_sent``), which schema-5 entries lack —
 #: config digests for default-transport scenarios are otherwise unchanged
-#: (an absent/``reno`` transport serializes to the pre-registry layout).
-CACHE_SCHEMA_VERSION = 6
+#: (an absent/``reno`` transport serializes to the pre-registry layout);
+#: 7 = one grant event per backoff instead of a timer per DIFS and per slot:
+#: simulated outcomes are unchanged but every payload's ``events_processed``
+#: is lower, so a schema-6 entry holds a count this code never produces.
+CACHE_SCHEMA_VERSION = 7
 
 
 def config_digest(config: ScenarioConfig) -> str:

@@ -2,8 +2,9 @@
 
 The paper reports bar charts and tables; since this library runs headless,
 each experiment's results can be rendered as an aligned text table whose
-rows/series correspond one-to-one with what the paper plots.  Examples and
-the EXPERIMENTS.md regeneration script use these helpers.
+rows/series correspond one-to-one with what the paper plots.  The
+examples and ``python -m repro.experiments run``/``report`` use these
+helpers.
 """
 
 from __future__ import annotations

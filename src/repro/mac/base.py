@@ -11,14 +11,14 @@ Three pieces live here:
   MCExOR use it for source transmissions while relays ride on SIFS-based
   timing instead.
 * :class:`MacLayer` — the abstract base holding the radio wiring,
-  busy/idle listener dispatch, upper-layer delivery and statistics.
+  upper-layer delivery with duplicate suppression, and statistics.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +55,14 @@ class ChannelAccess:
     redrawn) across busy periods, and the contention window doubles on
     :meth:`record_failure` and resets on :meth:`record_success`, as in the
     standard.
+
+    Each idle period arms one grant event at ``resume + DIFS + remaining *
+    slot``; a busy edge cancels it and keeps the whole slots that elapsed
+    after the DIFS.  Outcomes equal stepping one timer per slot, ties
+    included: a busy edge on a slot boundary counts that slot when it is a
+    sensed signal (scheduled one propagation delay, under a slot, earlier)
+    but not when it is our own transmission (armed a SIFS or more earlier);
+    see also :meth:`defer_to`.
     """
 
     def __init__(
@@ -68,17 +76,20 @@ class ChannelAccess:
         self._sim = sim
         self._radio = radio
         self._timing = timing
-        self._rng = rng
         # Backoff draws come from the station's keyed stream, buffered so
         # each draw is a float multiply instead of a numpy scalar call
         # (``floor(u * cw)`` is uniform over [0, cw) for u ~ U[0, 1)).
         self._uniforms = UniformStream(rng)
         self._on_granted = on_granted
+        self._difs_ns = timing.difs_ns
+        self._slot_ns = timing.slot_ns
         self.cw = timing.cw_min
         self._active = False
+        #: Backoff slots still to count; ``None`` until the round's draw.
         self._remaining_slots: Optional[int] = None
-        self._difs_event: Optional[Event] = None
-        self._slot_event: Optional[Event] = None
+        #: When the current idle period's DIFS ends and slots start counting.
+        self._count_from = 0
+        self._grant: Optional[Event] = None
         #: Optional per-exchange outcome hook ``listener(success: bool)``,
         #: fired on every :meth:`record_success` / :meth:`record_failure`.
         #: This is the seam rate-adaptation components observe link quality
@@ -88,22 +99,24 @@ class ChannelAccess:
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
-    @property
-    def in_progress(self) -> bool:
-        return self._active
-
     def request(self) -> None:
         """Start (or continue) contending for the medium."""
         if self._active:
             return
         self._active = True
-        self._try_resume()
+        if not self._radio.busy:
+            self._resume()  # otherwise the idle edge resumes
 
-    def cancel(self) -> None:
-        """Abort the current contention attempt."""
-        self._active = False
-        self._remaining_slots = None
-        self._cancel_timers()
+    def defer_to(self, when: int) -> None:
+        """Let a timer armed at this idle edge for ``when`` beat a grant due then.
+
+        A per-slot timer chain armed its last timer one slot before the
+        grant, after such a timer, unless the backoff was zero.
+        """
+        grant = self._grant
+        if grant is not None and grant.time == when and when > self._count_from:
+            grant.cancel()
+            self._grant = self._sim.schedule_at(when, self._granted)
 
     def record_success(self) -> None:
         """Reset the contention window after a successful exchange."""
@@ -118,59 +131,42 @@ class ChannelAccess:
             self.outcome_listener(False)
 
     # ------------------------------------------------------------------
-    # Radio state transitions (forwarded by the owning MAC)
+    # Radio state transitions (bound or forwarded by the owning MAC)
     # ------------------------------------------------------------------
     def notify_busy(self) -> None:
-        self._cancel_timers()
+        grant = self._grant
+        if grant is None:
+            return
+        grant.cancel()
+        self._grant = None
+        counted = self._sim.now - self._count_from
+        if counted > 0:
+            slots, partial = divmod(counted, self._slot_ns)
+            if not partial and self._radio.is_transmitting:
+                slots -= 1  # our own transmission wins its boundary
+            self._remaining_slots -= slots
 
     def notify_idle(self) -> None:
         if self._active:
-            self._try_resume()
+            self._resume()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cancel_timers(self) -> None:
-        if self._difs_event is not None:
-            self._difs_event.cancel()
-            self._difs_event = None
-        if self._slot_event is not None:
-            self._slot_event.cancel()
-            self._slot_event = None
-
-    def _try_resume(self) -> None:
-        if self._radio.busy:
-            return  # we will be poked again on the idle transition
-        self._cancel_timers()
-        self._difs_event = self._sim.schedule(self._timing.difs_ns, self._difs_elapsed)
-
-    # The grant-or-schedule decision is folded into both timer callbacks
-    # (rather than a shared _count_down helper) because the slot timer is
-    # one of the most frequent events in every workload and the extra
-    # method call per slot was measurable in profiles.
-
-    def _difs_elapsed(self) -> None:
-        self._difs_event = None
+    def _resume(self) -> None:
         remaining = self._remaining_slots
         if remaining is None:
+            # ``cw`` cannot change while a station contends, so this is the
+            # draw the round would get at any later point.
             remaining = self._remaining_slots = int(self._uniforms.next_float() * self.cw)
-        if remaining <= 0:
-            self._active = False
-            self._remaining_slots = None
-            self._on_granted()
-            return
-        self._slot_event = self._sim.schedule(self._timing.slot_ns, self._slot_elapsed)
+        self._count_from = self._sim.now + self._difs_ns
+        self._grant = self._sim.schedule(self._difs_ns + remaining * self._slot_ns, self._granted)
 
-    def _slot_elapsed(self) -> None:
-        self._slot_event = None
-        remaining = self._remaining_slots - 1
-        self._remaining_slots = remaining
-        if remaining <= 0:
-            self._active = False
-            self._remaining_slots = None
-            self._on_granted()
-            return
-        self._slot_event = self._sim.schedule(self._timing.slot_ns, self._slot_elapsed)
+    def _granted(self) -> None:
+        self._grant = None
+        self._active = False
+        self._remaining_slots = None
+        self._on_granted()
 
 
 class MacLayer(abc.ABC):
@@ -178,10 +174,12 @@ class MacLayer(abc.ABC):
 
     Sub-classes implement :meth:`enqueue` (accept a packet from the network
     layer) and :meth:`on_frame_received` (react to a decoded frame); the
-    base class provides radio wiring, busy/idle listener dispatch (used by
-    the various SIFS/slot-based timers of the opportunistic schemes),
-    upper-layer delivery with duplicate suppression, and statistics.
+    base class provides radio wiring, upper-layer delivery with duplicate
+    suppression, and statistics.
     """
+
+    #: Most sub-packets one data frame carries; sizes the duplicate filter.
+    max_aggregation = 1
 
     def __init__(
         self,
@@ -207,9 +205,8 @@ class MacLayer(abc.ABC):
         self.stats = MacStats()
         self._upper_layer: Optional[Callable[[Packet], None]] = None
         self._drop_handler: Optional[Callable[[Packet], None]] = None
-        self._busy_listeners: List[Callable[[], None]] = []
-        self._idle_listeners: List[Callable[[], None]] = []
-        self._delivered: set[tuple[int, int]] = set()
+        #: Per origin, the MAC sequence numbers recently passed upward.
+        self._delivered: Dict[int, Dict[int, None]] = {}
         radio.attach_mac(self)
 
     # ------------------------------------------------------------------
@@ -223,12 +220,6 @@ class MacLayer(abc.ABC):
         """Register a callback fired when the MAC permanently drops a packet."""
         self._drop_handler = callback
 
-    def add_busy_listener(self, callback: Callable[[], None]) -> None:
-        self._busy_listeners.append(callback)
-
-    def add_idle_listener(self, callback: Callable[[], None]) -> None:
-        self._idle_listeners.append(callback)
-
     # ------------------------------------------------------------------
     # Upper-layer interface
     # ------------------------------------------------------------------
@@ -237,12 +228,29 @@ class MacLayer(abc.ABC):
         """Accept a packet from the network layer; False if the queue dropped it."""
 
     def deliver_up(self, packet: Packet, origin: int, mac_seq: int) -> None:
-        """Hand a received packet to the network layer, suppressing MAC duplicates."""
-        key = (origin, mac_seq)
-        if key in self._delivered:
+        """Hand a received packet to the network layer, suppressing MAC duplicates.
+
+        Per origin, only sequence numbers within ``window`` of the highest
+        are kept.  A sender numbers sub-packets in order and resends one only
+        while it rides in every frame it builds, for at most ``retry_limit +
+        1`` exchanges of at most ``max_aggregation`` sub-packets each, so a
+        duplicate is never ``window`` or more below the highest number sent.
+        """
+        seen = self._delivered.get(origin)
+        if seen is None:
+            seen = self._delivered[origin] = {}
+        elif mac_seq in seen:
             self.stats.duplicate_deliveries += 1
             return
-        self._delivered.add(key)
+        seen[mac_seq] = None
+        window = (self.timing.retry_limit + 1) * self.max_aggregation
+        if len(seen) > 2 * window:
+            floor = max(seen) - window
+            self._delivered[origin] = {seq: None for seq in seen if seq > floor}
+        self._pass_up(packet)
+
+    def _pass_up(self, packet: Packet) -> None:
+        """Hand a packet to the network layer without duplicate filtering."""
         self.stats.packets_delivered += 1
         if self._upper_layer is not None:
             self._upper_layer(packet)
@@ -256,13 +264,13 @@ class MacLayer(abc.ABC):
     # ------------------------------------------------------------------
     # Radio callbacks
     # ------------------------------------------------------------------
+    # One call per carrier-sense edge.  Contending MACs bind these to their
+    # ChannelAccess; RIPPLE overrides them to handle its relays first.
     def on_channel_busy(self) -> None:
-        for listener in self._busy_listeners:
-            listener()
+        """The medium turned busy at this station."""
 
     def on_channel_idle(self) -> None:
-        for listener in self._idle_listeners:
-            listener()
+        """The medium turned idle at this station."""
 
     @abc.abstractmethod
     def on_frame_received(self, frame, errors) -> None:

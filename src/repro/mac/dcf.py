@@ -52,8 +52,8 @@ class DcfMac(MacLayer):
         self.max_aggregation = max(1, int(max_aggregation))
         self.queue = DropTailQueue(capacity=timing.queue_capacity)
         self.access = ChannelAccess(sim, radio, timing, self.rng, self._on_access_granted)
-        self.add_busy_listener(self.access.notify_busy)
-        self.add_idle_listener(self.access.notify_idle)
+        self.on_channel_busy = self.access.notify_busy
+        self.on_channel_idle = self.access.notify_idle
         self._mac_seq: Dict[int, int] = {}
         self._pending: List[SubPacket] = []
         self._pending_receiver: Optional[int] = None

@@ -178,8 +178,8 @@ class Radio:
             reception.interfered = True
         self.stats.frames_sent += 1
         self.stats.airtime_tx_ns += duration_ns
-        if not was_busy:
-            self._notify_busy()
+        if not was_busy and self.mac is not None:
+            self.mac.on_channel_busy()
         return transmission
 
     def _end_own_transmission(self, transmission: "Transmission") -> None:
@@ -188,7 +188,9 @@ class Radio:
         self._tx_until = None
         if not self._receptions:
             self.busy = False
-            self._mark_idle()
+            self._idle_since = self._sim.now
+            if self.mac is not None:
+                self.mac.on_channel_idle()
         if self.mac is not None:
             self.mac.on_transmission_complete(transmission.frame)
 
@@ -206,8 +208,8 @@ class Radio:
                 other.interfered = True
         self._receptions[reception.transmission.transmission_id] = reception
         self.busy = True
-        if not was_busy:
-            self._notify_busy()
+        if not was_busy and self.mac is not None:
+            self.mac.on_channel_busy()
 
     def _signal_end(self, reception: Reception) -> None:
         self._receptions.pop(reception.transmission.transmission_id, None)
@@ -216,7 +218,9 @@ class Radio:
         # must see the idle period as starting at the end of this frame.
         if self._current_tx is None and not self._receptions:
             self.busy = False
-            self._mark_idle()
+            self._idle_since = self._sim.now
+            if self.mac is not None:
+                self.mac.on_channel_idle()
         # Delivery is inlined here (not a helper) because this callback runs
         # once per sensed signal — the busiest event class in every workload.
         if reception.decodable:
@@ -240,18 +244,6 @@ class Radio:
         # Both window entries are spent and the reception is out of every
         # tracking structure: hand it back to the channel's free pool.
         self.channel._recycle_reception(reception)
-
-    # ------------------------------------------------------------------
-    # Busy / idle notifications
-    # ------------------------------------------------------------------
-    def _notify_busy(self) -> None:
-        if self.mac is not None:
-            self.mac.on_channel_busy()
-
-    def _mark_idle(self) -> None:
-        self._idle_since = self._sim.now
-        if self.mac is not None:
-            self.mac.on_channel_idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Radio(node={self.node_id}, state={self.state.value})"

@@ -66,8 +66,8 @@ class OpportunisticMac(MacLayer, abc.ABC):
         super().__init__(sim, address, radio, phy, timing, rng)
         self.queue = DropTailQueue(capacity=timing.queue_capacity)
         self.access = ChannelAccess(sim, radio, timing, self.rng, self._on_access_granted)
-        self.add_busy_listener(self.access.notify_busy)
-        self.add_idle_listener(self.access.notify_idle)
+        self.on_channel_busy = self.access.notify_busy
+        self.on_channel_idle = self.access.notify_idle
         self._mac_seq: Dict[int, int] = {}
         self._head: Optional[SubPacket] = None
         self._head_route: Optional[RouteDecision] = None
@@ -201,6 +201,7 @@ class OpportunisticMac(MacLayer, abc.ABC):
         n_forwarders = len(frame.forwarder_list)
         delay = self.ack_delay_ns(rank, n_forwarders)
         tracked.ack_event = self.sim.schedule(delay, self._transmit_ack, tracked)
+        self.access.defer_to(tracked.ack_event.time)
         if rank == 0:
             # We are the destination: deliver immediately (out-of-order
             # arrivals go straight to the transport layer, which is what

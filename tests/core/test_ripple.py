@@ -194,6 +194,17 @@ class TestBoundedState:
             # still-outstanding tail survives the watermark pruning.
             assert len(acked) <= 2 * net.node(0).mac.max_aggregation
 
+    def test_rq_releases_bypass_the_sequence_filter(self):
+        # The Rq already orders packets and drops duplicates, so nothing is
+        # remembered per released packet.
+        net, _ = build_chain_network("ripple", n_nodes=4, ber=0.0, shadowing_deviation=0.0)
+        received = collect_deliveries(net, 3)
+        inject_packets(net, 0, 3, 48)
+        net.run_seconds(0.5)
+        destination = net.node(3).mac
+        assert len(received) == destination.stats.packets_delivered == 48
+        assert destination._delivered == {}
+
 
 class TestMtxopTimeout:
     def test_timeout_covers_worst_case_relay_chain(self):

@@ -9,6 +9,7 @@ component without touching the global registries.
 """
 
 import functools
+import itertools
 
 from repro.corpus.checks import CheckContext, evaluate
 from repro.corpus.shrink import (
@@ -17,15 +18,21 @@ from repro.corpus.shrink import (
     shrink_document,
 )
 
+_afr_runs = itertools.count(1)
+
 
 def _broken_for_afr(config):
-    """A runner that is deterministic everywhere except under mac=afr."""
+    """A runner that is deterministic everywhere except under mac=afr.
+
+    Every afr run reports a different event count, so two runs of the same
+    afr config never agree.
+    """
     from repro.experiments.runner import run_scenario
 
     payload = run_scenario(config).to_dict()
     mac, _, _ = config.resolved_components()
     if mac.name == "afr":
-        payload["events_processed"] = payload["events_processed"] + id(config) % 97
+        payload["events_processed"] = payload["events_processed"] + next(_afr_runs)
     return payload
 
 

@@ -55,11 +55,13 @@ class TestCacheSchemaVersion:
         # 6 = transport registry: cached result payloads gained per-flow
         # transport counters (retransmissions, fast_retransmits, timeouts,
         # rto_backoffs — and packets_sent is now the sender's count for TCP
-        # flows), which schema-5 entries lack.  Bump this pin together with
-        # the constant — never adjust the pin alone.
+        # flows), which schema-5 entries lack.  7 = one grant event per
+        # backoff: every payload's events_processed fell, so schema-6
+        # entries carry counts this code never produces.  Bump this pin
+        # together with the constant — never adjust the pin alone.
         import repro.experiments.parallel as parallel
 
-        assert parallel.CACHE_SCHEMA_VERSION == 6
+        assert parallel.CACHE_SCHEMA_VERSION == 7
 
     def test_digest_incorporates_schema_version(self, monkeypatch):
         """An old-schema digest must differ for the *same* config.

@@ -74,6 +74,22 @@ class TestDcfMultiHop:
         seqs = [p.seq for p in received]
         assert len(seqs) == len(set(seqs))
 
+    def test_duplicate_filter_stays_bounded(self):
+        # Batches keep the lossy link busy far beyond the filter's window,
+        # and lost ACKs keep producing duplicates for it to catch.
+        net, _ = build_chain_network("dcf", n_nodes=2, hop_m=200.0, seed=12)
+        received = collect_deliveries(net, 1)
+        for batch in range(8):
+            net.sim.schedule_at(seconds(0.1 * batch), inject_packets, net, 0, 1, 40)
+        net.run_seconds(1.0)
+        mac = net.node(1).mac
+        window = (mac.timing.retry_limit + 1) * mac.max_aggregation
+        assert mac.stats.packets_delivered > 10 * window
+        assert mac.stats.duplicate_deliveries > 0
+        assert len(received) == len({id(packet) for packet in received})
+        assert list(mac._delivered) == [0]
+        assert len(mac._delivered[0]) <= 2 * window + 1
+
 
 class TestAfrAggregation:
     def test_frames_carry_multiple_packets(self):
