@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Parallel multi-seed scheme sweep from one declarative ScenarioSpec.
+"""Parallel multi-seed scheme sweep from one declarative scenario.
 
-Starts from a fully declarative `ScenarioSpec` — the topology is a
-registry reference (`TopologyRef("fig1")`), not a hand-built object —
-expands it into a config grid (5 schemes x 3 seeds), fans the grid out
+Starts from a declarative `ScenarioConfig` — the topology is a registry
+reference (`TopologyRef("fig1")`, built at construction), not a
+hand-built object — expands it into a config grid (5 scheme labels x 3
+seeds), fans the grid out
 over worker processes, and caches every scenario result on disk so a
 second run of this script is served from cache in milliseconds.
 
@@ -23,7 +24,7 @@ import time
 from repro.experiments import (
     DEFAULT_SCHEME_LABELS,
     ResultCache,
-    ScenarioSpec,
+    ScenarioConfig,
     SweepRunner,
     TopologyRef,
     expand_grid,
@@ -34,13 +35,12 @@ SEEDS = (1, 2, 3)
 
 
 def main() -> None:
-    spec = ScenarioSpec(
-        topology=TopologyRef("fig1"),
+    base = ScenarioConfig(
+        topology=TopologyRef("fig1"),  # resolved into the concrete topology
         route_set="ROUTE0",
         active_flows=[1],
         duration_s=DURATION_S,
     )
-    base = spec.to_config()  # registry reference -> concrete ScenarioConfig
     grid = expand_grid(base, scheme_label=list(DEFAULT_SCHEME_LABELS), seed=list(SEEDS))
     print(f"{len(grid)} scenarios ({len(DEFAULT_SCHEME_LABELS)} schemes x {len(SEEDS)} seeds)")
 

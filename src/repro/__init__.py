@@ -46,7 +46,7 @@ from repro.routing import (
 )
 from repro.serialization import SpecError
 from repro.sim import RandomStreams, Simulator, seconds, us
-from repro.spec import MacSpec, RoutingSpec, ScenarioSpec, TopologyRef, TrafficSpec
+from repro.spec import MacSpec, RoutingSpec, ScenarioConfig, TopologyRef, TrafficSpec
 from repro.topology import SCHEMES, Node, WirelessNetwork
 
 __version__ = "1.2.0"
@@ -56,7 +56,7 @@ __all__ = [
     "Registry",
     "RegistryError",
     "RoutingSpec",
-    "ScenarioSpec",
+    "ScenarioConfig",
     "SpecError",
     "TopologyRef",
     "TrafficSpec",

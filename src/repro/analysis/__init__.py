@@ -5,18 +5,15 @@ unit test can protect:
 
 * bit-identical replays — every random draw flows through the keyed
   per-link streams of :class:`repro.sim.rng.RandomStreams`;
-* sound sweep caching — every behaviour-bearing config field appears in
-  the ``to_dict()`` payload hashed by
-  :func:`repro.experiments.parallel.config_digest`;
 * write-once registries whose entries stay importable and documented.
 
-One forgotten ``np.random.default_rng(...)`` or one dataclass field
-missing from ``to_dict()`` silently breaks those guarantees.  This
-package enforces them mechanically: an AST-based lint pass (rules
-registered in :data:`repro.analysis.base.ANALYSIS_RULES`, one shared
-tree walk per file) plus a semi-static introspection layer that imports
-the registries and serializable classes and checks them against their
-own source.
+One forgotten ``np.random.default_rng(...)`` silently breaks those
+guarantees.  This package enforces them mechanically: an AST-based lint
+pass (rules registered in :data:`repro.analysis.base.ANALYSIS_RULES`, one
+shared tree walk per file) plus a semi-static introspection layer that
+imports the registries and checks them against their own source.  (Sound
+sweep caching needs no rule: the field-driven codec of
+:mod:`repro.serialization` emits every config field by construction.)
 
 Run it as ``python -m repro.analysis`` (CI gates on the exit status);
 suppress an individual finding with an inline pragma::

@@ -10,7 +10,6 @@ populated before any lookup.
 from __future__ import annotations
 
 from repro.analysis.rules import (  # noqa: F401  (registration side effects)
-    digest,
     registries,
     rng,
     sets,

@@ -1,24 +1,22 @@
 """``registry-hygiene``: the component registries stay usable and documented.
 
 The registries are the public face of the scenario API: everything in
-them must be resolvable by name from a JSON spec, rendered into the
-generated ``docs/COMPONENTS.md``, and safe against stale cache entries
-through strict ``from_dict`` parsing.  This rule re-checks those
-properties against the *live* registries on every pass, so a component
-merged without a docstring, a dangling alias, or a spec class whose
-``from_dict`` silently swallows unknown keys is a lint failure rather
-than a latent doc/CLI/cache bug.
+them must be resolvable by name from a JSON spec and rendered into the
+generated ``docs/COMPONENTS.md``.  This rule re-checks those properties
+against the *live* registries on every pass, so a component merged
+without a docstring or a dangling alias is a lint failure rather than a
+latent doc/CLI bug.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
 from repro.analysis.base import ProjectContext, ProjectRule, register_rule
 from repro.analysis.findings import Finding
-from repro.analysis.rules.digest import DIGEST_CLASSES, _location, load_class
 
 #: The component registries under hygiene, as ``(module, attribute)``.
 COMPONENT_REGISTRIES: Tuple[Tuple[str, str], ...] = (
@@ -32,17 +30,24 @@ COMPONENT_REGISTRIES: Tuple[Tuple[str, str], ...] = (
     ("repro.corpus.checks", "CORPUS_CHECKS"),
 )
 
-#: Serialized wire classes outside the digest path that must still parse
-#: strictly: the service's durable job records and HTTP request bodies.
-#: A lax ``from_dict`` here lets a corrupted job file or a typo'd request
-#: load as a half-default object instead of failing loudly.
-STRICT_WIRE_CLASSES: Tuple[str, ...] = (
-    "repro.service.store.JobRecord",
-    "repro.service.schemas.SubmitRequest",
-)
+def _load_attribute(dotted_path: str) -> object:
+    """Import ``"pkg.module.attribute"`` and return the attribute."""
+    module_name, _, attribute = dotted_path.rpartition(".")
+    return getattr(importlib.import_module(module_name), attribute)
 
-#: Key no serializable class can legitimately accept: the strictness probe.
-_PROBE_KEY = "__repro_analysis_probe__"
+
+def _location(root: Path, obj) -> Tuple[str, int]:
+    """Repo-relative ``(path, line)`` of a class/function, for findings."""
+    try:
+        source_file = inspect.getsourcefile(obj)
+        _, line = inspect.getsourcelines(obj)
+    except (OSError, TypeError):
+        return "src/repro", 1
+    path = Path(source_file or "src/repro")
+    try:
+        return path.resolve().relative_to(root.resolve()).as_posix(), line
+    except ValueError:
+        return path.as_posix(), line
 
 
 def _entry_factory(entry) -> object:
@@ -52,28 +57,21 @@ def _entry_factory(entry) -> object:
 
 @register_rule
 class RegistryHygiene(ProjectRule):
-    """Registered components resolve, document themselves, and parse strictly.
+    """Registered components resolve and document themselves.
 
     Checks, against the live registries: every entry's factory is
     callable and has the docstring the generated reference consumes;
     every alias resolves to a registered name; every prefix entry is
-    callable and documented; and every serializable spec/config class —
-    the digest-feeding classes plus the service's wire classes (job
-    records, submit requests) — exposes ``to_dict`` plus a *strict*
-    ``from_dict`` (probed with an unknown key, which must raise
-    ``SpecError`` — anything laxer lets a stale or corrupted cache
-    entry, job file or request body load as a half-default object).
+    callable and documented.
     """
 
     id = "registry-hygiene"
-    title = "component registry entry unusable, undocumented or lax"
+    title = "component registry entry unusable or undocumented"
 
     def check_project(self, ctx: ProjectContext) -> Iterable[Finding]:
         findings: List[Finding] = []
         for module_name, attribute in COMPONENT_REGISTRIES:
             findings.extend(self._check_registry(ctx.root, module_name, attribute))
-        for dotted_path in DIGEST_CLASSES + STRICT_WIRE_CLASSES:
-            findings.extend(self._check_spec_class(ctx.root, dotted_path))
         return findings
 
     # ------------------------------------------------------------------
@@ -84,7 +82,7 @@ class RegistryHygiene(ProjectRule):
     ) -> Iterable[Finding]:
         registry_path = f"src/{module_name.replace('.', '/')}.py"
         try:
-            registry = load_class(f"{module_name}.{attribute}")
+            registry = _load_attribute(f"{module_name}.{attribute}")
         except (ImportError, AttributeError) as exc:
             yield Finding(
                 rule=self.id,
@@ -126,50 +124,3 @@ class RegistryHygiene(ProjectRule):
                     line=1,
                     message=f"{registry.kind} alias {alias!r} -> {target!r} does not resolve",
                 )
-
-    # ------------------------------------------------------------------
-    # Spec classes
-    # ------------------------------------------------------------------
-    def _check_spec_class(self, root: Path, dotted_path: str) -> Iterable[Finding]:
-        from repro.serialization import SpecError
-
-        try:
-            cls = load_class(dotted_path)
-        except (ImportError, AttributeError):
-            return  # digest-coverage already reports the broken import
-        path, line = _location(root, cls)
-        for method in ("to_dict", "from_dict"):
-            if not callable(getattr(cls, method, None)):
-                yield Finding(
-                    rule=self.id,
-                    path=path,
-                    line=line,
-                    message=f"serializable class {cls.__name__} lacks {method}()",
-                )
-                return
-        try:
-            cls.from_dict({_PROBE_KEY: None})
-        except SpecError:
-            return  # strict: the unknown key was rejected with the right error
-        except Exception as exc:  # noqa: BLE001 - classifying arbitrary failures
-            yield Finding(
-                rule=self.id,
-                path=path,
-                line=line,
-                message=(
-                    f"{cls.__name__}.from_dict raised {type(exc).__name__} instead of "
-                    "SpecError for an unknown key; strict parsing must name the key "
-                    "and the class"
-                ),
-            )
-            return
-        yield Finding(
-            rule=self.id,
-            path=path,
-            line=line,
-            message=(
-                f"{cls.__name__}.from_dict accepted an unknown key; strict parsing "
-                "(repro.serialization.require_known_keys) is required so stale "
-                "cache entries and typo'd specs fail loudly"
-            ),
-        )

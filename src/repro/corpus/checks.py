@@ -10,9 +10,6 @@ when the invariant holds, or a failure message.
 The invariants are the platform's load-bearing contracts, checked *per
 scenario* rather than per hand-picked test case:
 
-* ``roundtrip`` — spec and config documents are fixpoints of
-  ``to_dict``/``from_dict`` (what the CLI, the service and the cache
-  exchange);
 * ``digest-stability`` — the same document always hashes to the same
   sweep-cache digest, including across a serialization round-trip and a
   topology rebuild (builder determinism);
@@ -62,14 +59,6 @@ def _dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _first_delta(a: Dict[str, object], b: Dict[str, object]) -> str:
-    """Name the first top-level key where two documents disagree."""
-    for key in sorted(set(a) | set(b)):
-        if a.get(key) != b.get(key):
-            return f"{key!r}: {a.get(key)!r} != {b.get(key)!r}"
-    return "(documents differ below the top level)"
-
-
 class CheckContext:
     """Everything one spec document's checks share: builds, runs, memos.
 
@@ -92,16 +81,16 @@ class CheckContext:
         self._config = None
         self._serial: Optional[Dict[str, object]] = None
 
-    def spec(self):
-        """A *fresh* ScenarioSpec parsed from the document (never cached)."""
-        from repro.spec import ScenarioSpec
+    def fresh_config(self):
+        """A *fresh* ScenarioConfig decoded from the document (topology rebuilt)."""
+        from repro.spec import ScenarioConfig
 
-        return ScenarioSpec.from_dict(self.document)
+        return ScenarioConfig.from_dict(self.document)
 
     def config(self):
         """The resolved ScenarioConfig (topology built once, then reused)."""
         if self._config is None:
-            self._config = self.spec().to_config()
+            self._config = self.fresh_config()
         return self._config
 
     def serial_result(self) -> Dict[str, object]:
@@ -162,32 +151,6 @@ def register_check(cls):
 
 
 @register_check
-class RoundTrip(InvariantCheck):
-    """Spec and config documents are ``to_dict``/``from_dict`` fixpoints.
-
-    The corpus emits canonical documents, so parsing one and serializing
-    it back must be the identity — and the resolved config must survive
-    its own round-trip the same way.  A drift here means the CLI, the
-    HTTP service and the cache are not exchanging the same scenario.
-    """
-
-    id = "roundtrip"
-    title = "spec/config serialization round-trips to the identity"
-
-    def run_check(self, ctx: CheckContext) -> Optional[str]:
-        from repro.experiments.runner import ScenarioConfig
-
-        reserialized = ctx.spec().to_dict()
-        if reserialized != ctx.document:
-            return f"spec document is not a from_dict/to_dict fixpoint: {_first_delta(ctx.document, reserialized)}"
-        config_doc = ctx.config().to_dict()
-        config_doc2 = ScenarioConfig.from_dict(config_doc).to_dict()
-        if config_doc2 != config_doc:
-            return f"config document is not a from_dict/to_dict fixpoint: {_first_delta(config_doc, config_doc2)}"
-        return None
-
-
-@register_check
 class DigestStability(InvariantCheck):
     """The same document always produces the same sweep-cache digest.
 
@@ -205,7 +168,7 @@ class DigestStability(InvariantCheck):
         from repro.experiments.runner import ScenarioConfig
 
         first = config_digest(ctx.config())
-        rebuilt = config_digest(ctx.spec().to_config())
+        rebuilt = config_digest(ctx.fresh_config())
         if rebuilt != first:
             return f"digest changed on topology rebuild: {first} != {rebuilt}"
         roundtripped = config_digest(ScenarioConfig.from_dict(ctx.config().to_dict()))
@@ -229,7 +192,7 @@ class Determinism(InvariantCheck):
 
     def run_check(self, ctx: CheckContext) -> Optional[str]:
         first = _dumps(ctx.serial_result())
-        second = _dumps(ctx.run(ctx.spec().to_config()))
+        second = _dumps(ctx.run(ctx.fresh_config()))
         if first != second:
             return "re-running the same seeded scenario changed the result JSON"
         return None
@@ -348,15 +311,15 @@ def still_fails(
 ) -> bool:
     """Whether ``document`` still fails ``check`` (the shrinker's oracle).
 
-    A candidate that does not even parse as a ScenarioSpec is *not* a
-    reproduction of the failure — the shrinker must stay inside the
+    A candidate that does not even parse as a scenario document is *not*
+    a reproduction of the failure — the shrinker must stay inside the
     valid space while minimizing.
     """
     from repro.serialization import SpecError
-    from repro.spec import ScenarioSpec
+    from repro.spec import ScenarioConfig
 
     try:
-        ScenarioSpec.from_dict(document)
+        ScenarioConfig.from_dict(document)
     except (SpecError, ValueError, KeyError, TypeError):
         return False
     return run_check_on(check, make_context(document)) is not None

@@ -27,12 +27,12 @@ from typing import Dict, List
 
 from repro.corpus.space import packaged_trace_fixture
 from repro.experiments.parallel import config_digest
-from repro.mobility.spec import MobilitySpec
 from repro.phy.params import PhyParams
+from repro.serialization import to_dict
 from repro.spec import (
     MacSpec,
     RoutingSpec,
-    ScenarioSpec,
+    ScenarioConfig,
     TopologyRef,
     TrafficSpec,
     TransportSpec,
@@ -48,17 +48,15 @@ GOLDEN_DURATION_S = 0.5
 GOLDEN_SEED = 1
 
 
-def _spec(topology: str = "line", **kwargs) -> ScenarioSpec:
-    return ScenarioSpec(
-        topology=TopologyRef(topology),
-        duration_s=GOLDEN_DURATION_S,
-        seed=GOLDEN_SEED,
-        **kwargs,
-    )
+def _document(topology: str = "line", **layers) -> Dict[str, object]:
+    document = {"topology": to_dict(TopologyRef(topology))}
+    document.update((layer, to_dict(value)) for layer, value in layers.items())
+    document.update(duration_s=GOLDEN_DURATION_S, seed=GOLDEN_SEED)
+    return document
 
 
 def golden_documents() -> Dict[str, Dict[str, object]]:
-    """The pinned panel: label -> canonical ScenarioSpec document.
+    """The pinned panel: label -> scenario document.
 
     One scenario per registered topology at defaults, the packaged trace
     fixture, and one ``line`` scenario per non-default MAC / routing /
@@ -78,41 +76,41 @@ def golden_documents() -> Dict[str, Dict[str, object]]:
     from repro.traffic.registry import TRAFFIC_KINDS
     from repro.transport.registry import TRANSPORT_SCHEMES
 
-    panel: Dict[str, ScenarioSpec] = {}
+    panel: Dict[str, Dict[str, object]] = {}
     for name in TOPOLOGIES.names():
-        panel[f"topology={name}"] = _spec(name)
-    panel["topology=trace:corpus_line"] = _spec(f"trace:{packaged_trace_fixture()}")
+        panel[f"topology={name}"] = _document(name)
+    panel["topology=trace:corpus_line"] = _document(f"trace:{packaged_trace_fixture()}")
     for name, info in MAC_SCHEMES.items():
         if _is_wrapper(info):
             inner = contention_inner_names()[0]
-            panel[f"mac={name}(inner={inner})"] = _spec(mac=MacSpec(name, {"inner": inner}))
+            panel[f"mac={name}(inner={inner})"] = _document(mac=MacSpec(name, {"inner": inner}))
         else:
-            panel[f"mac={name}"] = _spec(mac=MacSpec(name))
+            panel[f"mac={name}"] = _document(mac=MacSpec(name))
     for name in ROUTING_STRATEGIES.names():
         if name != "static":
-            panel[f"routing={name}"] = _spec(routing=RoutingSpec(name))
+            panel[f"routing={name}"] = _document(routing=RoutingSpec(name))
     for name in TRAFFIC_KINDS.names():
-        panel[f"traffic={name}"] = _spec(traffic=TrafficSpec(name))
+        panel[f"traffic={name}"] = _document(traffic=TrafficSpec(name))
     for name in TRANSPORT_SCHEMES.names():
         if name != "reno":
-            panel[f"transport={name}"] = _spec(transport=TransportSpec(name))
+            panel[f"transport={name}"] = _document(transport=TransportSpec(name))
     default_propagation = PhyParams().propagation
     for name in PROPAGATION_MODELS.names():
         if name != default_propagation:
-            panel[f"phy.propagation={name}"] = _spec(
+            panel[f"phy.propagation={name}"] = _document(
                 phy=PhyParams.from_dict({"propagation": name})
             )
     for name in MOBILITY_MODELS.names():
         build = _MOBILITY_CHOICES.get(name)
         if build is not None:
-            panel[f"mobility={name}"] = _spec(mobility=build())
-    return {label: spec.to_dict() for label, spec in panel.items()}
+            panel[f"mobility={name}"] = _document(mobility=build())
+    return panel
 
 
 def current_digests() -> Dict[str, str]:
     """Digest of every panel scenario's *resolved* config, freshly computed."""
     return {
-        label: config_digest(ScenarioSpec.from_dict(document).to_config())
+        label: config_digest(ScenarioConfig.from_dict(document))
         for label, document in golden_documents().items()
     }
 

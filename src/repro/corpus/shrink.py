@@ -13,7 +13,8 @@ The oracle (``still_fails``) is supplied by the caller
 so the shrinker itself knows nothing about simulators — it is plain
 greedy delta debugging over dict fields:
 
-1. per top-level field, try the baseline value;
+1. per top-level field, try the baseline value (or, for a field the
+   baseline leaves at its default, try dropping it);
 2. per surviving component entry, try emptying its ``params`` dict.
 
 Each pass repeats until a full sweep makes no progress, which is a
@@ -27,15 +28,15 @@ from typing import Callable, Dict, List, Optional
 
 
 def baseline_document(like: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """The all-defaults spec document shrinking steers toward.
+    """The all-defaults scenario document shrinking steers toward.
 
-    ``line`` topology, scheme-label defaults everywhere else.  Run
+    ``line`` topology, every other field left at its default.  Run
     framing (duration/warmup/seed) is copied from ``like`` so shrinking
     never changes how long the scenario runs — only what it composes.
     """
-    from repro.spec import ScenarioSpec, TopologyRef
+    from repro.spec import TopologyRef
 
-    document = ScenarioSpec(topology=TopologyRef("line")).to_dict()
+    document: Dict[str, object] = {"topology": TopologyRef("line").to_dict()}
     if like is not None:
         for key in ("duration_s", "warmup_s", "seed"):
             if key in like:
@@ -60,11 +61,13 @@ def shrink_document(
     while progress:
         progress = False
         for key in sorted(current):
-            replacement = baseline.get(key)
-            if current[key] == replacement:
+            if key in baseline and current[key] == baseline[key]:
                 continue
             candidate = dict(current)
-            candidate[key] = replacement
+            if key in baseline:
+                candidate[key] = baseline[key]
+            else:
+                del candidate[key]
             if still_fails(candidate):
                 current = candidate
                 progress = True
@@ -84,9 +87,6 @@ def _without_params(value: object) -> Optional[object]:
     """The same component entry with its params cleared, or None if n/a."""
     if not isinstance(value, dict):
         return None
-    if set(value) == {"ref"} and isinstance(value["ref"], dict):
-        inner = _without_params(value["ref"])
-        return None if inner is None else {"ref": inner}
     if value.get("params"):
         cleared = dict(value)
         cleared["params"] = {}
@@ -113,9 +113,6 @@ def offending_components(
 
 def _component_label(key: str, value: object) -> str:
     if isinstance(value, dict):
-        ref = value.get("ref")
-        if isinstance(ref, dict):
-            value = ref
         for name_key in ("name", "model", "propagation"):
             if name_key in value:
                 label = str(value[name_key])

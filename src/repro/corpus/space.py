@@ -13,10 +13,10 @@ makes the whole cross-product addressable:
   contention ``inner``; ``trace:`` topologies need their file; mobility
   is excluded on the paper's fixed-layout figure topologies);
 * :class:`SpecSpace` indexes the product mixed-radix, filters it through
-  the constraints, and emits each admissible combination as a canonical
-  :class:`~repro.spec.ScenarioSpec` document — the exact dict
-  ``ScenarioSpec.to_dict`` writes, so corpus documents are first-class
-  citizens of the spec/CLI/cache ecosystem.
+  the constraints, and emits each admissible combination as a
+  :class:`~repro.spec.ScenarioConfig` document — topology by ref, default
+  layers left out — that ``ScenarioConfig.from_dict``, the CLI's
+  ``--spec`` and the service accept as is.
 
 Sampling is seeded through the keyed Philox streams of
 :mod:`repro.sim.rng` (no wall-clock randomness anywhere), so
@@ -34,15 +34,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mobility.spec import MobilitySpec
 from repro.phy.params import PhyParams
+from repro.serialization import to_dict
 from repro.sim.rng import RandomStreams
-from repro.spec import (
-    MacSpec,
-    RoutingSpec,
-    ScenarioSpec,
-    TopologyRef,
-    TrafficSpec,
-    TransportSpec,
-)
+from repro.spec import MacSpec, RoutingSpec, TopologyRef, TrafficSpec, TransportSpec
 
 #: Layer order of the enumeration (mixed-radix digit order, docs order).
 LAYERS: Tuple[str, ...] = (
@@ -70,8 +64,8 @@ _MOBILITY_INTERVALS = {"update_interval_s": 0.005, "reestimate_interval_s": 0.01
 class Choice:
     """One enumerable value of one layer: a label plus the spec it means.
 
-    ``value`` is the object handed to :class:`~repro.spec.ScenarioSpec`
-    for that layer (None = the scenario default for optional layers);
+    ``value`` is the object handed to :class:`~repro.spec.ScenarioConfig`
+    for that layer (None = the layer's default, left out of documents);
     ``label`` is the stable human/docs name — path-free even when the
     value embeds a fixture path, so generated docs and CLI output are
     machine-independent.
@@ -144,7 +138,7 @@ def mac_choices() -> List[Choice]:
     """Every registered MAC scheme; wrappers once per eligible inner."""
     from repro.mac.registry import MAC_SCHEMES
 
-    choices = [Choice("mac", "(scheme-label default)", None)]
+    choices = [Choice("mac", "(default dcf)", None)]
     for name, info in MAC_SCHEMES.items():
         if _is_wrapper(info):
             for inner in contention_inner_names():
@@ -157,10 +151,10 @@ def mac_choices() -> List[Choice]:
 
 
 def routing_choices() -> List[Choice]:
-    """Every registered routing strategy (plus the scheme-label default)."""
+    """Every registered routing strategy (plus the default static)."""
     from repro.routing.registry import ROUTING_STRATEGIES
 
-    choices = [Choice("routing", "(scheme-label default)", None)]
+    choices = [Choice("routing", "(default static)", None)]
     choices.extend(
         Choice("routing", name, RoutingSpec(name)) for name in ROUTING_STRATEGIES.names()
     )
@@ -180,15 +174,14 @@ def traffic_choices() -> List[Choice]:
 
 def transport_choices() -> List[Choice]:
     """Every non-default congestion controller (absent = the default reno)."""
-    from repro.experiments.runner import DEFAULT_TRANSPORT_SPEC
     from repro.transport.registry import TRANSPORT_SCHEMES
 
     choices = [Choice("transport", "(default reno)", None)]
-    for name in TRANSPORT_SCHEMES.names():
-        spec = TransportSpec(name)
-        if spec == DEFAULT_TRANSPORT_SPEC:
-            continue  # canonicalizes to absence; enumerating it twice is noise
-        choices.append(Choice("transport", name, spec))
+    choices.extend(
+        Choice("transport", name, TransportSpec(name))
+        for name in TRANSPORT_SCHEMES.names()
+        if name != "reno"
+    )
     return choices
 
 
@@ -240,7 +233,7 @@ def packaged_trace_fixture() -> str:
 
 def _topology_name(combo: Dict[str, Choice]) -> str:
     value = combo["topology"].value
-    return value.canonical_name if isinstance(value, TopologyRef) else str(value)
+    return value.name if isinstance(value, TopologyRef) else str(value)
 
 
 def _mobility_allows_layout(combo: Dict[str, Choice]) -> bool:
@@ -371,23 +364,16 @@ class SpecSpace:
             if self.violated(combo) is None:
                 yield combo
 
-    def spec_for(self, combo: Dict[str, Choice]) -> ScenarioSpec:
-        """The combination as a runnable (short-duration) ScenarioSpec."""
-        return ScenarioSpec(
-            topology=combo["topology"].value,
-            mac=combo["mac"].value,
-            routing=combo["routing"].value,
-            traffic=combo["traffic"].value,
-            transport=combo["transport"].value,
-            mobility=combo["mobility"].value,
-            phy=combo["phy"].value,
-            duration_s=self.duration_s,
-            seed=self.base_seed,
-        )
-
     def document_for(self, combo: Dict[str, Choice]) -> Dict[str, object]:
-        """The combination as a canonical ScenarioSpec document."""
-        return self.spec_for(combo).to_dict()
+        """The combination as a runnable (short-duration) scenario document."""
+        document = {
+            layer: to_dict(choice.value)
+            for layer, choice in combo.items()
+            if choice.value is not None
+        }
+        document["duration_s"] = self.duration_s
+        document["seed"] = self.base_seed
+        return document
 
     def describe(self, combo: Dict[str, Choice]) -> str:
         """Stable one-line label, e.g. ``topology=line mac=ripple ...``."""

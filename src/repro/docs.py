@@ -41,7 +41,7 @@ HEADER = """\
 
 Every pluggable layer of the simulator is a named component in a
 registry (see `repro.registry`); a scenario addresses components purely
-by name, either in a `ScenarioSpec` JSON document or with
+by name, either in a scenario JSON document or with
 `python -m repro.experiments run --set <layer>=<name>
 <layer>.<param>=<value>`.  This reference is generated from the live
 registries by `python -m repro.docs`.

@@ -36,22 +36,16 @@ from repro.experiments.parallel import (
     config_digest,
     expand_grid,
 )
-from repro.experiments.runner import (
+from repro.experiments.runner import ScenarioResult, build_network, run_scenario, sweep_schemes
+from repro.spec import (
     DEFAULT_SCHEME_LABELS,
     PAPER_SCHEMES,
-    ScenarioConfig,
-    ScenarioResult,
-    build_network,
-    expand_scheme_label,
-    run_scenario,
-    sweep_schemes,
-)
-from repro.spec import (
     MacSpec,
     RoutingSpec,
-    ScenarioSpec,
+    ScenarioConfig,
     TopologyRef,
     TrafficSpec,
+    expand_scheme_label,
 )
 
 __all__ = [
@@ -66,7 +60,6 @@ __all__ = [
     "RoutingSpec",
     "ScenarioConfig",
     "ScenarioResult",
-    "ScenarioSpec",
     "SweepRunner",
     "TopologyRef",
     "TrafficSpec",

@@ -19,12 +19,12 @@ no experiment module at all::
     python -m repro.experiments run --set topology=roofnet mac=ripple routing=etx
     python -m repro.experiments run --set topology=fig1 traffic=voip mobility=random_waypoint \
         mobility.speed=5 duration=0.5 --seeds 3
-    python -m repro.experiments run --spec scenario.json        # ScenarioSpec JSON
+    python -m repro.experiments run --spec scenario.json        # scenario document
 
 ``--set`` keys are ``field=value`` with dotted component parameters
 (``topology.n_hops=6``, ``mac.max_aggregation=8``,
 ``phy.max_deviation_sigmas=4``); ``--spec`` takes a JSON file holding one
-:class:`repro.spec.ScenarioSpec` document (or a list of them), and
+:class:`repro.spec.ScenarioConfig` document (or a list of them), and
 ``--set`` assignments override the file.  Spec runs flow through the same
 sweep runner and result cache as the named experiments; add ``--json``
 for a machine-readable ``[{digest, config, result}, ...]`` document on
@@ -352,7 +352,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
 # Declarative spec runs (--spec / --set)
 # ----------------------------------------------------------------------
 
-#: ``--set`` shorthands for ScenarioSpec field names.
+#: ``--set`` shorthands for scenario document field names.
 _SET_FIELD_ALIASES = {
     "duration": "duration_s",
     "warmup": "warmup_s",
@@ -374,14 +374,11 @@ def _parse_set_value(text: str):
 
 
 def _normalize_topology_entry(entry) -> Dict[str, object]:
-    """Unwrap a ScenarioSpec topology entry into a mutable ref dict.
+    """A scenario document's topology entry as a mutable ref dict.
 
-    ``ScenarioSpec.to_dict`` wraps refs as ``{"ref": {...}}``; ``--set``
-    works on the bare ref form.  Inline topologies (positions spelled
-    out) have no builder parameters, so dotted keys are rejected.
+    Inline topologies (positions spelled out) have no builder parameters,
+    so dotted keys are rejected.
     """
-    if isinstance(entry, dict) and set(entry) == {"ref"}:
-        return dict(entry["ref"])
     if isinstance(entry, dict) and "positions" in entry:
         raise SpecError(
             "--set topology.<param> cannot parameterise an inline topology "
@@ -392,14 +389,14 @@ def _normalize_topology_entry(entry) -> Dict[str, object]:
 
 
 def _apply_sets(data: Dict[str, object], items: List[str]) -> Dict[str, object]:
-    """Fold ``--set key=value`` assignments into a ScenarioSpec dict.
+    """Fold ``--set key=value`` assignments into a scenario document.
 
     Component keys (``mac=ripple``) set the component's name keeping
     already-set params; dotted keys (``mac.max_aggregation=8``) merge into
     its params.  Name assignments are applied before dotted ones, so the
     two are order-independent (``phy.max_deviation_sigmas=4 phy=low_rate``
     overrides the profile either way round).  Everything else is a
-    ScenarioSpec field (with the shorthands of :data:`_SET_FIELD_ALIASES`).
+    document field (with the shorthands of :data:`_SET_FIELD_ALIASES`).
     """
     data = dict(data)
     assignments = []
@@ -418,10 +415,10 @@ def _apply_sets(data: Dict[str, object], items: List[str]) -> Dict[str, object]:
             data["mobility"] = entry
         elif key == "topology":
             entry = data.get("topology")
-            if isinstance(entry, dict) and set(entry) == {"ref"}:
-                entry = dict(entry["ref"])
-            elif not isinstance(entry, dict) or "positions" in entry:
+            if not isinstance(entry, dict) or "positions" in entry:
                 entry = {}  # replace an inline topology wholesale
+            else:
+                entry = dict(entry)
             entry["name"] = value
             data["topology"] = entry
         elif key in _SET_COMPONENTS:
@@ -477,8 +474,8 @@ def _apply_sets(data: Dict[str, object], items: List[str]) -> Dict[str, object]:
             data[component] = entry
     for component in ("mac", "routing", "traffic", "transport", "topology"):
         entry = data.get(component)
-        if not isinstance(entry, dict) or "positions" in entry or set(entry) == {"ref"}:
-            continue  # absent, inline topology, or untouched wrapped ref
+        if not isinstance(entry, dict) or "positions" in entry:
+            continue  # absent, or an inline topology
         if entry.get("name") is None:
             raise SpecError(
                 f"--set {component}.<param> used without naming the component "
@@ -487,9 +484,9 @@ def _apply_sets(data: Dict[str, object], items: List[str]) -> Dict[str, object]:
     return data
 
 
-def _specs_from_args(args) -> List["ScenarioSpec"]:
-    """Build the ScenarioSpec list a ``run --spec/--set`` invocation asks for."""
-    from repro.spec import ScenarioSpec
+def _configs_from_args(args) -> List["ScenarioConfig"]:
+    """Build the ScenarioConfig list a ``run --spec/--set`` invocation asks for."""
+    from repro.spec import ScenarioConfig
 
     documents: List[Dict[str, object]] = []
     if args.spec:
@@ -499,7 +496,7 @@ def _specs_from_args(args) -> List["ScenarioSpec"]:
     else:
         documents = [{}]
     sets = list(args.set or [])
-    specs: List[ScenarioSpec] = []
+    configs: List[ScenarioConfig] = []
     for document in documents:
         data = _apply_sets(dict(document), sets)
         if "topology" not in data:
@@ -509,23 +506,20 @@ def _specs_from_args(args) -> List["ScenarioSpec"]:
             )
         if args.duration is not None:
             data["duration_s"] = args.duration
-        specs.append(ScenarioSpec.from_dict(data))
-    return specs
+        configs.append(ScenarioConfig.from_dict(data))
+    return configs
 
 
-def _describe_spec(spec, config) -> str:
-    topology = spec.topology.name  # TopologyRef and TopologySpec both carry one
-    mac, routing, traffic = config.resolved_components()
+def _describe_config(config) -> str:
     parts = [
-        f"topology={topology}",
-        f"mac={mac.name}",
-        f"routing={routing.name}",
-        f"traffic={traffic.name}",
+        f"topology={config.topology.name}",
+        f"mac={config.mac.name}",
+        f"routing={config.routing.name}",
+        f"traffic={config.traffic.name}",
+        f"transport={config.transport.name}",
     ]
-    if config.transport is not None:
-        parts.append(f"transport={config.resolved_transport().name}")
-    if spec.mobility is not None:
-        parts.append(f"mobility={spec.mobility.model}")
+    if config.mobility is not None:
+        parts.append(f"mobility={config.mobility.model}")
     parts.append(f"duration={config.duration_s:g}s")
     return " ".join(parts)
 
@@ -559,15 +553,13 @@ def _render_spec_result(result) -> str:
 def _run_specs(args, runner: SweepRunner) -> int:
     from dataclasses import replace
 
-    specs = _specs_from_args(args)
     configs = []
     labels = []
-    for spec in specs:
-        config = spec.to_config()
+    for config in _configs_from_args(args):
         for seed in range(1, args.seeds + 1):
             seeded = replace(config, seed=seed) if args.seeds > 1 else config
             configs.append(seeded)
-            labels.append(f"{_describe_spec(spec, seeded)} seed={seeded.seed}")
+            labels.append(f"{_describe_config(seeded)} seed={seeded.seed}")
     results = runner.run(configs)
     if getattr(args, "json", False):
         # Machine-readable mode: one document per scenario, carrying the
@@ -647,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         default=None,
         metavar="FILE",
-        help="JSON file with one ScenarioSpec document (or a list of them)",
+        help="JSON file with one scenario document (or a list of them)",
     )
     run.add_argument(
         "--set",

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.experiments.parallel import SweepRunner
+from repro.spec import ScenarioConfig
 
 #: Default sample size of the experiment family (smaller than the CLI
 #: gate's: these runs are long enough to produce meaningful throughput).
@@ -54,7 +55,7 @@ def run_corpus(
     space = default_space(duration_s=duration_s)
     combos = space.sample(sample, sample_seed=seed)
     labels = [space.describe(combo) for combo in combos]
-    configs = [space.spec_for(combo).to_config() for combo in combos]
+    configs = [ScenarioConfig.from_dict(space.document_for(combo)) for combo in combos]
     results = runner.run(configs)
     throughput = {}
     events = {}

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.experiments.runner import ScenarioConfig
 from repro.phy.params import PhyParams
+from repro.spec import SCENARIO_FIELDS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +57,7 @@ class Axis:
 def _as_axis(name: str, axis: Union[Axis, Sequence]) -> Axis:
     if isinstance(axis, Axis):
         return axis
-    field_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    if name not in field_names:
+    if name not in SCENARIO_FIELDS:
         raise TypeError(
             f"axis {name!r} is not a ScenarioConfig field; pass an Axis with "
             f"an explicit bind for derived axes"

@@ -55,6 +55,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.spec import SCENARIO_FIELDS
 
 #: Default cache root; override with the ``REPRO_CACHE_DIR`` environment variable.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -82,8 +83,11 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: (an absent/``reno`` transport serializes to the pre-registry layout);
 #: 7 = one grant event per backoff instead of a timer per DIFS and per slot:
 #: simulated outcomes are unchanged but every payload's ``events_processed``
-#: is lower, so a schema-6 entry holds a count this code never produces.
-CACHE_SCHEMA_VERSION = 7
+#: is lower, so a schema-6 entry holds a count this code never produces;
+#: 8 = one scenario type and one field-driven codec: a config dict always
+#: carries every field (concrete ``mac``/``routing``/``traffic``/``transport``,
+#: no ``scheme_label``) and values are never coerced.
+CACHE_SCHEMA_VERSION = 8
 
 
 def config_digest(config: ScenarioConfig) -> str:
@@ -95,8 +99,13 @@ def config_digest(config: ScenarioConfig) -> str:
     change to any field (including the topology's positions, flows or
     routes) changes it, and a schema bump invalidates every older entry.
     """
+    return _digest(config.to_dict())
+
+
+def _digest(document: Dict[str, object]) -> str:
+    """:func:`config_digest` of a config already serialized to ``document``."""
     payload = json.dumps(
-        {"schema": CACHE_SCHEMA_VERSION, "config": config.to_dict()},
+        {"schema": CACHE_SCHEMA_VERSION, "config": document},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -161,10 +170,14 @@ class ResultCache:
 
     def load(self, config: ScenarioConfig) -> Optional[ScenarioResult]:
         """Return the cached result for ``config``, or None on a miss."""
-        digest = config_digest(config)
+        document = config.to_dict()
+        digest = _digest(document)
         data = self.load_raw(digest)
         if data is None:
             return None
+        if data.get("config") == document:
+            # The payload holds this very config: reuse it, not a decoded copy.
+            data = dict(data, config=config)
         try:
             return ScenarioResult.from_dict(data)
         except (ValueError, KeyError, TypeError):
@@ -200,16 +213,16 @@ class ResultCache:
 def expand_grid(base: ScenarioConfig, **axes: Sequence) -> List[ScenarioConfig]:
     """Cartesian product of ``base`` with per-field value lists.
 
-    Each keyword names a :class:`ScenarioConfig` field and supplies the
-    values to sweep; the product is enumerated in a deterministic order
-    (last axis fastest, like nested for loops)::
+    Each keyword names a :class:`ScenarioConfig` field (or the
+    ``scheme_label`` shorthand) and supplies the values to sweep; the
+    product is enumerated in a deterministic order (last axis fastest,
+    like nested for loops)::
 
         expand_grid(base, scheme_label=["D", "R16"], seed=[1, 2, 3])
 
     yields six configs ordered D/1, D/2, D/3, R16/1, R16/2, R16/3.
     """
-    field_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(axes) - field_names
+    unknown = set(axes) - set(SCENARIO_FIELDS)
     if unknown:
         raise TypeError(f"unknown ScenarioConfig fields: {sorted(unknown)}")
     names = list(axes)
@@ -337,7 +350,7 @@ class CacheOnlySweepRunner(SweepRunner):
     def _describe(config: ScenarioConfig) -> str:
         parts = [
             config.topology.name,
-            config.scheme_label,
+            config.mac.name,
             f"seed={config.seed}",
             f"duration={config.duration_s:g}s",
         ]

@@ -15,9 +15,9 @@ traffic kinds are looked up by name in the component registries
 see :mod:`repro.spec` for the spec classes and
 ``python -m repro.experiments run --spec/--set`` for the CLI face.
 
-The paper's figure legends use five scheme labels; they remain available
-as a thin alias layer (``scheme_label=``) that expands to the equivalent
-specs:
+The paper's figure legends use five scheme labels; ``scheme_label=`` is
+a construction-time shorthand for the equivalent specs
+(:data:`repro.spec.PAPER_SCHEMES`):
 
 ========  =========================  =============================
 label     MAC scheme                 route used
@@ -30,46 +30,24 @@ label     MAC scheme                 route used
 ========  =========================  =============================
 
 A config built from a label and one built from the expanded specs are
-the same scenario: they produce bit-identical results and canonicalize
-to the same serialized form (hence the same sweep-cache digest).
+the same object: equal, with bit-identical results and one sweep-cache
+digest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.flows import FlowResult, total_throughput_mbps
 from repro.metrics.mos import VoipQuality
-from repro.mobility.spec import MobilitySpec
 from repro.phy.error_models import BitErrorModel
-from repro.phy.params import PhyParams
 from repro.routing.dynamic import AdaptiveEtxRouting
-from repro.serialization import require_keys, require_known_keys
+from repro.serialization import Wire
 from repro.sim.units import seconds
-from repro.spec import MacSpec, RoutingSpec, TrafficSpec, TransportSpec
+from repro.spec import DEFAULT_SCHEME_LABELS, PAPER_SCHEMES, ScenarioConfig
 from repro.topology.network import WirelessNetwork
-from repro.topology.spec import FlowSpec, TopologySpec
-
-#: Paper figure label -> (library scheme name, route-set override or None).
-PAPER_SCHEMES: Dict[str, Tuple[str, Optional[str]]] = {
-    "S": ("dcf", "DIRECT"),
-    "D": ("dcf", None),
-    "A": ("afr", None),
-    "R1": ("ripple1", None),
-    "R16": ("ripple", None),
-    "preExOR": ("preexor", None),
-    "MCExOR": ("mcexor", None),
-}
-
-#: Default order in which the figures plot the scheme bars.
-DEFAULT_SCHEME_LABELS: Tuple[str, ...] = ("S", "D", "R1", "A", "R16")
-
-#: The traffic spec meaning "each flow keeps its own FlowSpec.kind".
-PER_FLOW_TRAFFIC = TrafficSpec("flows")
-
-#: The transport spec an absent ``transport=`` resolves to (the seed's Reno).
-DEFAULT_TRANSPORT_SPEC = TransportSpec("reno")
+from repro.topology.spec import FlowSpec
 
 
 def resolve_scheme(scheme_label: str, default_route_set: str) -> Tuple[str, str]:
@@ -80,185 +58,18 @@ def resolve_scheme(scheme_label: str, default_route_set: str) -> Tuple[str, str]
     return scheme, route_override or default_route_set
 
 
-def expand_scheme_label(scheme_label: str, route_set: str) -> Tuple[MacSpec, RoutingSpec]:
-    """The alias layer: a figure label as its equivalent component specs.
+@dataclass
+class ScenarioResult(Wire):
+    """Per-flow results plus handy aggregates for one simulation run.
 
-    The routing spec only carries a ``route_set`` parameter when the label
-    overrides the scenario's own route set (the "S" bars force the DIRECT
-    table), so the expansion of a plain label stays parameter-free and
-    canonical.
+    Every field is required when decoding, so a cached payload that lost
+    one is quarantined rather than served as an empty result.
     """
-    scheme, resolved_route_set = resolve_scheme(scheme_label, route_set)
-    routing_params: Dict[str, object] = {}
-    if resolved_route_set != route_set:
-        routing_params["route_set"] = resolved_route_set
-    return MacSpec(scheme), RoutingSpec("static", routing_params)
-
-
-@dataclass
-class ScenarioConfig:
-    """Everything needed to run one simulation."""
-
-    topology: TopologySpec
-    scheme_label: str = "D"
-    route_set: str = "ROUTE0"
-    active_flows: Optional[Sequence[int]] = None  # None = all flows in the spec
-    bit_error_rate: float = 1e-6
-    duration_s: float = 1.0
-    warmup_s: float = 0.0
-    seed: int = 1
-    phy: Optional[PhyParams] = None
-    tcp_window: int = 64
-    max_forwarders: int = 5
-    max_aggregation: Optional[int] = None
-    #: Time-varying topology; None (or a static spec) reproduces the paper's
-    #: fixed-placement behaviour exactly.
-    mobility: Optional[MobilitySpec] = None
-    #: Structured component specs.  Each defaults to None, meaning "derive
-    #: from ``scheme_label`` through the alias layer" (mac/routing) or
-    #: "per-flow kinds" (traffic); setting one overrides just that layer.
-    mac: Optional[MacSpec] = None
-    routing: Optional[RoutingSpec] = None
-    traffic: Optional[TrafficSpec] = None
-    #: Congestion control for TCP-backed flows; None means the default
-    #: ``reno`` (the seed's machine — runs and digests stay bit-identical).
-    transport: Optional[TransportSpec] = None
-
-    # ------------------------------------------------------------------
-    # Component resolution (the registry-facing view)
-    # ------------------------------------------------------------------
-    def resolved_components(self) -> Tuple[MacSpec, RoutingSpec, TrafficSpec]:
-        """The (mac, routing, traffic) specs this config actually installs."""
-        mac_default, routing_default = expand_scheme_label(self.scheme_label, self.route_set)
-        return (
-            (self.mac or mac_default).canonical(),
-            (self.routing or routing_default).canonical(),
-            (self.traffic or PER_FLOW_TRAFFIC).canonical(),
-        )
-
-    def resolved_transport(self) -> TransportSpec:
-        """The transport spec this config installs (``reno`` when unset)."""
-        return (self.transport or DEFAULT_TRANSPORT_SPEC).canonical()
-
-    def canonical_scheme_label(self) -> Optional[str]:
-        """The figure label equivalent to this config's components, if any.
-
-        A config that never set explicit specs is its own label.  A config
-        whose explicit specs exactly match a label's expansion (with
-        per-flow traffic) collapses back to that label — this is what
-        makes the legacy and spec-addressed forms of the same scenario
-        serialize (and therefore cache) identically.  Returns None when
-        the combination has no label.
-        """
-        if self.mac is None and self.routing is None and self.traffic is None:
-            return self.scheme_label
-        mac, routing, traffic = self.resolved_components()
-        if traffic != PER_FLOW_TRAFFIC:
-            return None
-        for label in PAPER_SCHEMES:
-            label_mac, label_routing = expand_scheme_label(label, self.route_set)
-            if mac == label_mac and routing == label_routing:
-                return label
-        return None
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-safe representation.
-
-        The sweep cache hashes this dict (sorted-key JSON) to key cached
-        results, so every field that influences the simulation must appear
-        here and the representation must be deterministic.  Component
-        specs are canonicalized: when they are equivalent to a scheme
-        label the dict keeps the legacy label-only layout, otherwise the
-        label is None and the specs appear explicitly.
-        """
-        data: Dict[str, object] = {
-            "topology": self.topology.to_dict(),
-            "scheme_label": self.scheme_label,
-            "route_set": self.route_set,
-            "active_flows": None if self.active_flows is None else list(self.active_flows),
-            "bit_error_rate": self.bit_error_rate,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "seed": self.seed,
-            "phy": None if self.phy is None else self.phy.to_dict(),
-            "tcp_window": self.tcp_window,
-            "max_forwarders": self.max_forwarders,
-            "max_aggregation": self.max_aggregation,
-            "mobility": None if self.mobility is None else self.mobility.to_dict(),
-        }
-        label = self.canonical_scheme_label()
-        if label is None:
-            mac, routing, traffic = self.resolved_components()
-            data["scheme_label"] = None
-            data["mac"] = mac.to_dict()
-            data["routing"] = routing.to_dict()
-            data["traffic"] = traffic.to_dict()
-        else:
-            data["scheme_label"] = label
-        transport = self.resolved_transport()
-        if transport != DEFAULT_TRANSPORT_SPEC:
-            # Only a non-default transport appears in the hashed form: the
-            # default (and an explicit parameter-free "reno") canonicalize
-            # to absence, keeping every pre-registry digest unchanged.
-            data["transport"] = transport.to_dict()
-        return data
-
-    _FIELDS = (
-        "topology", "scheme_label", "route_set", "active_flows",
-        "bit_error_rate", "duration_s", "warmup_s", "seed", "phy",
-        "tcp_window", "max_forwarders", "max_aggregation", "mobility",
-        "mac", "routing", "traffic", "transport",
-    )
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioConfig":
-        require_known_keys(data, cls._FIELDS, cls.__name__)
-        require_keys(
-            data,
-            ("topology", "route_set", "bit_error_rate", "duration_s", "seed"),
-            cls.__name__,
-        )
-        phy = data.get("phy")
-        active = data.get("active_flows")
-        max_aggregation = data.get("max_aggregation")
-        mobility = data.get("mobility")
-        mac = data.get("mac")
-        routing = data.get("routing")
-        traffic = data.get("traffic")
-        transport = data.get("transport")
-        scheme_label = data.get("scheme_label", "D")
-        return cls(
-            topology=TopologySpec.from_dict(data["topology"]),
-            scheme_label="D" if scheme_label is None else str(scheme_label),
-            route_set=str(data["route_set"]),
-            active_flows=None if active is None else [int(f) for f in active],
-            bit_error_rate=float(data["bit_error_rate"]),
-            duration_s=float(data["duration_s"]),
-            warmup_s=float(data.get("warmup_s", 0.0)),
-            seed=int(data["seed"]),
-            phy=None if phy is None else PhyParams.from_dict(phy),
-            tcp_window=int(data.get("tcp_window", 64)),
-            max_forwarders=int(data.get("max_forwarders", 5)),
-            max_aggregation=None if max_aggregation is None else int(max_aggregation),
-            mobility=None if mobility is None else MobilitySpec.from_dict(mobility),
-            mac=None if mac is None else MacSpec.from_dict(mac),
-            routing=None if routing is None else RoutingSpec.from_dict(routing),
-            traffic=None if traffic is None else TrafficSpec.from_dict(traffic),
-            transport=None if transport is None else TransportSpec.from_dict(transport),
-        )
-
-
-@dataclass
-class ScenarioResult:
-    """Per-flow results plus handy aggregates for one simulation run."""
 
     config: ScenarioConfig
-    flows: List[FlowResult] = field(default_factory=list)
-    voip_quality: Dict[int, object] = field(default_factory=dict)
-    events_processed: int = 0
+    flows: List[FlowResult]
+    voip_quality: Dict[int, VoipQuality]
+    events_processed: int
 
     @property
     def total_throughput_mbps(self) -> float:
@@ -276,40 +87,12 @@ class ScenarioResult:
         reordered = sum(f.reordered for f in self.flows if f.kind == "tcp")
         return reordered / received if received else 0.0
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation; ``from_dict`` is its exact inverse."""
-        return {
-            "config": self.config.to_dict(),
-            "flows": [flow.to_dict() for flow in self.flows],
-            "voip_quality": {
-                str(flow_id): quality.to_dict()
-                for flow_id, quality in sorted(self.voip_quality.items())
-            },
-            "events_processed": self.events_processed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioResult":
-        require_known_keys(
-            data, ("config", "flows", "voip_quality", "events_processed"), cls.__name__
-        )
-        return cls(
-            config=ScenarioConfig.from_dict(data["config"]),
-            flows=[FlowResult.from_dict(flow) for flow in data.get("flows", [])],
-            voip_quality={
-                int(flow_id): VoipQuality.from_dict(quality)
-                for flow_id, quality in data.get("voip_quality", {}).items()
-            },
-            events_processed=int(data.get("events_processed", 0)),
-        )
-
 
 def build_network(config: ScenarioConfig) -> Tuple[WirelessNetwork, object]:
     """Create the network, install the configured component stack.
 
     The MAC scheme and routing strategy come from the component
-    registries via ``config.resolved_components()`` — either explicit
-    ``mac=``/``routing=`` specs or the ``scheme_label`` alias expansion.
+    registries, named by ``config.mac`` and ``config.routing``.
 
     With a live (non-static) ``config.mobility``, a non-adaptive routing
     protocol becomes the *fallback* of an
@@ -321,7 +104,7 @@ def build_network(config: ScenarioConfig) -> Tuple[WirelessNetwork, object]:
     """
     from repro.routing.registry import ROUTING_STRATEGIES
 
-    mac_spec, routing_spec, _traffic_spec = config.resolved_components()
+    mac_spec, routing_spec = config.mac, config.routing
     network = WirelessNetwork(
         phy=config.phy,
         error_model=BitErrorModel(config.bit_error_rate),
@@ -368,7 +151,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     network, _routing = build_network(config)
     duration_ns = seconds(config.duration_s)
     flows = _active_flows(config)
-    _mac, _rt, traffic_spec = config.resolved_components()
+    traffic_spec = config.traffic
     drivers = []
     for flow in flows:
         kind = flow.kind if traffic_spec.per_flow else traffic_spec.name
@@ -386,16 +169,15 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         for driver in drivers:
             driver.reset_stats()
     network.run_seconds(config.duration_s)
-    result = ScenarioResult(config=config, events_processed=network.sim.processed_events)
-    for driver in drivers:
-        flow_result = driver.summarize(duration_ns)
-        if flow_result is not None:
-            result.flows.append(flow_result)
-    for driver in drivers:
-        quality = driver.quality()
-        if quality is not None:
-            result.voip_quality[driver.flow.flow_id] = quality
-    return result
+    events_processed = network.sim.processed_events
+    flow_results = [driver.summarize(duration_ns) for driver in drivers]
+    qualities = [(driver.flow.flow_id, driver.quality()) for driver in drivers]
+    return ScenarioResult(
+        config=config,
+        flows=[flow for flow in flow_results if flow is not None],
+        voip_quality={flow_id: quality for flow_id, quality in qualities if quality is not None},
+        events_processed=events_processed,
+    )
 
 
 def sweep_schemes(

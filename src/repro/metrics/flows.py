@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.serialization import require_known_keys
+from repro.serialization import Wire
 from repro.sim.units import ns_to_seconds
 from repro.transport.tcp import TcpSender, TcpSink
 from repro.transport.udp import UdpReceiver
 
 
 @dataclass
-class FlowResult:
+class FlowResult(Wire):
     """Outcome of one flow over one simulation run."""
 
     flow_id: int
@@ -37,31 +37,6 @@ class FlowResult:
         if self.packets_received == 0:
             return 0.0
         return self.reordered / self.packets_received
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (used by the sweep cache)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FlowResult":
-        require_known_keys(data, (f.name for f in fields(cls)), cls.__name__)
-        return cls(
-            flow_id=int(data["flow_id"]),
-            kind=str(data["kind"]),
-            src=int(data["src"]),
-            dst=int(data["dst"]),
-            throughput_mbps=float(data["throughput_mbps"]),
-            packets_received=int(data.get("packets_received", 0)),
-            packets_sent=int(data.get("packets_sent", 0)),
-            reordered=int(data.get("reordered", 0)),
-            duplicates=int(data.get("duplicates", 0)),
-            mean_delay_ms=float(data.get("mean_delay_ms", 0.0)),
-            retransmissions=int(data.get("retransmissions", 0)),
-            fast_retransmits=int(data.get("fast_retransmits", 0)),
-            timeouts=int(data.get("timeouts", 0)),
-            rto_backoffs=int(data.get("rto_backoffs", 0)),
-            extra=dict(data.get("extra", {})),
-        )
 
 
 def summarize_tcp_flow(

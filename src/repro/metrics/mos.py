@@ -20,10 +20,10 @@ as lost.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.serialization import require_known_keys
+from repro.serialization import Wire
 
 #: Mouth-to-ear delay budget used in the paper (milliseconds).
 MOUTH_TO_EAR_DELAY_MS = 177.0
@@ -70,27 +70,13 @@ def mos(delay_ms: float, loss_rate: float) -> float:
 
 
 @dataclass(frozen=True)
-class VoipQuality:
+class VoipQuality(Wire):
     """Summary of one VoIP flow's perceived quality."""
 
     delay_ms: float
     loss_rate: float
     r_factor: float
     mos: float
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (used by the sweep cache)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VoipQuality":
-        require_known_keys(data, ("delay_ms", "loss_rate", "r_factor", "mos"), cls.__name__)
-        return cls(
-            delay_ms=float(data["delay_ms"]),
-            loss_rate=float(data["loss_rate"]),
-            r_factor=float(data["r_factor"]),
-            mos=float(data["mos"]),
-        )
 
 
 def evaluate_voip(

@@ -2,9 +2,9 @@
 
 :class:`MobilitySpec` is the declarative description of a scenario's
 mobility — model name, model parameters, tick/re-estimation cadence —
-that rides inside :class:`~repro.experiments.runner.ScenarioConfig`.  It
-round-trips losslessly through ``to_dict``/``from_dict`` (the sweep
-cache hashes that dict), and :meth:`build_model` turns it into a live
+that rides inside :class:`~repro.spec.ScenarioConfig`.  It round-trips losslessly
+through ``to_dict``/``from_dict`` (the sweep cache hashes that dict), and
+:meth:`build_model` turns it into a live
 :class:`~repro.mobility.models.MobilityModel` at network-build time.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.mobility.models import MOBILITY_MODELS, Bounds, MobilityModel
-from repro.serialization import require_known_keys
+from repro.serialization import Wire
 
 
 def _model_names() -> tuple:
@@ -26,7 +26,7 @@ MODEL_NAMES = _model_names()
 
 
 @dataclass
-class MobilitySpec:
+class MobilitySpec(Wire):
     """Everything needed to reconstruct a scenario's mobility, JSON-safely."""
 
     model: str = "static"
@@ -48,6 +48,10 @@ class MobilitySpec:
             raise ValueError("update_interval_s must be positive")
         if self.reestimate_interval_s < 0:
             raise ValueError("reestimate_interval_s must be >= 0")
+        # Canonical forms, so equal specs serialize (and digest) alike.
+        if self.mobile_nodes is not None:
+            self.mobile_nodes = sorted(int(n) for n in self.mobile_nodes)
+        self.params = _canonical_params(self.params)
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -141,37 +145,6 @@ class MobilitySpec:
             bounds = tuple(float(v) for v in bounds)
         builder = MOBILITY_MODELS.lookup(self.model)
         return builder(params, bounds)
-
-    # ------------------------------------------------------------------
-    # Serialization (sweep cache / cross-process exchange)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-safe representation (hashed by the sweep cache)."""
-        return {
-            "model": self.model,
-            "update_interval_s": float(self.update_interval_s),
-            "reestimate_interval_s": float(self.reestimate_interval_s),
-            "mobile_nodes": None
-            if self.mobile_nodes is None
-            else sorted(int(n) for n in self.mobile_nodes),
-            "params": _canonical_params(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "MobilitySpec":
-        require_known_keys(
-            data,
-            ("model", "update_interval_s", "reestimate_interval_s", "mobile_nodes", "params"),
-            cls.__name__,
-        )
-        mobile = data.get("mobile_nodes")
-        return cls(
-            model=str(data["model"]),
-            update_interval_s=float(data.get("update_interval_s", 0.05)),
-            reestimate_interval_s=float(data.get("reestimate_interval_s", 0.25)),
-            mobile_nodes=None if mobile is None else [int(n) for n in mobile],
-            params=dict(data.get("params", {})),
-        )
 
 
 def _canonical_params(params: Dict[str, object]) -> Dict[str, object]:

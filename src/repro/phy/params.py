@@ -14,15 +14,15 @@ rate (``T_phyhdr`` in the paper's overhead formulas).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from repro.serialization import require_known_keys
+from repro.serialization import Wire
 from repro.sim.units import transmission_time_ns, us
 
 
 @dataclass(frozen=True)
-class PhyParams:
+class PhyParams(Wire):
     """Radio and modulation parameters shared by every node in a scenario."""
 
     data_rate_bps: float = 216e6
@@ -77,15 +77,6 @@ class PhyParams:
     def with_rates(self, data_rate_bps: float, basic_rate_bps: float) -> "PhyParams":
         """A copy of these parameters with different data / basic rates."""
         return replace(self, data_rate_bps=data_rate_bps, basic_rate_bps=basic_rate_bps)
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (used by the sweep cache)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhyParams":
-        require_known_keys(data, (f.name for f in fields(cls)), cls.__name__)
-        return cls(**data)
 
 
 #: The default high-rate profile from Table I (216 / 54 Mb/s).

@@ -6,7 +6,7 @@ an on-disk :class:`~repro.experiments.parallel.ResultCache`; the spec
 layer (PR 4) gave those configs a validated JSON wire format.  This
 package is the consequence: point any number of workers — processes or
 machines sharing a filesystem — at one store directory, put a small HTTP
-server in front, and any client can submit a ``ScenarioSpec`` document
+server in front, and any client can submit a scenario document
 and fetch back a bit-reproducible, cached result.
 
 Layers (see ``docs/SERVICE.md`` for the full architecture):

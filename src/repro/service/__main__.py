@@ -10,7 +10,7 @@
 ``serve`` optionally spawns local worker processes (``--workers N``)
 that drain the same store the HTTP app enqueues into; additional
 ``worker`` processes may be started on any machine sharing the store's
-filesystem.  ``submit`` reads one ScenarioSpec JSON document (the same
+filesystem.  ``submit`` reads one scenario JSON document (the same
 format ``python -m repro.experiments run --spec`` takes, ``-`` for
 stdin) and prints the service's JSON responses; with ``--wait`` it polls
 to completion and prints the final job *and* its result payload, so
@@ -224,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     submit = sub.add_parser(
-        "submit", help="POST one ScenarioSpec JSON document", parents=[url_args]
+        "submit", help="POST one scenario JSON document", parents=[url_args]
     )
-    submit.add_argument("spec", metavar="SPEC.json", help="ScenarioSpec file, or - for stdin")
+    submit.add_argument("spec", metavar="SPEC.json", help="scenario document file, or - for stdin")
     submit.add_argument("--seeds", type=int, default=None, metavar="N", help="fan out seeds 1..N")
     submit.add_argument("--max-attempts", type=int, default=None, metavar="N")
     submit.add_argument("--wait", action="store_true", help="poll to completion, print results")

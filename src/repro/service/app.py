@@ -2,7 +2,7 @@
 
 Endpoints::
 
-    POST /jobs              submit a ScenarioSpec (or a seeds/sweep grid)
+    POST /jobs              submit a scenario document (or a seeds/sweep grid)
     GET  /jobs/{id}         job status + progress
     GET  /results/{digest}  cached ScenarioResult payload (canonical JSON)
     GET  /healthz           liveness + store reachability
@@ -41,7 +41,7 @@ DEFAULT_MAX_QUEUE = 256
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 
-#: Largest accepted request body, a defensive cap (ScenarioSpec documents
+#: Largest accepted request body, a defensive cap (scenario documents
 #: are tiny; inline topologies with thousands of nodes still fit easily).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -77,11 +77,9 @@ class SimulationService:
             return 400, error_payload("ParseError", f"request body is not valid JSON: {exc}")
         try:
             request = SubmitRequest.from_dict(document)
-            specs = request.expand()
-            jobs: List[Tuple[Dict[str, object], str]] = []
-            for spec in specs:
-                config = spec.to_config()
-                jobs.append((config.to_dict(), self._digest(config)))
+            jobs: List[Tuple[Dict[str, object], str]] = [
+                (config.to_dict(), self._digest(config)) for config in request.expand()
+            ]
         except SpecError as exc:
             return 400, error_payload("SpecError", str(exc))
         except (ValueError, KeyError, TypeError, OSError) as exc:

@@ -74,7 +74,7 @@ class ServiceClient:
         sweep: Optional[Dict[str, List[object]]] = None,
         max_attempts: Optional[int] = None,
     ) -> Dict[str, object]:
-        """``POST /jobs``: one ScenarioSpec document, optionally fanned out."""
+        """``POST /jobs``: one scenario document, optionally fanned out."""
         body: Dict[str, object] = {"spec": spec}
         if seeds is not None:
             body["seeds"] = seeds

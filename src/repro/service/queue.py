@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
+from repro.serialization import Wire
 from repro.service import clock
 from repro.service.store import JobNotFound, JobRecord, JobStore, JobStoreError
 
@@ -47,23 +48,12 @@ DEFAULT_BACKOFF_CAP_S = 30.0
 
 
 @dataclass(frozen=True)
-class Lease:
+class Lease(Wire):
     """A live claim on one job, held by one worker."""
 
     job_id: str
     owner: str
     expires_s: float
-
-    def to_dict(self) -> dict:
-        return {"job_id": self.job_id, "owner": self.owner, "expires_s": self.expires_s}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Lease":
-        return cls(
-            job_id=str(data["job_id"]),
-            owner=str(data["owner"]),
-            expires_s=float(data["expires_s"]),
-        )
 
 
 class WorkQueue:

@@ -1,25 +1,26 @@
 """Wire format of the HTTP API: strict request parsing, response shaping.
 
-Requests ride the same strict ``from_dict`` discipline as every
-serialized object in the repository (:mod:`repro.serialization`): an
-unknown field raises :class:`~repro.serialization.SpecError` naming the
-field and the class, which the app turns into a structured 400 instead
-of a stack trace.  The scenario payload itself is a full
-:class:`repro.spec.ScenarioSpec` document — the service adds *no* second
-scenario format; whatever runs from ``--spec file.json`` runs over HTTP
-unchanged.
+Requests ride the same strict codec as every serialized object in the
+repository (:mod:`repro.serialization`): an unknown, missing or mistyped
+field raises :class:`~repro.serialization.SpecError` naming the field and
+the class, which the app turns into a structured 400 instead of a stack
+trace.  The scenario payload itself is a
+:class:`repro.spec.ScenarioConfig` document — the service adds *no*
+second scenario format; whatever runs from ``--spec file.json`` runs over
+HTTP unchanged.
 
 A :class:`SubmitRequest` is either a single scenario or a small grid:
 
 ``spec``
-    One ScenarioSpec document (required).
+    One scenario document (required).
 ``seeds``
     Optional — an integer N (meaning seeds ``1..N``) or an explicit
     list; each seed becomes one child job.
 ``sweep``
-    Optional — ``{field: [values, ...]}`` over top-level ScenarioSpec
-    fields; the Cartesian product of all sweep axes (times ``seeds``)
-    fans out into child jobs under one group job.
+    Optional — ``{field: [values, ...]}`` over top-level scenario
+    document fields (``scheme_label`` included); the Cartesian product
+    of all sweep axes (times ``seeds``) fans out into child jobs under
+    one group job.
 ``max_attempts``
     Optional retry cap per child job (poison quarantine threshold).
 """
@@ -30,9 +31,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional
 
-from repro.serialization import SpecError, require_keys, require_known_keys
+from repro.serialization import SpecError, Wire, from_dict
 from repro.service.store import DEFAULT_MAX_ATTEMPTS, JobRecord, JobStore
-from repro.spec import ScenarioSpec
+from repro.spec import SCENARIO_FIELDS, ScenarioConfig
 
 #: Hard ceiling on fan-out from one submit call, independent of queue
 #: backpressure: a single request may not enqueue more than this many jobs.
@@ -40,7 +41,7 @@ MAX_FANOUT = 1024
 
 
 @dataclass
-class SubmitRequest:
+class SubmitRequest(Wire):
     """Parsed ``POST /jobs`` body: one spec document plus fan-out axes."""
 
     spec: Dict[str, object]
@@ -48,63 +49,38 @@ class SubmitRequest:
     sweep: Dict[str, List[object]] = field(default_factory=dict)
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
-    _FIELDS = ("spec", "seeds", "sweep", "max_attempts")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation; ``from_dict`` is its exact inverse."""
-        return {
-            "spec": self.spec,
-            "seeds": None if self.seeds is None else list(self.seeds),
-            "sweep": {key: list(values) for key, values in self.sweep.items()},
-            "max_attempts": self.max_attempts,
-        }
-
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SubmitRequest":
-        require_known_keys(data, cls._FIELDS, cls.__name__)
-        require_keys(data, ("spec",), cls.__name__)
-        spec = data["spec"]
-        if not isinstance(spec, dict):
-            raise SpecError(f"SubmitRequest.spec must be a dict, got {type(spec).__name__}")
-        seeds = data.get("seeds")
-        if isinstance(seeds, bool):
-            raise SpecError("SubmitRequest.seeds must be an int or a list of ints")
-        if isinstance(seeds, int):
+    def from_dict(cls, data: object) -> "SubmitRequest":
+        """Decode a request body; an integer ``seeds`` N means seeds ``1..N``."""
+        seeds = data.get("seeds") if isinstance(data, dict) else None
+        if type(seeds) is int:
             if seeds < 1:
                 raise SpecError(f"SubmitRequest.seeds must be >= 1, got {seeds}")
-            seeds = list(range(1, seeds + 1))
-        elif seeds is not None:
-            if not isinstance(seeds, list) or not seeds:
-                raise SpecError("SubmitRequest.seeds must be an int or a non-empty list of ints")
-            seeds = [int(seed) for seed in seeds]
-        sweep_data = data.get("sweep") or {}
-        if not isinstance(sweep_data, dict):
-            raise SpecError(
-                f"SubmitRequest.sweep must be a dict of field -> values, "
-                f"got {type(sweep_data).__name__}"
-            )
-        sweep: Dict[str, List[object]] = {}
-        for key, values in sweep_data.items():
-            if key not in ScenarioSpec._FIELDS:
+            data = {**data, "seeds": list(range(1, seeds + 1))}
+        request = from_dict(cls, data)
+        if request.seeds == []:
+            raise SpecError("SubmitRequest.seeds must be an int or a non-empty list of ints")
+        for key, values in request.sweep.items():
+            if key not in SCENARIO_FIELDS:
                 raise SpecError(
-                    f"SubmitRequest.sweep field {key!r} is not a ScenarioSpec field; "
-                    f"accepted: {sorted(ScenarioSpec._FIELDS)}"
+                    f"SubmitRequest.sweep field {key!r} is not a ScenarioConfig field; "
+                    f"accepted: {sorted(SCENARIO_FIELDS)}"
                 )
             if key == "seed":
                 raise SpecError("sweep seeds with the 'seeds' field, not sweep['seed']")
-            if not isinstance(values, list) or not values:
+            if not values:
                 raise SpecError(f"SubmitRequest.sweep[{key!r}] must be a non-empty list")
-            sweep[key] = list(values)
-        max_attempts = int(data.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
-        if max_attempts < 1:
-            raise SpecError(f"SubmitRequest.max_attempts must be >= 1, got {max_attempts}")
-        return cls(spec=dict(spec), seeds=seeds, sweep=sweep, max_attempts=max_attempts)
+        if request.max_attempts < 1:
+            raise SpecError(
+                f"SubmitRequest.max_attempts must be >= 1, got {request.max_attempts}"
+            )
+        return request
 
     # ------------------------------------------------------------------
     # Fan-out
     # ------------------------------------------------------------------
-    def expand(self) -> List[ScenarioSpec]:
-        """The validated ScenarioSpec per child job, in deterministic order.
+    def expand(self) -> List[ScenarioConfig]:
+        """The validated ScenarioConfig per child job, in deterministic order.
 
         Sweep axes are enumerated key-sorted, last axis fastest (the same
         convention as :func:`repro.experiments.parallel.expand_grid`),
@@ -114,7 +90,7 @@ class SubmitRequest:
         if self.seeds is not None:
             axes.append(("seed", list(self.seeds)))
         if not axes:
-            return [ScenarioSpec.from_dict(dict(self.spec))]
+            return [ScenarioConfig.from_dict(dict(self.spec))]
         names = [name for name, _ in axes]
         combos = list(product(*(values for _, values in axes)))
         if len(combos) > MAX_FANOUT:
@@ -122,12 +98,12 @@ class SubmitRequest:
                 f"request fans out into {len(combos)} jobs; the per-request "
                 f"ceiling is {MAX_FANOUT}"
             )
-        specs: List[ScenarioSpec] = []
+        configs: List[ScenarioConfig] = []
         for combo in combos:
             document = dict(self.spec)
             document.update(zip(names, combo))
-            specs.append(ScenarioSpec.from_dict(document))
-        return specs
+            configs.append(ScenarioConfig.from_dict(document))
+        return configs
 
 
 def job_payload(store: JobStore, record: JobRecord) -> Dict[str, object]:

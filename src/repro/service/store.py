@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from repro.serialization import SpecError, require_keys, require_known_keys
+from repro.serialization import SpecError, Wire
 from repro.service import clock
 
 #: Default store root; override with ``REPRO_SERVICE_DIR`` or ``--store``.
@@ -65,7 +65,7 @@ class JobNotFound(KeyError):
 
 
 @dataclass
-class JobRecord:
+class JobRecord(Wire):
     """One durable job: a scenario config payload plus queue bookkeeping.
 
     ``config`` is the canonical ``ScenarioConfig.to_dict()`` document for
@@ -106,57 +106,6 @@ class JobRecord:
     def quarantined(self) -> bool:
         """Whether the job was retired as poison (failed at the attempt cap)."""
         return self.state == "failed" and self.attempts >= self.max_attempts
-
-    # ------------------------------------------------------------------
-    # Serialization (strict, like every wire format in the repo)
-    # ------------------------------------------------------------------
-    _FIELDS = (
-        "job_id", "config", "digest", "state", "kind", "children",
-        "attempts", "max_attempts", "not_before", "error",
-        "created_s", "finished_s",
-    )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation; ``from_dict`` is its exact inverse."""
-        return {
-            "job_id": self.job_id,
-            "config": self.config,
-            "digest": self.digest,
-            "state": self.state,
-            "kind": self.kind,
-            "children": list(self.children),
-            "attempts": self.attempts,
-            "max_attempts": self.max_attempts,
-            "not_before": self.not_before,
-            "error": self.error,
-            "created_s": self.created_s,
-            "finished_s": self.finished_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobRecord":
-        require_known_keys(data, cls._FIELDS, cls.__name__)
-        require_keys(data, ("job_id",), cls.__name__)
-        config = data.get("config")
-        if config is not None and not isinstance(config, dict):
-            raise SpecError(
-                f"JobRecord.config must be a dict or null, got {type(config).__name__}"
-            )
-        finished = data.get("finished_s")
-        return cls(
-            job_id=str(data["job_id"]),
-            config=config,
-            digest=None if data.get("digest") is None else str(data["digest"]),
-            state=str(data.get("state", "queued")),
-            kind=str(data.get("kind", "scenario")),
-            children=[str(child) for child in data.get("children") or []],
-            attempts=int(data.get("attempts", 0)),
-            max_attempts=int(data.get("max_attempts", DEFAULT_MAX_ATTEMPTS)),
-            not_before=float(data.get("not_before", 0.0)),
-            error=None if data.get("error") is None else str(data["error"]),
-            created_s=float(data.get("created_s", 0.0)),
-            finished_s=None if finished is None else float(finished),
-        )
 
 
 def new_job_id() -> str:

@@ -1,4 +1,4 @@
-"""Declarative scenario specs: name-addressed components, JSON all the way.
+"""Declarative scenarios: name-addressed components, JSON all the way.
 
 This module is the public face of the composable scenario API.  Each
 pluggable layer has a small serializable spec that names a registered
@@ -14,6 +14,8 @@ component plus its parameters:
   :data:`repro.traffic.registry.TRAFFIC_KINDS` (``tcp``, ``web``,
   ``voip``, ``udp-saturating``, ``poisson``) or the default ``"flows"``,
   meaning "drive each flow according to its own :class:`FlowSpec.kind`";
+* :class:`TransportSpec` — a congestion controller from
+  :data:`repro.transport.registry.TRANSPORT_SCHEMES`;
 * :class:`TopologyRef` — a named topology builder from
   :data:`repro.topology.registry.TOPOLOGIES` with builder parameters
   (``line``/``n_hops=6``, ``roofnet``/``include_hidden=true``,
@@ -29,29 +31,29 @@ The propagation model is part of the PHY rather than a separate spec:
 The generated reference for every registered component lives in
 ``docs/COMPONENTS.md`` (``python -m repro.docs``).
 
-:class:`ScenarioSpec` composes them into one JSON document that fully
-describes a simulation.  ``ScenarioSpec.from_dict(json.load(f)).to_config()``
-is exactly what ``python -m repro.experiments run --spec file.json``
-does, and any (topology × MAC × routing × traffic × mobility)
-combination of registered components is reachable that way with no new
-experiment module.
+:class:`ScenarioConfig` composes them into the one scenario type: the
+object :func:`~repro.experiments.runner.run_scenario` runs, the JSON
+document ``python -m repro.experiments run --spec file.json`` and the
+HTTP service accept, and the dict the sweep cache hashes.  Any
+(topology × MAC × routing × traffic × transport × mobility) combination
+of registered components is reachable that way with no new experiment
+module.
 
-The paper's ``scheme_label`` bars ("S"/"D"/"A"/"R1"/"R16") remain a thin
-alias layer: :func:`repro.experiments.runner.expand_scheme_label` turns a
-label into the equivalent ``(MacSpec, RoutingSpec)`` pair, and configs
-whose explicit specs match an alias expansion canonicalize back to the
-label, so the legacy and spec-addressed forms of the same scenario hash
-to the same sweep-cache digest.
+The paper's figure labels ("S"/"D"/"A"/"R1"/"R16") are a shorthand:
+``ScenarioConfig(..., scheme_label="R16")`` sets ``mac`` and ``routing``
+to the specs the label stands for and is never stored, so a label-built
+config and a spec-built one are the same object with one digest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Union
+import inspect
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY, PhyParams
 from repro.mobility.spec import MobilitySpec
-from repro.serialization import SpecError, require_keys, require_known_keys
+from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY, PhyParams
+from repro.serialization import SpecError, Wire, from_dict
 from repro.topology.spec import TopologySpec
 
 #: Named PHY profiles addressable from specs (Table I's two rate points).
@@ -60,19 +62,30 @@ PHY_PROFILES: Dict[str, PhyParams] = {
     "low_rate": LOW_RATE_PHY,
 }
 
+#: Paper figure label -> (library scheme name, route-set override or None).
+PAPER_SCHEMES: Dict[str, Tuple[str, Optional[str]]] = {
+    "S": ("dcf", "DIRECT"),
+    "D": ("dcf", None),
+    "A": ("afr", None),
+    "R1": ("ripple1", None),
+    "R16": ("ripple", None),
+    "preExOR": ("preexor", None),
+    "MCExOR": ("mcexor", None),
+}
 
-def _canonical_params(params: Dict[str, object]) -> Dict[str, object]:
-    """Key-sorted copy of a params dict (so equal specs serialize identically)."""
-    return {key: params[key] for key in sorted(params)}
+#: Default order in which the figures plot the scheme bars.
+DEFAULT_SCHEME_LABELS: Tuple[str, ...] = ("S", "D", "R1", "A", "R16")
 
 
 @dataclass(frozen=True)
-class _ComponentSpec:
+class _ComponentSpec(Wire):
     """A registered component addressed by name, plus its parameters.
 
     Subclasses pin the registry the name must resolve in; validation
     happens at construction so a typo'd name fails where it was written,
-    not deep inside ``build_network``.
+    not deep inside ``build_network``.  An alias (``etx``) is replaced by
+    its canonical name (``adaptive_etx``) at construction too, so specs
+    that mean the same component compare and serialize alike.
     """
 
     name: str
@@ -93,6 +106,7 @@ class _ComponentSpec:
                 raise SpecError(
                     f"{type(self).__name__} parameter names must be strings, got {key!r}"
                 )
+        object.__setattr__(self, "name", registry.canonical_name(self.name))
 
     @classmethod
     def _registry(cls):
@@ -114,43 +128,8 @@ class _ComponentSpec:
         """Names valid for this spec without a registry entry (none by default)."""
         return False
 
-    @property
-    def canonical_name(self) -> str:
-        """The registry's canonical name (aliases like ``etx`` resolved)."""
-        return self._registry().canonical_name(self.name)
 
-    def canonical(self) -> "_ComponentSpec":
-        """This spec with its name canonicalized (used before hashing)."""
-        name = self.canonical_name
-        return self if name == self.name else replace(self, name=name)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-safe representation (hashed by the sweep cache)."""
-        return {"name": self.canonical_name, "params": _canonical_params(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "_ComponentSpec":
-        require_known_keys(data, ("name", "params"), cls.__name__)
-        require_keys(data, ("name",), cls.__name__)
-        params = data.get("params") or {}
-        if not isinstance(params, dict):
-            raise SpecError(f"{cls.__name__}.params must be a dict, got {type(params).__name__}")
-        return cls(name=str(data["name"]), params=dict(params))
-
-    def __eq__(self, other: object) -> bool:
-        """Specs compare by canonical name + params (aliases are transparent)."""
-        if not isinstance(other, type(self)) or not isinstance(self, type(other)):
-            return NotImplemented
-        return self.canonical_name == other.canonical_name and self.params == other.params
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.canonical_name, tuple(sorted(self.params.items(), key=lambda kv: kv[0]))))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MacSpec(_ComponentSpec):
     """One MAC/forwarding scheme by registered name (+ per-node MAC kwargs)."""
 
@@ -163,7 +142,7 @@ class MacSpec(_ComponentSpec):
         return MAC_SCHEMES
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RoutingSpec(_ComponentSpec):
     """One routing strategy by registered name (+ builder params)."""
 
@@ -176,7 +155,7 @@ class RoutingSpec(_ComponentSpec):
         return ROUTING_STRATEGIES
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrafficSpec(_ComponentSpec):
     """One traffic kind by registered name, or ``"flows"`` (per-flow kinds)."""
 
@@ -202,15 +181,13 @@ class TrafficSpec(_ComponentSpec):
         return self.name == PER_FLOW_KINDS
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TransportSpec(_ComponentSpec):
     """One congestion-control scheme by registered name (+ controller params).
 
     Resolves in :data:`repro.transport.registry.TRANSPORT_SCHEMES`
-    (``reno``, ``tahoe``, ``newreno``, ``cubic``).  The default — absent
-    spec — is ``reno``, the seed's machine, and an explicit parameter-free
-    ``reno`` canonicalizes back to the absent form so both address the
-    same sweep-cache digest.
+    (``reno``, ``tahoe``, ``newreno``, ``cubic``).  The default is
+    ``reno``, the seed's machine.
     """
 
     KIND = "transport"
@@ -222,13 +199,14 @@ class TransportSpec(_ComponentSpec):
         return TRANSPORT_SCHEMES
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TopologyRef(_ComponentSpec):
     """A named topology builder plus its parameters.
 
     Unlike an inline :class:`TopologySpec` (positions, flows and routes
-    spelled out), a ref stays tiny in serialized form and is rebuilt —
-    deterministically — from the registry at resolution time.
+    spelled out), a ref is tiny in a scenario document; a
+    :class:`ScenarioConfig` built from one runs the builder —
+    deterministically — at construction.
     """
 
     KIND = "topology"
@@ -246,7 +224,7 @@ class TopologyRef(_ComponentSpec):
         return build_topology(self.name, **self.params)
 
 
-#: ScenarioSpec component field -> the spec class that parses it.  The
+#: Scenario field -> the spec class that names its component.  The
 #: enumeration hook the corpus and the wire-format fuzz tests iterate:
 #: every name-addressed layer appears here exactly once, so "walk all
 #: component registries" never silently misses a newly added layer.
@@ -259,170 +237,90 @@ COMPONENT_SPEC_CLASSES: Dict[str, type] = {
 }
 
 
-def _phy_to_dict(phy: Optional[Union[str, PhyParams]]) -> object:
-    if phy is None or isinstance(phy, str):
-        if isinstance(phy, str) and phy not in PHY_PROFILES:
-            raise SpecError(f"unknown PHY profile {phy!r}; known: {sorted(PHY_PROFILES)}")
-        return phy
-    return phy.to_dict()
-
-
-def _phy_from_dict(data: object) -> Optional[Union[str, PhyParams]]:
-    if data is None:
-        return None
-    if isinstance(data, str):
-        if data not in PHY_PROFILES:
-            raise SpecError(f"unknown PHY profile {data!r}; known: {sorted(PHY_PROFILES)}")
-        return data
-    return PhyParams.from_dict(data)
-
-
-def resolve_phy(phy: Optional[Union[str, PhyParams]]) -> Optional[PhyParams]:
-    """Turn a spec-level PHY reference (profile name or params) into params."""
-    if phy is None or isinstance(phy, PhyParams):
-        return phy
+def resolve_phy(profile: str) -> PhyParams:
+    """The PHY parameters a profile name (``high_rate``, ``low_rate``) stands for."""
     try:
-        return PHY_PROFILES[phy]
+        return PHY_PROFILES[profile]
     except KeyError:
-        raise SpecError(f"unknown PHY profile {phy!r}; known: {sorted(PHY_PROFILES)}") from None
+        raise SpecError(f"unknown PHY profile {profile!r}; known: {sorted(PHY_PROFILES)}") from None
+
+
+def expand_scheme_label(scheme_label: str) -> Tuple[MacSpec, RoutingSpec]:
+    """A paper figure label as the (MAC, routing) specs it stands for.
+
+    ``S`` pins the DIRECT route table in its routing params, so the label
+    keeps its meaning through a later ``replace(config, route_set=...)``.
+    """
+    if scheme_label not in PAPER_SCHEMES:
+        raise SpecError(f"unknown scheme label {scheme_label!r}; known: {sorted(PAPER_SCHEMES)}")
+    scheme, route_set = PAPER_SCHEMES[scheme_label]
+    params: Dict[str, object] = {} if route_set is None else {"route_set": route_set}
+    return MacSpec(scheme), RoutingSpec("static", params)
 
 
 @dataclass
-class ScenarioSpec:
-    """A fully declarative scenario: every layer addressed by name.
+class ScenarioConfig(Wire):
+    """Everything needed to run one simulation, and its JSON document.
 
-    ``to_config()`` resolves the references (topology builder, PHY
-    profile) into a concrete
-    :class:`~repro.experiments.runner.ScenarioConfig`; everything else is
-    carried through.  ``scheme_label`` is optional sugar — when given, it
-    supplies defaults for ``mac``/``routing`` through the alias layer,
-    exactly as on :class:`ScenarioConfig` itself.
+    ``topology`` takes a :class:`TopologySpec` or a :class:`TopologyRef`,
+    and ``phy`` takes :class:`PhyParams` or a :data:`PHY_PROFILES` name;
+    both are resolved at construction, so the stored config is always
+    concrete.  ``scheme_label`` is an init-only shorthand that sets
+    ``mac`` and ``routing`` (see :data:`PAPER_SCHEMES`); it is never
+    stored or serialized.
     """
 
-    topology: Union[TopologyRef, TopologySpec]
-    scheme_label: Optional[str] = None
-    mac: Optional[MacSpec] = None
-    routing: Optional[RoutingSpec] = None
-    traffic: Optional[TrafficSpec] = None
-    transport: Optional[TransportSpec] = None
-    mobility: Optional[MobilitySpec] = None
+    topology: Union[TopologySpec, TopologyRef]
+    scheme_label: InitVar[Optional[str]] = None
     route_set: str = "ROUTE0"
-    active_flows: Optional[List[int]] = None
+    active_flows: Optional[List[int]] = None  # None = all flows in the spec
     bit_error_rate: float = 1e-6
     duration_s: float = 1.0
     warmup_s: float = 0.0
     seed: int = 1
-    phy: Optional[Union[str, PhyParams]] = None
+    phy: Union[PhyParams, str, None] = None
     tcp_window: int = 64
     max_forwarders: int = 5
     max_aggregation: Optional[int] = None
+    #: Time-varying topology; None (or a static spec) reproduces the paper's
+    #: fixed-placement behaviour exactly.
+    mobility: Optional[MobilitySpec] = None
+    mac: MacSpec = field(default_factory=lambda: MacSpec("dcf"))
+    routing: RoutingSpec = field(default_factory=lambda: RoutingSpec("static"))
+    traffic: TrafficSpec = field(default_factory=lambda: TrafficSpec("flows"))
+    #: Congestion control for TCP-backed flows.
+    transport: TransportSpec = field(default_factory=lambda: TransportSpec("reno"))
 
-    def resolve_topology(self) -> TopologySpec:
+    def __post_init__(self, scheme_label: Optional[str]) -> None:
         if isinstance(self.topology, TopologyRef):
-            return self.topology.build()
-        return self.topology
-
-    def to_config(self):
-        """Resolve every reference into a runnable ``ScenarioConfig``."""
-        from repro.experiments.runner import ScenarioConfig
-
-        kwargs = {}
-        if self.scheme_label is not None:
-            kwargs["scheme_label"] = self.scheme_label
-        return ScenarioConfig(
-            topology=self.resolve_topology(),
-            mac=self.mac,
-            routing=self.routing,
-            traffic=self.traffic,
-            transport=self.transport,
-            mobility=self.mobility,
-            route_set=self.route_set,
-            active_flows=None if self.active_flows is None else list(self.active_flows),
-            bit_error_rate=self.bit_error_rate,
-            duration_s=self.duration_s,
-            warmup_s=self.warmup_s,
-            seed=self.seed,
-            phy=resolve_phy(self.phy),
-            tcp_window=self.tcp_window,
-            max_forwarders=self.max_forwarders,
-            max_aggregation=self.max_aggregation,
-            **kwargs,
-        )
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation; ``from_dict`` is its exact inverse."""
-        if isinstance(self.topology, TopologyRef):
-            topology = {"ref": self.topology.to_dict()}
-        else:
-            topology = self.topology.to_dict()
-        return {
-            "topology": topology,
-            "scheme_label": self.scheme_label,
-            "mac": None if self.mac is None else self.mac.to_dict(),
-            "routing": None if self.routing is None else self.routing.to_dict(),
-            "traffic": None if self.traffic is None else self.traffic.to_dict(),
-            "transport": None if self.transport is None else self.transport.to_dict(),
-            "mobility": None if self.mobility is None else self.mobility.to_dict(),
-            "route_set": self.route_set,
-            "active_flows": None if self.active_flows is None else list(self.active_flows),
-            "bit_error_rate": self.bit_error_rate,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "seed": self.seed,
-            "phy": _phy_to_dict(self.phy),
-            "tcp_window": self.tcp_window,
-            "max_forwarders": self.max_forwarders,
-            "max_aggregation": self.max_aggregation,
-        }
-
-    _FIELDS = (
-        "topology", "scheme_label", "mac", "routing", "traffic", "transport",
-        "mobility", "route_set", "active_flows", "bit_error_rate",
-        "duration_s", "warmup_s", "seed", "phy", "tcp_window",
-        "max_forwarders", "max_aggregation",
-    )
+            self.topology = self.topology.build()
+        if isinstance(self.phy, str):
+            self.phy = resolve_phy(self.phy)
+        if self.active_flows is not None:
+            self.active_flows = list(self.active_flows)
+        if scheme_label is not None:
+            self.mac, self.routing = expand_scheme_label(scheme_label)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ScenarioSpec":
-        require_known_keys(data, cls._FIELDS, cls.__name__)
-        require_keys(data, ("topology",), cls.__name__)
-        topology_data = data["topology"]
-        if isinstance(topology_data, dict) and set(topology_data) == {"ref"}:
-            topology: Union[TopologyRef, TopologySpec] = TopologyRef.from_dict(
-                topology_data["ref"]
-            )
-        elif isinstance(topology_data, dict) and "name" in topology_data and "positions" not in topology_data:
-            # Accept a bare ref dict ({"name": ..., "params": ...}) too.
-            topology = TopologyRef.from_dict(topology_data)
-        else:
-            topology = TopologySpec.from_dict(topology_data)
-        scheme_label = data.get("scheme_label")
-        mac = data.get("mac")
-        routing = data.get("routing")
-        traffic = data.get("traffic")
-        transport = data.get("transport")
-        mobility = data.get("mobility")
-        active = data.get("active_flows")
-        max_aggregation = data.get("max_aggregation")
-        return cls(
-            topology=topology,
-            scheme_label=None if scheme_label is None else str(scheme_label),
-            mac=None if mac is None else MacSpec.from_dict(mac),
-            routing=None if routing is None else RoutingSpec.from_dict(routing),
-            traffic=None if traffic is None else TrafficSpec.from_dict(traffic),
-            transport=None if transport is None else TransportSpec.from_dict(transport),
-            mobility=None if mobility is None else MobilitySpec.from_dict(mobility),
-            route_set=str(data.get("route_set", "ROUTE0")),
-            active_flows=None if active is None else [int(f) for f in active],
-            bit_error_rate=float(data.get("bit_error_rate", 1e-6)),
-            duration_s=float(data.get("duration_s", 1.0)),
-            warmup_s=float(data.get("warmup_s", 0.0)),
-            seed=int(data.get("seed", 1)),
-            phy=_phy_from_dict(data.get("phy")),
-            tcp_window=int(data.get("tcp_window", 64)),
-            max_forwarders=int(data.get("max_forwarders", 5)),
-            max_aggregation=None if max_aggregation is None else int(max_aggregation),
-        )
+    def from_dict(cls, data: object) -> "ScenarioConfig":
+        """Decode a scenario document; ``scheme_label`` excludes ``mac``/``routing``."""
+        if isinstance(data, dict) and data.get("scheme_label") is not None:
+            clash = sorted({"mac", "routing"} & data.keys())
+            if clash:
+                raise SpecError(
+                    f"ScenarioConfig.scheme_label sets mac and routing; "
+                    f"give one or the other, not both (document also gives {clash})"
+                )
+        return from_dict(cls, data)
+
+    def to_config(self) -> "ScenarioConfig":
+        """This config (scenario documents once decoded to a separate type)."""
+        return self
+
+
+#: Every key a scenario document may carry: the stored fields plus the
+#: init-only ``scheme_label``.  Sweep and grid axes are checked against it.
+SCENARIO_FIELDS: Tuple[str, ...] = tuple(inspect.signature(ScenarioConfig).parameters)
+
+#: The former name of :class:`ScenarioConfig`'s document form.
+ScenarioSpec = ScenarioConfig

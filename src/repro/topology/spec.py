@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serialization import require_known_keys
+from repro.serialization import Wire
 
 
 class TopologyError(ValueError):
@@ -22,7 +22,7 @@ class TopologyError(ValueError):
 
 
 @dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Wire):
     """One application flow in a scenario."""
 
     flow_id: int
@@ -34,40 +34,14 @@ class FlowSpec:
     #: None defers to the scenario-level TransportSpec (default: reno).
     transport: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation (used by the sweep cache)."""
-        data: Dict[str, object] = {
-            "flow_id": self.flow_id,
-            "src": self.src,
-            "dst": self.dst,
-            "kind": self.kind,
-            "label": self.label,
-        }
-        if self.transport is not None:
-            # Emitted only when set, so pre-existing topology digests
-            # (which never carried the key) are unchanged.
-            data["transport"] = self.transport
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FlowSpec":
-        require_known_keys(
-            data, ("flow_id", "src", "dst", "kind", "label", "transport"), cls.__name__
-        )
-        transport = data.get("transport")
-        return cls(
-            flow_id=int(data["flow_id"]),
-            src=int(data["src"]),
-            dst=int(data["dst"]),
-            kind=str(data["kind"]),
-            label=str(data.get("label", "")),
-            transport=None if transport is None else str(transport),
-        )
-
 
 @dataclass
-class TopologySpec:
-    """A named node placement with flows and (optionally) predetermined routes."""
+class TopologySpec(Wire):
+    """A named node placement with flows and (optionally) predetermined routes.
+
+    Serialized, ``positions`` are keyed by node id as text and a route
+    table by ``"src-dst"`` (see :mod:`repro.serialization`).
+    """
 
     name: str
     positions: Dict[int, Tuple[float, float]]
@@ -140,53 +114,3 @@ class TopologySpec:
                             f"passes through unknown node {hop}"
                         )
         return self
-
-    # ------------------------------------------------------------------
-    # Serialization (sweep cache / cross-process result exchange)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe representation.
-
-        Dict keys become strings (``positions`` by node id, routes by an
-        ``"src-dst"`` pair) so the result round-trips through ``json``.
-        """
-        return {
-            "name": self.name,
-            "positions": {
-                str(node_id): [float(x), float(y)]
-                for node_id, (x, y) in sorted(self.positions.items())
-            },
-            "flows": [flow.to_dict() for flow in self.flows],
-            "route_sets": {
-                set_name: {
-                    f"{src}-{dst}": list(path)
-                    for (src, dst), path in sorted(routes.items())
-                }
-                for set_name, routes in sorted(self.route_sets.items())
-            },
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "TopologySpec":
-        require_known_keys(
-            data, ("name", "positions", "flows", "route_sets", "description"), cls.__name__
-        )
-        positions = {
-            int(node_id): (float(xy[0]), float(xy[1]))
-            for node_id, xy in data["positions"].items()
-        }
-        route_sets = {}
-        for set_name, routes in data.get("route_sets", {}).items():
-            table = {}
-            for key, path in routes.items():
-                src, _, dst = key.partition("-")
-                table[(int(src), int(dst))] = [int(hop) for hop in path]
-            route_sets[set_name] = table
-        return cls(
-            name=str(data["name"]),
-            positions=positions,
-            flows=[FlowSpec.from_dict(flow) for flow in data.get("flows", [])],
-            route_sets=route_sets,
-            description=str(data.get("description", "")),
-        )

@@ -15,9 +15,8 @@ def test_full_pass_is_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-def test_all_six_rules_are_registered():
+def test_all_five_rules_are_registered():
     assert known_rule_ids() == [
-        "digest-coverage",
         "no-unkeyed-rng",
         "no-unordered-set-iteration",
         "no-wall-clock",

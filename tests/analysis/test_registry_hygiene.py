@@ -2,7 +2,6 @@
 
 import sys
 import types
-from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -18,19 +17,9 @@ def _ctx():
     return ProjectContext(root=root, modules=tuple(iter_modules(root)))
 
 
-def _run(monkeypatch, registries=None, digest_classes=None):
-    rule = RegistryHygiene()
-    if registries is not None:
-        monkeypatch.setattr(
-            "repro.analysis.rules.registries.COMPONENT_REGISTRIES", registries
-        )
-    else:
-        monkeypatch.setattr("repro.analysis.rules.registries.COMPONENT_REGISTRIES", ())
-    monkeypatch.setattr(
-        "repro.analysis.rules.registries.DIGEST_CLASSES",
-        digest_classes if digest_classes is not None else (),
-    )
-    return list(rule.check_project(_ctx()))
+def _run(monkeypatch, registries):
+    monkeypatch.setattr("repro.analysis.rules.registries.COMPONENT_REGISTRIES", registries)
+    return list(RegistryHygiene().check_project(_ctx()))
 
 
 @pytest.fixture
@@ -68,56 +57,3 @@ def test_missing_registry_attribute_is_flagged(monkeypatch):
     findings = _run(monkeypatch, registries=(("repro.registry", "NO_SUCH"),))
     assert len(findings) == 1
     assert "does not import" in findings[0].message
-
-
-@dataclass
-class _LaxSpec:
-    alpha: int = 1
-
-    def to_dict(self):
-        return {"alpha": self.alpha}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(alpha=data.get("alpha", 1))  # swallows unknown keys
-
-
-@dataclass
-class _NoFromDict:
-    alpha: int = 1
-
-    def to_dict(self):
-        return {"alpha": self.alpha}
-
-
-def test_lax_from_dict_is_flagged(monkeypatch):
-    module = types.ModuleType("repro_analysis_fake_spec")
-    module.LaxSpec = _LaxSpec
-    monkeypatch.setitem(sys.modules, "repro_analysis_fake_spec", module)
-    findings = _run(
-        monkeypatch, digest_classes=("repro_analysis_fake_spec.LaxSpec",)
-    )
-    assert len(findings) == 1
-    assert "accepted an unknown key" in findings[0].message
-
-
-def test_missing_from_dict_is_flagged(monkeypatch):
-    module = types.ModuleType("repro_analysis_fake_spec")
-    module.NoFromDict = _NoFromDict
-    monkeypatch.setitem(sys.modules, "repro_analysis_fake_spec", module)
-    findings = _run(
-        monkeypatch, digest_classes=("repro_analysis_fake_spec.NoFromDict",)
-    )
-    assert len(findings) == 1
-    assert "lacks from_dict()" in findings[0].message
-
-
-def test_real_spec_classes_reject_unknown_keys():
-    """The strictness probe passes on every registered spec class."""
-    from repro.analysis.rules.digest import DIGEST_CLASSES, load_class
-    from repro.serialization import SpecError
-
-    for dotted_path in DIGEST_CLASSES:
-        cls = load_class(dotted_path)
-        with pytest.raises(SpecError):
-            cls.from_dict({"__repro_analysis_probe__": None})

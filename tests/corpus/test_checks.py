@@ -37,7 +37,6 @@ class TestCleanPass:
 class TestRegistry:
     def test_check_ids_cover_the_advertised_invariants(self):
         assert known_check_ids() == [
-            "roundtrip",
             "digest-stability",
             "determinism",
             "parallel-serial",

@@ -15,7 +15,7 @@ class TestGate:
         status = main(
             [
                 "--sample", "2", "--seed", "0", "--duration", "0.005",
-                "--check", "roundtrip", "--format", "json",
+                "--check", "digest-stability", "--format", "json",
             ]
         )
         assert status == 0
@@ -23,7 +23,7 @@ class TestGate:
         assert document["schema"] == JSON_SCHEMA_VERSION
         assert document["sample"] == 2
         assert document["seed"] == 0
-        assert document["checks"] == ["roundtrip"]
+        assert document["checks"] == ["digest-stability"]
         assert len(document["specs"]) == 2
         assert document["count"] == 0 and document["findings"] == []
 

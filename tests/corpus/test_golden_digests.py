@@ -42,7 +42,7 @@ class TestCommittedPins:
         documents = golden.golden_documents()
         digest = golden.current_digests()["topology=trace:corpus_line"]
         assert str(Path.cwd()) not in digest
-        assert documents["topology=trace:corpus_line"]["topology"]["ref"]["name"].startswith("trace:")
+        assert documents["topology=trace:corpus_line"]["topology"]["name"].startswith("trace:")
 
 
 class TestDriftDetection:

@@ -30,8 +30,7 @@ def _broken_for_afr(config):
     from repro.experiments.runner import run_scenario
 
     payload = run_scenario(config).to_dict()
-    mac, _, _ = config.resolved_components()
-    if mac.name == "afr":
+    if config.mac.name == "afr":
         payload["events_processed"] = payload["events_processed"] + next(_afr_runs)
     return payload
 

@@ -12,7 +12,7 @@ from repro.corpus.space import (
     default_space,
     packaged_trace_fixture,
 )
-from repro.spec import ScenarioSpec
+from repro.spec import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,8 @@ class TestDocuments:
         for combo in space.sample(24, sample_seed=1):
             document = space.document_for(combo)
             json.dumps(document)  # JSON-safe all the way down
-            assert ScenarioSpec.from_dict(document).to_dict() == document
+            config = ScenarioConfig.from_dict(document)
+            assert ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_documents_carry_the_corpus_framing(self, space):
         document = space.document_for(space.sample(1, sample_seed=0)[0])

@@ -16,7 +16,7 @@ from repro.experiments.parallel import CACHE_SCHEMA_VERSION, SweepRunner, config
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.phy.params import PhyParams
 from repro.phy.propagation import ShadowingPropagation
-from repro.spec import MacSpec, ScenarioSpec, TrafficSpec
+from repro.spec import MacSpec, TrafficSpec
 from repro.topology.network import WirelessNetwork
 from repro.topology.standard import line_topology
 
@@ -142,9 +142,8 @@ class TestAcceptanceCombination:
             "duration_s": 0.1,
             "seed": 2,
         }
-        spec = ScenarioSpec.from_dict(document)
-        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).to_dict() == spec.to_dict()
-        config = spec.to_config()
+        config = ScenarioConfig.from_dict(document)
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
         result = run_scenario(config)
         assert result.flows
         restored = ScenarioConfig.from_dict(result.config.to_dict())

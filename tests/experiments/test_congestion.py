@@ -19,7 +19,7 @@ from repro.experiments.congestion import (
 )
 from repro.experiments.parallel import ResultCache, SweepRunner, config_digest
 from repro.experiments.runner import (
-    DEFAULT_TRANSPORT_SPEC,
+    PAPER_SCHEMES,
     ScenarioConfig,
     ScenarioResult,
     run_scenario,
@@ -38,7 +38,7 @@ def cubic_config(**overrides):
         seed=2,
     )
     defaults.update(overrides)
-    return ScenarioConfig(**defaults)
+    return ScenarioConfig(**{key: value for key, value in defaults.items() if value is not None})
 
 
 class TestCubicScenario:
@@ -77,13 +77,12 @@ class TestCubicScenario:
 
 class TestTransportDigest:
     def test_default_transport_canonicalizes_out(self):
-        """No transport, explicit reno, and the default spec share a digest."""
+        """No transport and an explicit reno are one config with one digest."""
         base = cubic_config(transport=None)
         explicit = cubic_config(transport=TransportSpec("reno"))
-        assert "transport" not in base.to_dict()
-        assert "transport" not in explicit.to_dict()
+        assert base == explicit
         assert config_digest(base) == config_digest(explicit)
-        assert base.resolved_transport() == DEFAULT_TRANSPORT_SPEC
+        assert base.transport == TransportSpec("reno")
 
     def test_non_default_transport_changes_the_digest(self):
         assert config_digest(cubic_config()) != config_digest(cubic_config(transport=None))
@@ -103,10 +102,10 @@ class TestCongestionFamily:
         configs, keys = congestion_grid(duration_s=0.05)
         assert len(configs) == len(CONGESTION_TRANSPORTS) * len(CONGESTION_SCHEMES)
         assert keys[0] == (CONGESTION_TRANSPORTS[0], CONGESTION_SCHEMES[0])
-        seen = {
-            (config.resolved_transport().name, config.scheme_label) for config in configs
+        seen = {(config.transport.name, config.mac.name) for config in configs}
+        assert seen == {
+            (t, PAPER_SCHEMES[s][0]) for t in CONGESTION_TRANSPORTS for s in CONGESTION_SCHEMES
         }
-        assert seen == {(t, s) for t in CONGESTION_TRANSPORTS for s in CONGESTION_SCHEMES}
 
     def test_run_fills_every_cell(self):
         result = run_congestion(

@@ -57,11 +57,13 @@ class TestCacheSchemaVersion:
         # rto_backoffs — and packets_sent is now the sender's count for TCP
         # flows), which schema-5 entries lack.  7 = one grant event per
         # backoff: every payload's events_processed fell, so schema-6
-        # entries carry counts this code never produces.  Bump this pin
-        # together with the constant — never adjust the pin alone.
+        # entries carry counts this code never produces.  8 = one
+        # scenario type, one field-driven codec: config dicts carry every
+        # field.  Bump this pin together with the constant — never adjust
+        # the pin alone.
         import repro.experiments.parallel as parallel
 
-        assert parallel.CACHE_SCHEMA_VERSION == 7
+        assert parallel.CACHE_SCHEMA_VERSION == 8
 
     def test_digest_incorporates_schema_version(self, monkeypatch):
         """An old-schema digest must differ for the *same* config.
@@ -108,8 +110,8 @@ class TestSerializationRoundTrip:
 class TestExpandGrid:
     def test_cartesian_product_order(self):
         grid = expand_grid(small_config(), scheme_label=["D", "R16"], seed=[1, 2])
-        assert [(c.scheme_label, c.seed) for c in grid] == [
-            ("D", 1), ("D", 2), ("R16", 1), ("R16", 2)
+        assert [(c.mac.name, c.seed) for c in grid] == [
+            ("dcf", 1), ("dcf", 2), ("ripple", 1), ("ripple", 2)
         ]
 
     def test_unknown_field_rejected(self):
@@ -119,14 +121,14 @@ class TestExpandGrid:
     def test_empty_axes_yield_base(self):
         grid = expand_grid(small_config())
         assert len(grid) == 1
-        assert grid[0].scheme_label == "D"
+        assert grid == [small_config()]
 
 
 class TestSweepRunner:
     def test_results_in_input_order(self):
         grid = expand_grid(small_config(), scheme_label=["D", "R1"])
         results = SweepRunner().run(grid)
-        assert [r.config.scheme_label for r in results] == ["D", "R1"]
+        assert [r.config.mac.name for r in results] == ["dcf", "ripple1"]
 
     def test_parallel_matches_serial_bit_for_bit(self):
         grid = expand_grid(small_config(), scheme_label=["D", "R16"], seed=[1, 2])

@@ -54,14 +54,6 @@ class TestApplySets:
         mob = _apply_sets({}, ["mobility.speed=5", "mobility=random_waypoint"])
         assert mob["mobility"]["params"]["speed_max_mps"] == 5.0
 
-    def test_dotted_override_on_wrapped_topology_ref(self):
-        """to_dict-round-tripped spec files ({'ref': ...}) stay overridable."""
-        base = {"topology": {"ref": {"name": "line", "params": {"n_hops": 4}}}}
-        data = _apply_sets(base, ["topology.n_hops=8"])
-        assert data["topology"] == {"name": "line", "params": {"n_hops": 8}}
-        untouched = _apply_sets(dict(base), ["seed=2"])
-        assert untouched["topology"] == base["topology"]
-
     def test_dotted_override_on_inline_topology_rejected(self):
         from repro.topology.standard import fig1_topology
 
@@ -99,7 +91,7 @@ class TestRunSpecCli:
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "topology=line mac=dcf routing=static traffic=flows" in out
+        assert "topology=line3 mac=dcf routing=static traffic=flows transport=reno" in out
         assert "total TCP Mb/s" in out
 
     def test_spec_file_with_set_override(self, tmp_path, capsys):

@@ -1,16 +1,12 @@
-"""The declarative spec layer: round-trips, strictness, alias canonicalization."""
+"""The declarative spec layer: round-trips, strictness, label shorthand."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments.parallel import config_digest
-from repro.experiments.runner import (
-    PAPER_SCHEMES,
-    ScenarioConfig,
-    expand_scheme_label,
-    run_scenario,
-)
+from repro.experiments.runner import PAPER_SCHEMES, ScenarioConfig, run_scenario
 from repro.mac.registry import MAC_SCHEMES
 from repro.mobility.models import MOBILITY_MODELS
 from repro.mobility.spec import MobilitySpec
@@ -24,6 +20,7 @@ from repro.spec import (
     ScenarioSpec,
     TopologyRef,
     TrafficSpec,
+    expand_scheme_label,
 )
 from repro.topology.registry import TOPOLOGIES
 from repro.topology.standard import fig1_topology
@@ -31,9 +28,11 @@ from repro.traffic.registry import TRAFFIC_KINDS
 
 
 def roundtrip(spec):
-    """to_dict → (json) → from_dict → to_dict must be the identity."""
+    """to_dict → (json) → from_dict inverts to_dict, keyed by exactly the fields."""
     first = spec.to_dict()
+    assert list(first) == [f.name for f in dataclasses.fields(spec)]
     rebuilt = type(spec).from_dict(json.loads(json.dumps(first)))
+    assert rebuilt == spec
     assert rebuilt.to_dict() == first
     return rebuilt
 
@@ -69,7 +68,7 @@ class TestComponentSpecRoundTrips:
         assert "max_deviation_sigmas" in params.to_dict()
 
     def test_scenario_spec_with_ref(self):
-        spec = ScenarioSpec(
+        spec = ScenarioConfig(
             topology=TopologyRef("line", {"n_hops": 4}),
             mac=MacSpec("ripple"),
             routing=RoutingSpec("etx"),
@@ -80,15 +79,14 @@ class TestComponentSpecRoundTrips:
             seed=9,
         )
         rebuilt = roundtrip(spec)
-        assert isinstance(rebuilt.topology, TopologyRef)
-        config = rebuilt.to_config()
-        assert config.phy == LOW_RATE_PHY
-        assert config.topology.name == "line4"
+        assert rebuilt.phy == LOW_RATE_PHY
+        assert rebuilt.topology.name == "line4"
+        assert rebuilt.routing == RoutingSpec("adaptive_etx")
 
     def test_scenario_spec_with_inline_topology(self):
-        spec = ScenarioSpec(topology=fig1_topology(), scheme_label="R16")
+        spec = ScenarioConfig(topology=fig1_topology(), scheme_label="R16")
         rebuilt = roundtrip(spec)
-        assert rebuilt.to_config().scheme_label == "R16"
+        assert rebuilt.mac == MacSpec("ripple")
 
 
 class TestStrictFromDict:
@@ -144,7 +142,8 @@ class TestStrictFromDict:
             ScenarioConfig.from_dict(data)
 
     def test_scenario_spec_unknown_key(self):
-        with pytest.raises(SpecError, match="'schemes' for ScenarioSpec"):
+        """``repro.spec.ScenarioSpec`` survives as an alias of ScenarioConfig."""
+        with pytest.raises(SpecError, match="'schemes' for ScenarioConfig"):
             ScenarioSpec.from_dict({"topology": {"name": "fig1"}, "schemes": ["D"]})
 
     def test_unknown_component_name_rejected_at_construction(self):
@@ -155,21 +154,33 @@ class TestStrictFromDict:
 
 
 class TestAliasLayer:
-    """scheme_label is sugar over the spec layer; both forms are one scenario."""
+    """scheme_label is init-only sugar over the spec layer; both forms are one object."""
 
     @pytest.mark.parametrize("label", sorted(PAPER_SCHEMES))
     def test_expansion_round_trips_through_canonical_label(self, label):
-        mac, routing = expand_scheme_label(label, "ROUTE0")
+        mac, routing = expand_scheme_label(label)
         legacy = ScenarioConfig(topology=fig1_topology(), scheme_label=label)
         explicit = ScenarioConfig(topology=fig1_topology(), mac=mac, routing=routing)
+        assert legacy == explicit
+        assert "scheme_label" not in legacy.to_dict()
         assert legacy.to_dict() == explicit.to_dict()
         assert config_digest(legacy) == config_digest(explicit)
 
-    def test_legacy_dict_layout_unchanged(self):
-        """Label-only configs keep the flat pre-spec dict layout."""
-        data = ScenarioConfig(topology=fig1_topology(), scheme_label="A").to_dict()
-        assert data["scheme_label"] == "A"
-        assert "mac" not in data and "routing" not in data and "traffic" not in data
+    def test_label_in_replace_resets_mac_and_routing(self):
+        base = ScenarioConfig(topology=fig1_topology(), scheme_label="S")
+        moved = dataclasses.replace(base, route_set="ROUTE1")
+        assert moved.routing == RoutingSpec("static", {"route_set": "DIRECT"})
+        relabeled = dataclasses.replace(moved, scheme_label="R16")
+        assert relabeled == ScenarioConfig(
+            topology=fig1_topology(), scheme_label="R16", route_set="ROUTE1"
+        )
+
+    def test_document_label_excludes_mac_and_routing(self):
+        document = {"topology": {"name": "fig1"}, "scheme_label": "D"}
+        assert ScenarioConfig.from_dict(document).mac == MacSpec("dcf")
+        for key in ("mac", "routing"):
+            with pytest.raises(SpecError, match=rf"also gives \['{key}'\]"):
+                ScenarioConfig.from_dict({**document, key: {"name": "static"}})
 
     def test_non_alias_combination_serializes_specs(self):
         config = ScenarioConfig(
@@ -178,7 +189,7 @@ class TestAliasLayer:
             routing=RoutingSpec("shortest_path"),
         )
         data = config.to_dict()
-        assert data["scheme_label"] is None
+        assert "scheme_label" not in data
         assert data["mac"] == {"name": "ripple", "params": {}}
         assert data["routing"] == {"name": "shortest_path", "params": {}}
         rebuilt = ScenarioConfig.from_dict(json.loads(json.dumps(data)))
@@ -193,7 +204,7 @@ class TestAliasLayer:
         assert config_digest(a) == config_digest(b)
 
     def test_s_label_expands_to_direct_route_set(self):
-        mac, routing = expand_scheme_label("S", "ROUTE0")
+        mac, routing = expand_scheme_label("S")
         assert mac.name == "dcf"
         assert routing.params == {"route_set": "DIRECT"}
 
@@ -206,7 +217,7 @@ class TestSpecPathDeterminism:
             topology=fig1_topology(), scheme_label="R16",
             active_flows=[1], duration_s=0.1, seed=4,
         )
-        mac, routing = expand_scheme_label("R16", legacy.route_set)
+        mac, routing = expand_scheme_label("R16")
         explicit = ScenarioConfig(
             topology=fig1_topology(), mac=mac, routing=routing,
             active_flows=[1], duration_s=0.1, seed=4,

@@ -60,15 +60,14 @@ class TestSweepableCullMargin:
         assert PhyParams.from_dict(data) == phy
 
     def test_margin_addressable_from_the_spec_layer(self):
-        from repro.spec import ScenarioSpec, TopologyRef
+        from repro.spec import ScenarioConfig
 
-        spec = ScenarioSpec.from_dict(
+        four = ScenarioConfig.from_dict(
             {"topology": {"name": "roofnet"}, "phy": {"max_deviation_sigmas": 4.0}}
         )
-        assert spec.to_config().phy.max_deviation_sigmas == 4.0
+        assert four.phy.max_deviation_sigmas == 4.0
         # Different margins must hash to different sweep-cache digests.
         from repro.experiments.parallel import config_digest
 
-        four = spec.to_config()
-        six = ScenarioSpec.from_dict({"topology": {"name": "roofnet"}}).to_config()
+        six = ScenarioConfig.from_dict({"topology": {"name": "roofnet"}})
         assert config_digest(four) != config_digest(six)

@@ -7,7 +7,7 @@ from repro.experiments.runner import ScenarioConfig
 from repro.service.store import JobStore
 from repro.topology.standard import fig1_topology
 
-#: The smallest useful ScenarioSpec document — what an HTTP client POSTs.
+#: The smallest useful ScenarioConfig document — what an HTTP client POSTs.
 SMALL_SPEC = {
     "topology": {"name": "line", "params": {"n_hops": 2}},
     "duration_s": 0.05,

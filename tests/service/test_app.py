@@ -12,7 +12,7 @@ import pytest
 from repro.experiments.parallel import config_digest
 from repro.experiments.runner import run_scenario
 from repro.service.app import SimulationService
-from repro.spec import ScenarioSpec
+from repro.spec import ScenarioConfig
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ class TestSubmit:
         assert status == 202
         assert payload["state"] == "queued"
         assert payload["kind"] == "scenario"
-        expected = config_digest(ScenarioSpec.from_dict(small_spec).to_config())
+        expected = config_digest(ScenarioConfig.from_dict(small_spec))
         assert payload["digest"] == expected
         assert store.get(payload["job_id"]).config is not None
 
@@ -55,7 +55,7 @@ class TestSubmit:
         assert store.job_ids() == []
 
     def test_cached_digest_is_born_done(self, service, cache, small_spec):
-        config = ScenarioSpec.from_dict(small_spec).to_config()
+        config = ScenarioConfig.from_dict(small_spec)
         cache.store(config, run_scenario(config))
         status, payload = post_jobs(service, {"spec": small_spec})
         assert status == 202
@@ -90,7 +90,7 @@ class TestBackpressure:
 
     def test_cached_submissions_bypass_backpressure(self, store, cache, small_spec):
         service = SimulationService(store, cache, max_queue=0)
-        config = ScenarioSpec.from_dict(small_spec).to_config()
+        config = ScenarioConfig.from_dict(small_spec)
         cache.store(config, run_scenario(config))
         status, payload = post_jobs(service, {"spec": small_spec})
         assert status == 202

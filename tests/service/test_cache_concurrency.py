@@ -24,9 +24,9 @@ HAMMER_CONFIG = {
 
 
 def _hammer_config() -> ScenarioConfig:
-    from repro.spec import ScenarioSpec
+    from repro.spec import ScenarioConfig
 
-    return ScenarioSpec.from_dict(HAMMER_CONFIG).to_config()
+    return ScenarioConfig.from_dict(HAMMER_CONFIG)
 
 
 def _writer(cache_root: str, iterations: int) -> None:
@@ -101,16 +101,20 @@ class TestQuarantine:
     def test_valid_json_that_is_not_a_result_is_quarantined(
         self, tmp_path, small_config
     ):
-        cache = ResultCache(tmp_path / "cache")
         config = small_config()
-        path = cache.path_for(config_digest(config))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"flows": "nope"}), encoding="utf-8")
+        # A mangled field, and a result that lost its flows, VoIP quality
+        # and event count (which must not load as an empty result).
+        payloads = {"mangled": {"flows": "nope"}, "truncated": {"config": config.to_dict()}}
+        for name, payload in payloads.items():
+            cache = ResultCache(tmp_path / name)
+            path = cache.path_for(config_digest(config))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(payload), encoding="utf-8")
 
-        assert cache.load(config) is None
-        assert path.with_name(path.name + ".corrupt").exists()
-        # Counters stay truthful: the structural reject is a miss, not a hit.
-        assert cache.stats() == {"hits": 0, "misses": 1, "quarantined": 1}
+            assert cache.load(config) is None
+            assert path.with_name(path.name + ".corrupt").exists()
+            # Counters stay truthful: the structural reject is a miss, not a hit.
+            assert cache.stats() == {"hits": 0, "misses": 1, "quarantined": 1}
 
     def test_non_dict_payload_is_quarantined_by_load_raw(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -1,7 +1,7 @@
 """End-to-end over a real socket: submit -> worker -> result, bit-identical.
 
 The acceptance proof for the service: a result fetched over HTTP is
-byte-identical to running the same ScenarioSpec in-process, both when
+byte-identical to running the same ScenarioConfig in-process, both when
 the worker simulates it fresh and when the digest is already cached.
 """
 
@@ -16,7 +16,7 @@ from repro.service.app import SimulationService, make_server
 from repro.service.client import JobFailed, ServiceClient, ServiceError
 from repro.service.queue import WorkQueue
 from repro.service.worker import Worker
-from repro.spec import ScenarioSpec
+from repro.spec import ScenarioConfig
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def service_stack(store, cache):
 
 def test_fresh_and_warm_submissions_match_direct_run(service_stack, small_spec):
     client, _store, _cache = service_stack
-    config = ScenarioSpec.from_dict(small_spec).to_config()
+    config = ScenarioConfig.from_dict(small_spec)
 
     submitted = client.submit(small_spec)
     assert submitted["state"] == "queued"
@@ -75,7 +75,7 @@ def test_seed_fanout_group_completes_with_per_seed_results(service_stack, small_
     assert group["state"] == "done"
     assert group["progress"]["done"] == 2
     for seed, digest in zip((1, 2), submitted["digests"]):
-        config = ScenarioSpec.from_dict(dict(small_spec, seed=seed)).to_config()
+        config = ScenarioConfig.from_dict(dict(small_spec, seed=seed))
         assert digest == config_digest(config)
         assert client.result(digest) == run_scenario(config).to_dict()
 

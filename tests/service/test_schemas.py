@@ -34,7 +34,7 @@ class TestSubmitRequestParsing:
         request = SubmitRequest.from_dict({"spec": SMALL_SPEC, "seeds": 3})
         assert request.seeds == [1, 2, 3]
 
-    @pytest.mark.parametrize("seeds", [0, -1, True, [], "3"])
+    @pytest.mark.parametrize("seeds", [0, -1, True, [], "3", [1, "2"]])
     def test_bad_seeds_rejected(self, seeds):
         with pytest.raises(SpecError, match="seeds"):
             SubmitRequest.from_dict({"spec": SMALL_SPEC, "seeds": seeds})
@@ -65,8 +65,8 @@ class TestExpand:
         request = SubmitRequest.from_dict(
             {"spec": SMALL_SPEC, "seeds": 2, "sweep": {"scheme_label": ["D", "R16"]}}
         )
-        combos = [(spec.scheme_label, spec.seed) for spec in request.expand()]
-        assert combos == [("D", 1), ("D", 2), ("R16", 1), ("R16", 2)]
+        combos = [(config.mac.name, config.seed) for config in request.expand()]
+        assert combos == [("dcf", 1), ("dcf", 2), ("ripple", 1), ("ripple", 2)]
 
     def test_invalid_swept_value_rejected(self):
         request = SubmitRequest.from_dict(

@@ -9,7 +9,7 @@ from repro.experiments.parallel import ResultCache, config_digest
 from repro.service.__main__ import build_parser, main
 from repro.service.app import SimulationService, make_server
 from repro.service.store import JobStore
-from repro.spec import ScenarioSpec
+from repro.spec import ScenarioConfig
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ class TestParser:
 
 class TestWorkerCommand:
     def test_once_processes_one_job(self, store, small_spec, capsys):
-        config = ScenarioSpec.from_dict(small_spec).to_config()
+        config = ScenarioConfig.from_dict(small_spec)
         record = store.submit(config.to_dict(), digest=config_digest(config))
         assert main(["worker", "--store", str(store.root), "--once"]) == 0
         out = capsys.readouterr().out
@@ -55,7 +55,7 @@ class TestWorkerCommand:
         assert "idle" in capsys.readouterr().out
 
     def test_idle_exit_drains_and_returns(self, store, small_spec, capsys):
-        config = ScenarioSpec.from_dict(small_spec).to_config()
+        config = ScenarioConfig.from_dict(small_spec)
         store.submit(config.to_dict())
         code = main(
             ["worker", "--store", str(store.root), "--idle-exit", "0", "--poll", "0.01"]
@@ -91,7 +91,7 @@ class TestSubmitAndStatus:
     ):
         from repro.experiments.runner import run_scenario
 
-        config = ScenarioSpec.from_dict(small_spec).to_config()
+        config = ScenarioConfig.from_dict(small_spec)
         cache.store(config, run_scenario(config))
         spec_file = self.write_spec(tmp_path, small_spec)
         assert main(["submit", "--url", live_server, spec_file, "--wait"]) == 0

@@ -19,7 +19,7 @@ import repro
 from repro.experiments.parallel import config_digest
 from repro.service.queue import WorkQueue
 from repro.service.worker import Worker
-from repro.spec import ScenarioSpec
+from repro.spec import ScenarioConfig
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
@@ -46,18 +46,18 @@ def _spawn_hanging_worker(store_root: Path) -> subprocess.Popen:
 
 
 def test_sigkilled_worker_lease_is_reclaimed_and_job_retried(store, small_spec):
-    config = ScenarioSpec.from_dict(small_spec).to_config()
+    config = ScenarioConfig.from_dict(small_spec)
     job = store.submit(config.to_dict(), digest=config_digest(config))
     lease_path = store.leases_dir / f"{job.job_id}.json"
 
     process = _spawn_hanging_worker(store.root)
     try:
         deadline = time.time() + 30.0
-        while not lease_path.exists():
+        # A claim creates the lease file first, then marks the record leased.
+        while not (lease_path.exists() and store.get(job.job_id).state == "leased"):
             assert process.poll() is None, "hanging worker exited before claiming"
             assert time.time() < deadline, "worker never claimed the job"
             time.sleep(0.05)
-        assert store.get(job.job_id).state == "leased"
     finally:
         process.send_signal(signal.SIGKILL)
         process.wait(timeout=30)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.spec import ScenarioSpec, TopologyRef
+from repro.spec import ScenarioConfig, TopologyRef
 from repro.topology.registry import TOPOLOGIES, build_topology
 from repro.topology.spec import TopologyError
 from repro.topology.tracefile import load_trace_topology
@@ -130,7 +130,7 @@ class TestRegistryIntegration:
     def test_topology_ref_and_scenario_spec_round_trip(self, tmp_path):
         path = write(tmp_path, "site.csv", GOOD_CSV)
         ref = TopologyRef(f"trace:{path}", {"good_link_m": 200.0})
-        spec = ScenarioSpec(topology=ref, duration_s=0.05)
-        restored = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        spec = ScenarioConfig(topology=ref, duration_s=0.05)
+        restored = ScenarioConfig.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored.to_dict() == spec.to_dict()
-        assert restored.resolve_topology().positions == ref.build().positions
+        assert restored.topology.positions == ref.build().positions

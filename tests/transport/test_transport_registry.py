@@ -65,10 +65,6 @@ class TestTransportSpec:
 
 
 class TestFlowSpecTransport:
-    def test_default_omits_the_key(self):
-        flow = FlowSpec(flow_id=1, src=0, dst=3)
-        assert "transport" not in flow.to_dict()
-
     def test_roundtrip_with_override(self):
         flow = FlowSpec(flow_id=1, src=0, dst=3, transport="cubic")
         data = flow.to_dict()
