@@ -10,7 +10,7 @@ turns that surface into a first-class test subject:
   off the live registries, filtered by a declarative constraint table,
   with fully seeded sampling;
 * :mod:`repro.corpus.checks` — the registered invariant checks every
-  sampled spec must pass (round-trip, digest stability, determinism,
+  sampled spec must pass (digest stability, determinism,
   parallel==serial, cache round-trip);
 * :mod:`repro.corpus.shrink` — delta-debug any failure to a minimal
   failing spec naming the offending component(s);

@@ -39,11 +39,10 @@ HEADER = """\
 `python -m repro.corpus` enumerates the valid scenario space straight
 off the live component registries, samples it with a seeded Philox
 stream, and runs every sampled spec through the platform's invariant
-checks at short duration — serialization round-trips, digest stability,
-run determinism, parallel==serial, cache round-trips.  Any failure is
-delta-debugged down to a **minimal failing spec** naming the offending
-component(s), and the CLI exits 1 (same ergonomics as
-`python -m repro.analysis`).
+checks at short duration — digest stability, run determinism,
+parallel==serial, cache round-trips.  Any failure is delta-debugged
+down to a **minimal failing spec** naming the offending component(s),
+and the CLI exits 1 (same ergonomics as `python -m repro.analysis`).
 
 ```
 python -m repro.corpus --sample 64 --seed 0          # the CI smoke sample

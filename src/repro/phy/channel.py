@@ -37,12 +37,19 @@ paths stay independent and registration-order-free), adds the
 precomputed mean powers in one vectorised operation, and serves one
 ready-made row of received powers per transmission.  Per frame the
 dispatch loop is then pure Python-float compares — no numpy scalar
-dispatch at all.  Plans also carry each receiver's bound signal
-callbacks so the two-entry signal window is scheduled through
-:meth:`~repro.sim.engine.Simulator.schedule_window` without creating a
-bound method per event, and :class:`Reception` objects are recycled
-through a freelist (returned by the radio when the signal window
-closes).  Plans are invalidated whenever any radio moves or registers;
+dispatch at all.
+
+Each plan is sorted by propagation delay once, when it is built, and
+carries each receiver's ``(delay, signal_start, signal_end)`` entry with
+the bound radio callbacks made once.  Per frame the dispatch loop keeps
+the entries of the receivers that sense it, pairs each with a
+:class:`Reception`, and hands both lists to
+:meth:`~repro.sim.engine.Simulator.schedule_runs`: the frame's arrivals
+and its departures become two delay-sorted signal runs of one heap entry
+each, not two entries per receiver.  :class:`Reception` objects are
+recycled through a freelist (returned by the radio when the signal
+window closes).  Plans are invalidated whenever any radio moves or
+registers; runs already in flight keep the entries they were given, and
 the per-link stream buffers survive invalidation, so a link's fade
 sample path never depends on when radios happened to move.
 """
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -105,13 +113,13 @@ class _LinkFadeStream:
 class _DispatchPlan:
     """One sender's precomputed dispatch state (see module docstring).
 
-    ``entries`` holds per-candidate ``(delay_ns, signal_start,
-    signal_end)`` tuples — the bound radio callbacks are created once
-    here instead of twice per frame in the dispatch loop.  ``refill``
-    assembles the next ``BLOCK`` transmissions' received-power rows in
-    one vectorised pass: column ``j`` of the fade matrix comes from
-    candidate ``j``'s own link stream, so batching across the candidate
-    list never couples links.
+    Candidates are in delay order.  ``entries`` holds per-candidate
+    ``(delay_ns, signal_start, signal_end)`` tuples — the bound radio
+    callbacks are created once here instead of twice per frame in the
+    dispatch loop.  ``refill`` assembles the next ``BLOCK``
+    transmissions' received-power rows in one vectorised pass: column
+    ``j`` of the fade matrix comes from candidate ``j``'s own link
+    stream, so batching across the candidate list never couples links.
     """
 
     #: Transmissions' worth of power rows produced per vectorised refill.
@@ -300,10 +308,12 @@ class WirelessChannel:
             params = self.params
             cs_threshold = params.cs_threshold_dbm
             rx_threshold = params.rx_threshold_dbm
-            window = sim.schedule_window
             free = self._free_receptions
-            attempted = 0
-            for (delay, signal_start, signal_end), power in zip(entries, powers):
+            sensed: List[Tuple[int, object, object]] = []
+            receptions: List[Reception] = []
+            add_sensed = sensed.append
+            add_reception = receptions.append
+            for entry, power in zip(entries, powers):
                 if power < cs_threshold:
                     continue  # too weak even to sense: no carrier, no interference
                 if free:
@@ -318,10 +328,11 @@ class WirelessChannel:
                         power_dbm=power,
                         decodable=power >= rx_threshold,
                     )
-                attempted += 1
-                arrival = now + delay
-                window(arrival, arrival + duration_ns, signal_start, signal_end, reception)
-            self.stats.deliveries_attempted += attempted
+                add_sensed(entry)
+                add_reception(reception)
+            if sensed:
+                self.stats.deliveries_attempted += len(sensed)
+                sim.schedule_runs(now, now + duration_ns, sensed, receptions)
         sim.schedule_signal(now + duration_ns, plan.end_own, transmission)
         return transmission
 
@@ -364,10 +375,7 @@ class WirelessChannel:
         mean_power = propagation.mean_received_power_dbm
         model_delay = self.model_propagation_delay
         sender_id = sender.node_id
-        radios: List[Radio] = []
-        entries: List[Tuple[int, object, object]] = []
-        fade_streams: List[_LinkFadeStream] = []
-        means: List[float] = []
+        candidates: List[Tuple[int, Radio, _LinkFadeStream, float]] = []
         for radio in self._radios:
             if radio is sender:
                 continue
@@ -376,12 +384,21 @@ class WirelessChannel:
             if mean_dbm < power_floor:
                 continue
             delay = propagation_delay_ns(distance) if model_delay else 0
-            radios.append(radio)
-            entries.append((delay, radio._signal_start, radio._signal_end))
-            fade_streams.append(self._fades_for(sender_id, radio.node_id))
-            means.append(mean_dbm)
+            fades = self._fades_for(sender_id, radio.node_id)
+            candidates.append((delay, radio, fades, mean_dbm))
+        # Signal runs need the plan in delay order.  The sort is stable, so
+        # equal delays keep registration order and each frame's callbacks
+        # fire in the order per-receiver heap entries gave them.  The one
+        # tie that could order differently is an arrival and a departure of
+        # the same frame at the same nanosecond, which needs a delay spread
+        # at least as long as the frame: kilometres.
+        candidates.sort(key=itemgetter(0))
         return _DispatchPlan(
-            radios, entries, fade_streams, np.array(means), sender._end_own_transmission
+            [candidate[1] for candidate in candidates],
+            [(delay, radio._signal_start, radio._signal_end) for delay, radio, _, _ in candidates],
+            [candidate[2] for candidate in candidates],
+            np.array([candidate[3] for candidate in candidates]),
+            sender._end_own_transmission,
         )
 
     def _fades_for(self, sender_id: int, receiver_id: int) -> _LinkFadeStream:
@@ -399,9 +416,11 @@ class WirelessChannel:
         return fades
 
     def candidate_receivers(self, sender: Radio) -> List[Radio]:
-        """The radios a transmission from ``sender`` would be dispatched to.
+        """The radios a transmission from ``sender`` would be dispatched to, in delay order.
 
-        Exposed for tests and diagnostics; the margin guarantee is that any
+        Nearer radios come first; radios at equal delay keep their
+        registration order.  Exposed for tests and diagnostics; the margin
+        guarantee is that any
         radio *not* in this list can never receive power at or above the
         carrier-sense threshold from ``sender`` at the current geometry.
         """

@@ -241,8 +241,8 @@ class Radio:
                     self.stats.frames_decoded += 1
                     if self.mac is not None:
                         self.mac.on_frame_received(frame, result)
-        # Both window entries are spent and the reception is out of every
-        # tracking structure: hand it back to the channel's free pool.
+        # Both ends of the window have fired and the reception is out of
+        # every tracking structure: hand it back to the channel's free pool.
         self.channel._recycle_reception(reception)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -24,11 +24,24 @@ on simulation workloads that comparison alone was ~15 % of total
 runtime.  Two entry shapes share the heap, distinguished by length:
 
 * ``(time, seq, event)`` — a cancellable :class:`Event` timer.
-* ``(time, seq, callback, payload)`` — a *signal* entry: the fixed-shape,
-  never-cancelled events of the PHY signal window (reception start/end,
-  transmission end).  These carry no :class:`Event` at all, so the
-  busiest event class in every workload allocates nothing but its heap
-  tuple.
+* ``(time, seq, callback, payload)`` — a *signal* entry: fixed-shape and
+  never cancelled, carrying no :class:`Event` at all.  The PHY's
+  end-of-transmission callbacks use it directly
+  (:meth:`Simulator.schedule_signal`), and so does every *signal run*.
+
+A signal run is one frame's receptions as a sequence of items sorted by
+time (:meth:`Simulator.schedule_runs`): all its arrivals, or all its
+departures.  The whole run occupies one signal entry, keyed by its next
+item's ``(time, seq)``, whose callback is the run walker.  The walker
+fires that item, then each following one inline for as long as the
+item's ``(time, seq)`` sorts below the heap top and lies within
+:meth:`Simulator.run`'s horizon — exactly when the item's own entry
+would have been popped next — and otherwise puts one entry for the rest
+of the run back on the heap.  Every item keeps its own sequence number
+and counts as one processed event, so callbacks fire at the same
+instants and in the same order as if each item had an entry of its own.
+:meth:`Simulator.step` and ``run(max_events=...)`` fire one item per pop
+so their counts stay exact.
 
 :class:`Event` objects themselves are recycled through a freelist: an
 event returns to the free pool when its heap entry is consumed (fired,
@@ -103,9 +116,17 @@ class Event:
         return f"Event(time={self.time}, seq={self.seq}, {state})"
 
 
-#: An Event heap entry ``(time, seq, event)``; signal entries are the
-#: four-tuple ``(time, seq, callback, payload)`` — see the module notes.
+#: An Event heap entry ``(time, seq, event)``; signal entries (signal runs
+#: included) are the four-tuple ``(time, seq, callback, payload)`` — see the
+#: module notes.
 HeapEntry = Tuple[Any, ...]
+
+#: Run-walker horizons: outside :meth:`Simulator.run`, and under its
+#: ``max_events``, no item fires inline; an unbounded run inlines at any
+#: time.  Pushing an item back instead of firing it inline is always
+#: exact, so the bounds only need to lie beyond every event time.
+_INLINE_NEVER = -(1 << 63)
+_INLINE_ALWAYS = 1 << 63
 
 
 class SimulationError(RuntimeError):
@@ -135,6 +156,7 @@ class Simulator:
         "_processed",
         "_cancelled_pending",
         "_free",
+        "_horizon",
     )
 
     #: Minimum heap size before lazy-cancellation compaction kicks in; below
@@ -155,6 +177,8 @@ class Simulator:
         self._processed: int = 0
         self._cancelled_pending: int = 0
         self._free: List[Event] = []
+        #: Latest time at which the run walker may fire an item inline.
+        self._horizon: int = _INLINE_NEVER
 
     # ------------------------------------------------------------------
     # Clock
@@ -171,7 +195,10 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still on the heap (including cancelled ones)."""
+        """Number of heap entries still pending, cancelled ones included.
+
+        A signal run's remaining items share one entry.
+        """
         return len(self._heap)
 
     @property
@@ -238,27 +265,75 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._heap, (when, seq, callback, arg))
 
-    def schedule_window(
+    def schedule_runs(
         self,
         start: int,
         end: int,
-        open_callback: Callable[..., None],
-        close_callback: Callable[..., None],
-        payload: Any,
+        items: List[Tuple[int, Callable[..., None], Callable[..., None]]],
+        payloads: List[Any],
     ) -> None:
-        """Schedule one reception's two-entry signal window in a single call.
+        """Schedule a frame's signal windows as two signal runs (see the module notes).
 
-        Every sensed reception produces exactly two fixed-shape events —
-        signal start at ``start`` and signal end at ``end`` — sharing one
-        payload.  Both ride the four-tuple signal fast path (no
-        :class:`Event`, no handle), halving the per-reception scheduling
-        call overhead of the PHY dispatch loop.
+        ``items`` holds ``(offset, open_callback, close_callback)`` tuples
+        sorted by ``offset``, and ``payloads[i]`` belongs to ``items[i]``.
+        Window ``i`` opens with ``open_callback(payloads[i])`` at
+        ``start + offset`` and closes with ``close_callback(payloads[i])``
+        at ``end + offset``; its opening takes sequence number ``s + 2i``
+        and its closing ``s + 2i + 1``, where ``s`` is the next free one.
+        Both runs go on the heap as one entry each.  Like
+        :meth:`schedule_signal`, this is a hot path: it checks nothing
+        (``items`` must not be empty), and the caller never cancels a
+        window.
         """
         seq = self._seq
-        self._seq = seq + 2
+        self._seq = seq + 2 * len(items)
+        offset = items[0][0]
+        fire = self._fire_run
         heap = self._heap
-        heapq.heappush(heap, (start, seq, open_callback, payload))
-        heapq.heappush(heap, (end, seq + 1, close_callback, payload))
+        heapq.heappush(heap, (start + offset, seq, fire, [0, start, seq, 1, items, payloads]))
+        heapq.heappush(heap, (end + offset, seq + 1, fire, [0, end, seq + 1, 2, items, payloads]))
+
+    def _fire_run(self, run: List[Any]) -> None:
+        """Fire a signal run's next item, then each later one that is due first.
+
+        ``run`` is ``[index, base, seq, slot, items, payloads]``: item ``i``
+        fires ``items[i][slot](payloads[i])`` at ``base + items[i][0]`` with
+        sequence number ``seq + 2i``.  The caller has set the clock to item
+        ``index`` and counts it; every item fired inline is counted here.
+        If a callback raises, the items after it go back on the heap.
+        """
+        index, base, seq, slot, items, payloads = run
+        heap = self._heap
+        horizon = self._horizon
+        end = len(items)
+        try:
+            items[index][slot](payloads[index])
+            index += 1
+            while index < end:
+                item = items[index]
+                when = base + item[0]
+                if when > horizon:
+                    break
+                if heap:
+                    top_time = heap[0][0]
+                    if when > top_time or (when == top_time and seq + 2 * index > heap[0][1]):
+                        break
+                self._now = when
+                item[slot](payloads[index])
+                index += 1
+                self._processed += 1
+            else:
+                return
+        except BaseException:
+            if index > run[0]:
+                self._processed += 1  # the caller counts the first item only on return
+            index += 1  # the item that raised is spent, as a popped entry would be
+            if index < end:
+                run[0] = index
+                heapq.heappush(heap, (base + items[index][0], seq + 2 * index, self._fire_run, run))
+            raise
+        run[0] = index
+        heapq.heappush(heap, (when, seq + 2 * index, self._fire_run, run))
 
     def _note_cancelled(self) -> None:
         """Bookkeeping hook invoked by :meth:`Event.cancel`.
@@ -300,7 +375,10 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
+        """Execute the next pending event, or one item of a signal run.
+
+        Returns False if none remain.
+        """
         heap = self._heap
         free = self._free
         free_max = self.FREELIST_MAX
@@ -358,6 +436,8 @@ class Simulator:
         budget = -1 if max_events is None else max_events
         unbounded = until is None
         horizon = 0 if until is None else until
+        if max_events is None:
+            self._horizon = _INLINE_ALWAYS if unbounded else horizon
         try:
             while heap:
                 entry = heap[0]
@@ -398,6 +478,7 @@ class Simulator:
         finally:
             self._processed += executed
             self._running = False
+            self._horizon = _INLINE_NEVER
 
     def _has_runnable_event_before(self, when: int) -> bool:
         """Whether any non-cancelled event at or before ``when`` is pending."""

@@ -1,7 +1,7 @@
 """Discrete-event engine: ordering, cancellation, run-until semantics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -378,6 +378,19 @@ class TestEventFreelist:
         assert sim.schedule(10, lambda: None) is not old
 
 
+def schedule_frame(sim, log, start, end, offsets):
+    """One frame's windows as signal runs; callbacks log ``(edge, payload, now)``."""
+    items = [
+        (
+            offset,
+            lambda payload: log.append(("open", payload, sim.now)),
+            lambda payload: log.append(("close", payload, sim.now)),
+        )
+        for offset in offsets
+    ]
+    sim.schedule_runs(start, end, items, [f"rx{i}" for i in range(len(offsets))])
+
+
 class TestSignalFastPath:
     """The four-tuple signal entries: fixed shape, no Event, never cancelled."""
 
@@ -389,14 +402,6 @@ class TestSignalFastPath:
         assert got == ["payload"]
         assert (sim.now, sim.processed_events) == (50, 1)
 
-    def test_schedule_window_fires_open_then_close(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_window(10, 30, lambda p: log.append(("open", p, sim.now)),
-                            lambda p: log.append(("close", p, sim.now)), "rx")
-        sim.run()
-        assert log == [("open", "rx", 10), ("close", "rx", 30)]
-
     def test_signal_entries_interleave_deterministically_with_events(self):
         # Same timestamp: scheduling order decides, regardless of entry shape.
         sim = Simulator()
@@ -407,15 +412,175 @@ class TestSignalFastPath:
         sim.run()
         assert log == ["event-first", "signal-second", "event-third"]
 
-    def test_window_entries_survive_compaction(self):
+
+class TestSignalRuns:
+    """A frame's windows as two runs: same instants, same order, same counts."""
+
+    def test_runs_fire_each_window_at_its_offset(self):
         sim = Simulator()
         log = []
-        sim.schedule_window(500, 600, log.append, log.append, "kept")
+        schedule_frame(sim, log, 10, 30, [0, 2, 2, 5])
+        assert sim.pending_events == 2  # one entry per run
+        sim.run()
+        assert log == [
+            ("open", "rx0", 10), ("open", "rx1", 12), ("open", "rx2", 12), ("open", "rx3", 15),
+            ("close", "rx0", 30), ("close", "rx1", 32), ("close", "rx2", 32), ("close", "rx3", 35),
+        ]
+        assert sim.processed_events == 8
+
+    def test_same_instant_event_fires_in_scheduling_order(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_at(12, lambda: log.append(("event-before", None, sim.now)))
+        schedule_frame(sim, log, 10, 30, [0, 2, 2])
+        sim.schedule_at(12, lambda: log.append(("event-after", None, sim.now)))
+        sim.run(until=20)
+        assert log == [
+            ("open", "rx0", 10),
+            ("event-before", None, 12),
+            ("open", "rx1", 12),
+            ("open", "rx2", 12),
+            ("event-after", None, 12),
+        ]
+
+    def test_event_inside_a_run_splits_it(self):
+        sim = Simulator()
+        log = []
+        schedule_frame(sim, log, 10, 100, [0, 10, 20])
+        sim.schedule_at(25, lambda: log.append(("event", None, sim.now)))
+        # An item's callback can also split its own run.
+        sim.schedule_at(9, lambda: sim.schedule_at(15, log.append, ("nested", None, 15)))
+        sim.run(until=50)
+        assert log == [
+            ("open", "rx0", 10),
+            ("nested", None, 15),
+            ("open", "rx1", 20),
+            ("event", None, 25),
+            ("open", "rx2", 30),
+        ]
+        assert sim.processed_events == 6
+
+    def test_run_until_stops_inside_a_run_and_resumes(self):
+        sim = Simulator()
+        log = []
+        schedule_frame(sim, log, 10, 100, [0, 10, 20])
+        sim.run(until=20)
+        assert [entry[1:] for entry in log] == [("rx0", 10), ("rx1", 20)]
+        assert (sim.now, sim.processed_events) == (20, 2)
+        sim.run(until=25)
+        assert (len(log), sim.now) == (2, 25)
+        sim.run()
+        assert [entry[1:] for entry in log[2:]] == [
+            ("rx2", 30), ("rx0", 100), ("rx1", 110), ("rx2", 120)
+        ]
+        assert sim.processed_events == 6
+
+    def test_step_fires_one_item(self):
+        sim = Simulator()
+        log = []
+        schedule_frame(sim, log, 10, 30, [0, 0, 5])
+        assert sim.step()
+        assert (len(log), sim.now, sim.processed_events) == (1, 10, 1)
+        assert sim.step()
+        assert (len(log), sim.now, sim.processed_events) == (2, 10, 2)
+        while sim.step():
+            pass
+        assert (len(log), sim.processed_events) == (6, 6)
+
+    def test_max_events_counts_items(self):
+        sim = Simulator()
+        log = []
+        schedule_frame(sim, log, 10, 30, [0, 0, 5])
+        sim.run(until=100, max_events=4)
+        assert (len(log), sim.now, sim.processed_events) == (4, 30, 4)
+        sim.run(until=100)
+        assert (len(log), sim.now, sim.processed_events) == (6, 100, 6)
+
+    def test_run_entries_survive_compaction(self):
+        sim = Simulator()
+        log = []
+        schedule_frame(sim, log, 500, 600, [0, 1])
         doomed = [sim.schedule(100 + i, lambda: None) for i in range(100)]
         for handle in doomed:
-            handle.cancel()  # triggers compaction around the 4-tuples
+            handle.cancel()  # triggers compaction around the run entries
+        assert sim.pending_events < 100
         sim.run()
-        assert log == ["kept", "kept"]
+        assert [entry[1:] for entry in log] == [
+            ("rx0", 500), ("rx1", 501), ("rx0", 600), ("rx1", 601)
+        ]
+
+    def test_a_raising_callback_spends_only_its_own_item(self):
+        sim = Simulator()
+        log = []
+
+        def boom(payload):
+            raise RuntimeError(payload)
+
+        items = [(0, log.append, None), (1, boom, None), (2, log.append, None)]
+        sim.schedule_runs(10, 20, items, ["a", "b", "c"])
+        with pytest.raises(RuntimeError, match="b"):
+            sim.run()
+        assert (log, sim.now, sim.processed_events) == (["a"], 11, 1)
+        sim.run(until=12)
+        assert (log, sim.processed_events) == (["a", "c"], 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.integers(0, 40),  # when the frame starts
+                st.integers(0, 30),  # its duration
+                st.lists(st.integers(0, 12), min_size=1, max_size=5),  # delays
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        timers=st.lists(st.integers(0, 90), max_size=8),
+        follow_up=st.integers(0, 15),
+        mode=st.sampled_from(["run", "until", "step", "max_events"]),
+    )
+    def test_matches_one_entry_per_item(self, frames, timers, follow_up, mode):
+        """Random frames, timers and callback-scheduled events, run every way."""
+
+        def trace(per_item):
+            sim = Simulator()
+            log = []
+
+            def item(label):
+                def callback(payload):
+                    log.append((sim.now, label, payload))
+                    if payload % 3 == 0:
+                        sim.schedule(follow_up, log.append, (sim.now, "follow-up", payload))
+                return callback
+
+            def transmit(duration, delays):
+                items = [(delay, item("open"), item("close")) for delay in sorted(delays)]
+                payloads = list(range(len(items)))
+                if per_item:
+                    for (delay, opened, closed), payload in zip(items, payloads):
+                        sim.schedule_signal(sim.now + delay, opened, payload)
+                        sim.schedule_signal(sim.now + duration + delay, closed, payload)
+                else:
+                    sim.schedule_runs(sim.now, sim.now + duration, items, payloads)
+
+            for index, (start, duration, delays) in enumerate(frames):
+                sim.schedule_at(start, transmit, duration, delays)
+                if index < len(timers):
+                    sim.schedule_at(timers[index], log.append, (timers[index], "timer", index))
+            if mode == "run":
+                sim.run()
+            elif mode == "until":
+                for until in range(0, 200, 7):
+                    sim.run(until=until)
+            elif mode == "step":
+                while sim.step():
+                    pass
+            else:
+                while sim.pending_events:
+                    sim.run(max_events=3)
+            return log, sim.now, sim.processed_events
+
+        assert trace(per_item=False) == trace(per_item=True)
 
 
 class TestFreelistDeterminism:
