@@ -2,7 +2,7 @@
 
 PR 3 bought a large share of its speedup by slotting the objects the
 event loop allocates by the tens of thousands per run (``Event``,
-``Reception``, ``Transmission``).  A new class added to one of those
+``Transmission``, ``MacFrame``).  A new class added to one of those
 modules without ``__slots__`` quietly reintroduces a per-instance
 ``__dict__`` — an allocation and a pointer chase on every event — and
 nothing fails; throughput just erodes.  This rule makes the regression
@@ -81,6 +81,9 @@ class SlotsOnHotPath(SourceRule):
     ``error_models.py`` joined the list with the PR-8 slab/batched-RNG
     refactor; ``transport/`` joined with the congestion-control registry:
     segments, ACKs and controller state are touched on every delivery).
+    ``mac/frames.py`` is covered too: the radio reads each clean frame's
+    ``receiver``, and one ``MacFrame`` is allocated per transmission and
+    one ``SubPacket`` per packet per hop.
     A plain ``__slots__`` tuple or ``@dataclass(slots=True)`` both
     satisfy the rule; ``Enum``, exception and ``Protocol`` classes are
     exempt (their metaclasses manage storage).  This protects the PR-3
@@ -97,6 +100,7 @@ class SlotsOnHotPath(SourceRule):
         "repro/phy/channel.py",
         "repro/phy/error_models.py",
         "repro/packet.py",
+        "repro/mac/frames.py",
         "repro/transport/congestion.py",
         "repro/transport/dropscript.py",
         "repro/transport/host.py",

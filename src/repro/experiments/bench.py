@@ -261,9 +261,9 @@ def dispatch_micro(
     round-robin order and the resulting signal events are drained.  Only
     the ``Radio.transmit`` → ``WirelessChannel.start_transmission`` calls
     are inside the timed region — per-receiver fade draw, threshold
-    compare, Reception allocation and signal scheduling, the path the
-    neighborhood cull and keyed per-link RNG refactor targets — while the
-    drain between frames runs off the clock.  Reported as
+    compare and signal scheduling, the path the neighborhood cull and
+    keyed per-link RNG refactor targets — while the drain between
+    frames runs off the clock.  Reported as
     transmissions/second (and the drain's events/second alongside).
     """
     from repro.mac.frames import FrameKind, MacFrame, SubPacket

@@ -181,6 +181,12 @@ class MacLayer(abc.ABC):
     #: Most sub-packets one data frame carries; sizes the duplicate filter.
     max_aggregation = 1
 
+    #: Whether :meth:`on_frame_received` acts on frames addressed to other
+    #: stations.  For a MAC that sets it False the radio delivers only
+    #: frames whose ``receiver`` is :attr:`address`; any other frame it
+    #: decodes costs a header error draw and no call.
+    overhears = True
+
     def __init__(
         self,
         sim: Simulator,

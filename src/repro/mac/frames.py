@@ -33,7 +33,7 @@ class FrameKind(enum.Enum):
     ACK = "ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class SubPacket:
     """One upper-layer packet carried inside a (possibly aggregated) frame."""
 
@@ -46,7 +46,7 @@ class SubPacket:
         return f"SubPacket(seq={self.mac_seq}, {self.packet.size_bytes}B, retries={self.retries})"
 
 
-@dataclass
+@dataclass(slots=True)
 class MacFrame:
     """A frame on the air.
 

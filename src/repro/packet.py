@@ -20,7 +20,7 @@ class Packet:
 
     ``slots=True``: packets are allocated per transport segment and
     travel through every layer, so they stay ``__dict__``-free like the
-    other hot-path records (``Event``, ``Reception``, ``Transmission``).
+    other hot-path records (``Event``, ``Transmission``, ``MacFrame``).
 
     Attributes
     ----------

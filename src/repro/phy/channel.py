@@ -15,7 +15,9 @@ which is what creates hidden terminals in the Fig. 5(b), Wigle and
 Roofnet scenarios.
 
 Bit errors (the i.i.d. BER model) are applied at reception completion by
-the receiving radio via :meth:`WirelessChannel.apply_bit_errors`.
+the receiving radio via :meth:`WirelessChannel.apply_bit_errors`, or only
+to the header, via :meth:`WirelessChannel.header_survives`, for a frame
+its MAC would ignore.
 
 Hot-path design
 ---------------
@@ -42,15 +44,17 @@ dispatch at all.
 Each plan is sorted by propagation delay once, when it is built, and
 carries each receiver's ``(delay, signal_start, signal_end)`` entry with
 the bound radio callbacks made once.  Per frame the dispatch loop keeps
-the entries of the receivers that sense it, pairs each with a
-:class:`Reception`, and hands both lists to
+the entries of the receivers that sense it and hands them to
 :meth:`~repro.sim.engine.Simulator.schedule_runs`: the frame's arrivals
 and its departures become two delay-sorted signal runs of one heap entry
-each, not two entries per receiver.  :class:`Reception` objects are
-recycled through a freelist (returned by the radio when the signal
-window closes).  Plans are invalidated whenever any radio moves or
-registers; runs already in flight keep the entries they were given, and
-the per-link stream buffers survive invalidation, so a link's fade
+each, not two entries per receiver.  No per-reception object exists:
+each item's payload is the frame's :class:`Transmission` when the power
+reaches the reception threshold and ``None`` when it only reaches the
+carrier-sense threshold, and each radio keeps no more than a count of
+the signals it senses plus the one clean frame among them (see
+:mod:`repro.phy.radio`).  Plans are invalidated whenever any radio moves
+or registers; runs already in flight keep the entries they were given,
+and the per-link stream buffers survive invalidation, so a link's fade
 sample path never depends on when radios happened to move.
 """
 
@@ -67,7 +71,7 @@ import numpy as np
 from repro.phy.error_models import BitErrorModel, FrameErrorResult
 from repro.phy.params import PhyParams
 from repro.phy.propagation import PathLossModel, propagation_delay_ns
-from repro.phy.radio import Radio, Reception
+from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, UniformStream
 
@@ -196,7 +200,6 @@ class WirelessChannel:
         "_link_fades",
         "_link_noise",
         "_prob_cache",
-        "_free_receptions",
     )
 
     #: Hard cap on cached per-pair distances; reached only by scenarios with
@@ -211,9 +214,6 @@ class WirelessChannel:
     #: real perturbation, which is why the cap is far above any current
     #: workload's link count.
     LINK_FADES_MAX = 1 << 16
-
-    #: Hard cap on recycled Reception objects kept for reuse.
-    RECEPTION_FREELIST_MAX = 1024
 
     def __init__(
         self,
@@ -249,8 +249,6 @@ class WirelessChannel:
         self._link_noise: Dict[Tuple[int, int], UniformStream] = {}
         #: Memoised block success probabilities (few distinct bit counts).
         self._prob_cache: Dict[int, float] = {}
-        #: Recycled Reception objects (returned by radios at signal end).
-        self._free_receptions: List[Reception] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -308,40 +306,20 @@ class WirelessChannel:
             params = self.params
             cs_threshold = params.cs_threshold_dbm
             rx_threshold = params.rx_threshold_dbm
-            free = self._free_receptions
             sensed: List[Tuple[int, object, object]] = []
-            receptions: List[Reception] = []
+            payloads: List[Optional[Transmission]] = []
             add_sensed = sensed.append
-            add_reception = receptions.append
+            add_payload = payloads.append
             for entry, power in zip(entries, powers):
                 if power < cs_threshold:
                     continue  # too weak even to sense: no carrier, no interference
-                if free:
-                    reception = free.pop()
-                    reception.transmission = transmission
-                    reception.power_dbm = power
-                    reception.decodable = power >= rx_threshold
-                    reception.interfered = False
-                else:
-                    reception = Reception(
-                        transmission=transmission,
-                        power_dbm=power,
-                        decodable=power >= rx_threshold,
-                    )
                 add_sensed(entry)
-                add_reception(reception)
+                add_payload(transmission if power >= rx_threshold else None)
             if sensed:
                 self.stats.deliveries_attempted += len(sensed)
-                sim.schedule_runs(now, now + duration_ns, sensed, receptions)
+                sim.schedule_runs(now, now + duration_ns, sensed, payloads)
         sim.schedule_signal(now + duration_ns, plan.end_own, transmission)
         return transmission
-
-    def _recycle_reception(self, reception: Reception) -> None:
-        """Return a Reception whose signal window has closed to the free pool."""
-        free = self._free_receptions
-        if len(free) < self.RECEPTION_FREELIST_MAX:
-            reception.transmission = None
-            free.append(reception)
 
     # ------------------------------------------------------------------
     # Neighborhood index
@@ -449,15 +427,8 @@ class WirelessChannel:
             rng = self.rng.stream("biterror")
             subpacket_bits = [subpacket.bits for subpacket in frame.subpackets]
             return self.error_model.evaluate_frame(frame.header_bits, subpacket_bits, rng)
-        key = (sender.node_id, receiver.node_id)
-        noise = self._link_noise.get(key)
-        if noise is None:
-            noise = UniformStream(self.rng.stream_for("biterror", key[0], key[1]))
-            if len(self._link_noise) >= self.LINK_FADES_MAX:
-                self._link_noise.clear()
-            self._link_noise[key] = noise
         subpackets = frame.subpackets
-        draws = noise.take(1 + len(subpackets))
+        draws = self._noise_for(sender.node_id, receiver.node_id).take(1 + len(subpackets))
         # Block success probabilities are memoised in a plain dict:
         # ``BitErrorModel.success_probability`` is already lru_cache-backed,
         # but its guard branches plus the lru machinery cost more than a
@@ -482,6 +453,31 @@ class WirelessChannel:
             index += 1
             append(draws[index] < probability)
         return FrameErrorResult(header_ok=header_ok, subpacket_ok=subpacket_ok)
+
+    def header_survives(self, frame, receiver: Radio, sender: Radio) -> bool:
+        """Draw only whether ``frame``'s header survives the link ``sender`` → ``receiver``.
+
+        Consumes the same ``1 + len(frame.subpackets)`` uniforms from the
+        link's stream as :meth:`apply_bit_errors`, so the link's later
+        draws do not depend on which of the two evaluated a frame.
+        """
+        draws = self._noise_for(sender.node_id, receiver.node_id).take(1 + len(frame.subpackets))
+        bits = frame.header_bits
+        probability = self._prob_cache.get(bits)
+        if probability is None:
+            probability = self._prob_cache[bits] = self.error_model.success_probability(bits)
+        return draws[0] < probability
+
+    def _noise_for(self, sender_id: int, receiver_id: int) -> UniformStream:
+        """The (cached) buffered bit-error uniforms of one directed link."""
+        key = (sender_id, receiver_id)
+        noise = self._link_noise.get(key)
+        if noise is None:
+            noise = UniformStream(self.rng.stream_for("biterror", sender_id, receiver_id))
+            if len(self._link_noise) >= self.LINK_FADES_MAX:
+                self._link_noise.clear()
+            self._link_noise[key] = noise
+        return noise
 
     def distance(self, a: Radio, b: Radio) -> float:
         """Euclidean distance between two radios in metres (cached per pair).

@@ -1,17 +1,27 @@
 """Half-duplex radio attached to the shared wireless channel.
 
-A :class:`Radio` models one station's transceiver.  It tracks
+A :class:`Radio` models one station's transceiver under the standard NS-2
+no-capture collision model: two overlapping sensed signals at a receiver
+destroy each other, and a half-duplex radio decodes nothing that overlaps
+its own transmission.  This is how both "regular" and "hidden" collisions
+from Section III arise — a hidden terminal's signal is not sensed by the
+transmitter but still collides at the receiver.
 
-* its own transmissions (a half-duplex radio cannot decode anything while
-  it transmits),
-* the set of signals currently arriving that are strong enough to be
-  *sensed* (these make the channel "busy" for carrier sensing), and
-* which of those signals are strong enough to be *decoded*.
+So a signal is *clean* only while it is alone in the air and the radio is
+not transmitting, and at most one signal is clean at any time.  Instead of
+a record per arriving signal the radio keeps ``_sensing``, the number of
+sensed signals in the air, and ``_clean``, the one clean decodable
+:class:`~repro.phy.channel.Transmission` or ``None``.  Each signal
+callback gets the frame's transmission when this radio can decode it and
+``None`` when it can only sense it.  A start on an idle radio sets
+``_clean``; any other start, and any transmission of our own, clears it.
+A decodable signal whose end finds it still in ``_clean`` is decoded; any
+other decodable signal counts as a collision.
 
-Two overlapping sensed signals at a receiver destroy each other (the
-standard NS-2 no-capture collision model); this is how both "regular" and
-"hidden" collisions from Section III arise — a hidden terminal's signal is
-not sensed by the transmitter but still collides at the receiver.
+A MAC whose :attr:`~repro.mac.base.MacLayer.overhears` is false acts on
+no frame addressed to another station.  For such a frame the radio only
+draws whether the header survives, consuming the link's bit-error draws
+exactly as a full draw would, and counts it.
 
 The radio reports three things to the MAC attached to it:
 
@@ -24,8 +34,8 @@ The radio reports three things to the MAC attached to it:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.phy.channel import Transmission, WirelessChannel
@@ -37,20 +47,6 @@ class RadioState(enum.Enum):
     IDLE = "idle"
     RECEIVING = "receiving"
     TRANSMITTING = "transmitting"
-
-
-@dataclass(slots=True)
-class Reception:
-    """One signal arriving at one receiver.
-
-    ``slots=True``: one Reception is allocated per sensed receiver per
-    frame, squarely on the dispatch hot path.
-    """
-
-    transmission: "Transmission"
-    power_dbm: float
-    decodable: bool
-    interfered: bool = False
 
 
 @dataclass(slots=True)
@@ -75,9 +71,9 @@ class Radio:
         "_position",
         "mac",
         "stats",
-        "_tx_until",
         "_current_tx",
-        "_receptions",
+        "_sensing",
+        "_clean",
         "_idle_since",
     )
 
@@ -88,14 +84,15 @@ class Radio:
         self._position = (float(position[0]), float(position[1]))
         self.mac = None  # attached later by the node wiring
         self.stats = RadioStats()
-        self._tx_until: Optional[int] = None
         self._current_tx: Optional["Transmission"] = None
-        self._receptions: Dict[int, Reception] = {}
+        #: Sensed signals in the air, and the clean one (module notes).
+        self._sensing = 0
+        self._clean: Optional["Transmission"] = None
         self._idle_since: int = 0
         #: Carrier-sense state as a plain attribute: maintained at every
         #: state transition below so the MAC's hottest query (one or more
         #: reads per slot timer) is a single attribute load instead of a
-        #: property call re-deriving it from the transmission/reception sets.
+        #: property call re-deriving it from the transmission and the count.
         self.busy = False
         channel.register(self)
 
@@ -115,7 +112,11 @@ class Radio:
     # Wiring
     # ------------------------------------------------------------------
     def attach_mac(self, mac) -> None:
-        """Attach the MAC entity that will receive this radio's callbacks."""
+        """Attach the MAC entity that will receive this radio's callbacks.
+
+        Besides the ``on_*`` callbacks the radio reads ``overhears`` and,
+        when that is false, ``address`` (see :class:`~repro.mac.base.MacLayer`).
+        """
         self.mac = mac
 
     # ------------------------------------------------------------------
@@ -138,7 +139,7 @@ class Radio:
     def state(self) -> RadioState:
         if self._current_tx is not None:
             return RadioState.TRANSMITTING
-        if self._receptions:
+        if self._sensing:
             return RadioState.RECEIVING
         return RadioState.IDLE
 
@@ -172,10 +173,8 @@ class Radio:
         was_busy = self.busy
         transmission = self.channel.start_transmission(self, frame, duration_ns)
         self._current_tx = transmission
-        self._tx_until = transmission.end_time
+        self._clean = None
         self.busy = True
-        for reception in self._receptions.values():
-            reception.interfered = True
         self.stats.frames_sent += 1
         self.stats.airtime_tx_ns += duration_ns
         if not was_busy and self.mac is not None:
@@ -185,8 +184,7 @@ class Radio:
     def _end_own_transmission(self, transmission: "Transmission") -> None:
         """Channel callback: our own transmission just finished."""
         self._current_tx = None
-        self._tx_until = None
-        if not self._receptions:
+        if not self._sensing:
             self.busy = False
             self._idle_since = self._sim.now
             if self.mac is not None:
@@ -197,53 +195,56 @@ class Radio:
     # ------------------------------------------------------------------
     # Reception (channel callbacks)
     # ------------------------------------------------------------------
-    def _signal_start(self, reception: Reception) -> None:
-        was_busy = self.busy
-        if self._current_tx is not None:
-            reception.interfered = True
-        if self._receptions:
-            # No capture: a new overlapping signal corrupts everything in the air.
-            reception.interfered = True
-            for other in self._receptions.values():
-                other.interfered = True
-        self._receptions[reception.transmission.transmission_id] = reception
-        self.busy = True
-        if not was_busy and self.mac is not None:
-            self.mac.on_channel_busy()
+    # ``transmission`` is the arriving frame's Transmission when this radio
+    # can decode it and None when it can only sense it.
+    def _signal_start(self, transmission: Optional["Transmission"]) -> None:
+        self._sensing += 1
+        if self.busy:
+            # No capture, half duplex: the new signal and any clean one are lost.
+            self._clean = None
+        else:
+            self._clean = transmission
+            self.busy = True
+            if self.mac is not None:
+                self.mac.on_channel_busy()
 
-    def _signal_end(self, reception: Reception) -> None:
-        self._receptions.pop(reception.transmission.transmission_id, None)
+    def _signal_end(self, transmission: Optional["Transmission"]) -> None:
+        # Read before the idle edge: a MAC that transmits from
+        # on_channel_idle must not destroy the frame whose end freed the
+        # channel.
+        clean = self._clean
+        self._sensing -= 1
         # Update carrier-sense state *before* delivering the frame: protocol
         # timers of the form "channel idle for T" (RIPPLE's relay deferral)
         # must see the idle period as starting at the end of this frame.
-        if self._current_tx is None and not self._receptions:
+        if not self._sensing and self._current_tx is None:
+            self._clean = None
             self.busy = False
             self._idle_since = self._sim.now
             if self.mac is not None:
                 self.mac.on_channel_idle()
+        if transmission is None:
+            return
+        if clean is not transmission:
+            self.stats.frames_collided += 1
+            return
         # Delivery is inlined here (not a helper) because this callback runs
         # once per sensed signal — the busiest event class in every workload.
-        if reception.decodable:
-            if reception.interfered:
-                self.stats.frames_collided += 1
+        # Passing both ends of the link routes the draws through the keyed
+        # per-link bit-error stream (independence across forwarders).
+        frame = transmission.frame
+        mac = self.mac
+        if mac is not None and (mac.overhears or frame.receiver == mac.address):
+            result = self.channel.apply_bit_errors(frame, receiver=self, sender=transmission.sender)
+            if result.header_ok:
+                self.stats.frames_decoded += 1
+                mac.on_frame_received(frame, result)
             else:
-                transmission = reception.transmission
-                frame = transmission.frame
-                # Passing both ends of the link routes the draws through the
-                # keyed per-link bit-error stream (independence across
-                # forwarders).
-                result = self.channel.apply_bit_errors(
-                    frame, receiver=self, sender=transmission.sender
-                )
-                if not result.header_ok:
-                    self.stats.frames_header_error += 1
-                else:
-                    self.stats.frames_decoded += 1
-                    if self.mac is not None:
-                        self.mac.on_frame_received(frame, result)
-        # Both ends of the window have fired and the reception is out of
-        # every tracking structure: hand it back to the channel's free pool.
-        self.channel._recycle_reception(reception)
+                self.stats.frames_header_error += 1
+        elif self.channel.header_survives(frame, self, transmission.sender):
+            self.stats.frames_decoded += 1
+        else:
+            self.stats.frames_header_error += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Radio(node={self.node_id}, state={self.state.value})"

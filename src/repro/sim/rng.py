@@ -136,7 +136,8 @@ class UniformStream:
     ``rng.random()`` to ``uniforms.take(1)[0]`` (or :meth:`next_float`)
     changes nothing but the wall-clock cost.  Refills splice the unserved
     tail onto the fresh block, so :meth:`take` spans block boundaries
-    without skipping or reordering draws.
+    without skipping or reordering draws; a request longer than the tail
+    plus one block draws as many as it needs.
     """
 
     BLOCK = 128
@@ -153,7 +154,8 @@ class UniformStream:
         index = self._index
         buffer = self._buffer
         if index + count > len(buffer):
-            buffer = buffer[index:] + self.generator.random(self.BLOCK).tolist()
+            tail = buffer[index:]
+            buffer = tail + self.generator.random(max(self.BLOCK, count - len(tail))).tolist()
             self._buffer = buffer
             index = 0
         self._index = index + count

@@ -1,9 +1,14 @@
 """DCF and AFR behaviour over the real channel (small deterministic scenarios)."""
 
+import dataclasses
+
 import pytest
 
+from repro.mac.frames import FrameKind
+from repro.phy.error_models import FrameErrorResult
 from repro.sim.units import seconds
 from tests.conftest import build_chain_network, collect_deliveries, inject_packets
+from tests.phy.test_channel import make_frame
 
 
 class TestDcfSingleHop:
@@ -137,3 +142,40 @@ class TestAfrAggregation:
         net.run_seconds(1.0)
         seqs = [p.seq for p in received]
         assert len(seqs) == len(set(seqs))
+
+
+class TestFramesForOtherStations:
+    """DCF acts on no frame addressed to another station.
+
+    This is what lets the radio skip ``on_frame_received`` for such frames
+    on every MAC with ``overhears = False``.
+    """
+
+    @pytest.mark.parametrize(
+        "scheme, mac_kwargs",
+        [
+            ("dcf", {}),
+            ("afr", {}),
+            ("rate_adapt", {"inner": "dcf"}),
+            ("rate_adapt", {"inner": "afr"}),
+        ],
+    )
+    def test_frame_for_another_station_changes_nothing(self, scheme, mac_kwargs):
+        net, _ = build_chain_network(scheme, n_nodes=3, **mac_kwargs)
+        inject_packets(net, 0, 2, 5)
+        mac = net.node(1).mac
+        while mac._current_frame is None:  # until the relay has a frame of its own out
+            net.sim.step()
+        assert mac.overhears is False
+        data = make_frame(origin=0, transmitter=0, receiver=2, n_sub=3)
+        # An ACK for the relay's own frame, but addressed to another station.
+        ack = dataclasses.replace(
+            make_frame(origin=2, transmitter=2, receiver=0, n_sub=0),
+            kind=FrameKind.ACK, acked_seqs=(0,), ack_for_frame=mac._current_frame.frame_id,
+        )
+        for frame in (data, ack):
+            stats = dataclasses.replace(mac.stats)
+            pending = (net.sim.pending_events, net.sim.cancelled_pending_events)
+            mac.on_frame_received(frame, FrameErrorResult(True, [True] * len(frame.subpackets)))
+            assert mac.stats == stats
+            assert (net.sim.pending_events, net.sim.cancelled_pending_events) == pending

@@ -18,6 +18,8 @@ from repro.sim.units import us
 class RecordingMac:
     """Minimal MAC stub capturing everything the radio reports."""
 
+    overhears = True  # every decoded frame is reported, whoever it is addressed to
+
     def __init__(self):
         self.received = []
         self.busy_events = 0
@@ -282,6 +284,25 @@ class TestBitErrors:
         sim, channel, radios, macs = build([(0, 0), (100, 0)], ber=1e-5)
         p = channel.link_delivery_probability(radios[0], radios[1], frame_bits=8000)
         assert 0.85 < p < 0.95  # ~0.92 from BER alone at this short distance
+
+    def test_header_only_draws_consume_the_link_stream_like_full_draws(self):
+        # Interleaving header-only draws with full evaluations must leave the
+        # link's later draws where full evaluations alone would.  The frame
+        # with 130 sub-packets takes more uniforms than one buffered block.
+        _, mixed, mixed_radios, _ = build([(0, 0), (100, 0)], ber=1e-4, seed=4)
+        _, full, full_radios, _ = build([(0, 0), (100, 0)], ber=1e-4, seed=4)
+        frames = [make_frame(n_sub=k % 5) for k in range(60)] + [make_frame(n_sub=130)] * 3
+        for k, frame in enumerate(frames):
+            expected = full.apply_bit_errors(frame, full_radios[1], full_radios[0])
+            if k % 3:
+                survives = mixed.header_survives(frame, mixed_radios[1], mixed_radios[0])
+                assert survives == expected.header_ok
+            else:
+                assert mixed.apply_bit_errors(frame, mixed_radios[1], mixed_radios[0]) == expected
+        # The draws exercised both outcomes of the header check.
+        assert 0 < sum(
+            full.header_survives(frame, full_radios[1], full_radios[0]) for frame in frames
+        ) < len(frames)
 
     def test_distance_helper(self):
         sim, channel, radios, macs = build([(0, 0), (3, 4)])

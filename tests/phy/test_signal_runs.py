@@ -1,14 +1,29 @@
-"""Signal runs against per-receiver dispatch.
+"""The PHY hot path against the plainest model of the same physics.
 
-:class:`PerReceiverChannel` below dispatches frames one reception at a
-time: its plans keep registration order, and every sensed reception puts
-two entries on the heap, its start and its end.  The channel's signal runs
-must give every radio callback the same instant and the same order, so
-whole scenarios stay byte-identical, ``events_processed`` included.
+The reference below dispatches frames one reception at a time and keeps the
+no-capture model in its most literal form:
+
+* :class:`ReferenceChannel` keeps each plan in registration order and puts
+  two entries on the heap per sensed reception, its start and its end, each
+  carrying a :class:`Reception` record;
+* :class:`ReferenceRadio` keeps a dict of those records with ``interfered``
+  flags, and for every clean decodable frame draws the whole bit-error
+  result and calls ``on_frame_received``, whoever the frame is addressed to.
+
+The channel's signal runs, the radio's counted carrier sense and its
+addressed delivery must give every callback the same instant and order and
+every counter the same value, so whole scenarios stay byte-identical,
+``events_processed`` included.
 """
 
-import pytest
+import itertools
+from dataclasses import dataclass
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.experiments.runner as runner
 import repro.topology.network as network
 from repro.experiments.mobility import mobility_spec
 from repro.experiments.runner import ScenarioConfig, run_scenario
@@ -16,18 +31,93 @@ from repro.phy.channel import Transmission, WirelessChannel, _DispatchPlan
 from repro.phy.error_models import BitErrorModel
 from repro.phy.params import LOW_RATE_PHY, PhyParams
 from repro.phy.propagation import ShadowingPropagation
-from repro.phy.radio import Radio, Reception
+from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.units import us
+from repro.spec import MacSpec
 from repro.topology.roofnet import roofnet_scenario
 from repro.topology.standard import fig5b_topology, voip_topology
 
 from tests.phy.test_channel import RecordingMac, make_frame
 
 
-class PerReceiverChannel(WirelessChannel):
-    """Reference: plans in registration order, two heap entries per sensed receiver."""
+@dataclass(slots=True)
+class Reception:
+    """One signal arriving at one receiver."""
+
+    transmission: Transmission
+    power_dbm: float
+    decodable: bool
+    interfered: bool = False
+
+
+class ReferenceRadio(Radio):
+    """No capture with one :class:`Reception` record per arriving signal."""
+
+    def __init__(self, node_id, position, channel):
+        self.receptions = {}
+        super().__init__(node_id, position, channel)
+
+    def transmit(self, frame, duration_ns):
+        was_busy = self.busy
+        transmission = self.channel.start_transmission(self, frame, duration_ns)
+        self._current_tx = transmission
+        self.busy = True
+        for reception in self.receptions.values():
+            reception.interfered = True
+        self.stats.frames_sent += 1
+        self.stats.airtime_tx_ns += duration_ns
+        if not was_busy and self.mac is not None:
+            self.mac.on_channel_busy()
+        return transmission
+
+    def _end_own_transmission(self, transmission):
+        self._current_tx = None
+        if not self.receptions:
+            self.busy = False
+            self._idle_since = self._sim.now
+            if self.mac is not None:
+                self.mac.on_channel_idle()
+        if self.mac is not None:
+            self.mac.on_transmission_complete(transmission.frame)
+
+    def _signal_start(self, reception):
+        was_busy = self.busy
+        if self._current_tx is not None or self.receptions:
+            reception.interfered = True
+            for other in self.receptions.values():
+                other.interfered = True
+        self.receptions[reception.transmission.transmission_id] = reception
+        self.busy = True
+        if not was_busy and self.mac is not None:
+            self.mac.on_channel_busy()
+
+    def _signal_end(self, reception):
+        del self.receptions[reception.transmission.transmission_id]
+        if self._current_tx is None and not self.receptions:
+            self.busy = False
+            self._idle_since = self._sim.now
+            if self.mac is not None:
+                self.mac.on_channel_idle()
+        if not reception.decodable:
+            return
+        if reception.interfered:
+            self.stats.frames_collided += 1
+            return
+        transmission = reception.transmission
+        frame = transmission.frame
+        result = self.channel.apply_bit_errors(frame, receiver=self, sender=transmission.sender)
+        if not result.header_ok:
+            self.stats.frames_header_error += 1
+            return
+        self.stats.frames_decoded += 1
+        if self.mac is not None:
+            self.mac.on_frame_received(frame, result)
+
+
+class ReferenceChannel(WirelessChannel):
+    """Plans in registration order, two heap entries per sensed reception."""
 
     def _build_plan(self, sender):
         plan = super()._build_plan(sender)
@@ -75,35 +165,93 @@ SCENARIOS = {
     ),
 }
 
+SCHEMES = {
+    "D": dict(scheme_label="D"),
+    "A": dict(scheme_label="A"),
+    "R16": dict(scheme_label="R16"),
+    "preExOR": dict(scheme_label="preExOR"),
+    "MCExOR": dict(scheme_label="MCExOR"),
+    # Registered as not opportunistic, yet its RIPPLE MAC overhears.
+    "rate_adapt(ripple)": dict(mac=MacSpec("rate_adapt", {"inner": "ripple"})),
+}
 
-@pytest.mark.parametrize("scheme", ["D", "R16", "preExOR", "MCExOR"])
+
+def _run(config, channel_cls, radio_cls):
+    """The scenario's result and its per-node radio, MAC and RIPPLE counters, plus the channel's."""
+    built = []
+    build = runner.build_network
+
+    def capture(config):
+        built.append(build(config))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "WirelessChannel", channel_cls)
+        patch.setattr(network, "Radio", radio_cls)
+        patch.setattr(runner, "build_network", capture)
+        result = run_scenario(config).to_dict()
+    net = built[0][0]
+    nodes = [node for _, node in sorted(net.nodes.items())]
+    return result, (
+        [node.radio.stats for node in nodes],
+        [node.mac.stats for node in nodes],
+        [getattr(node.mac, "ripple_stats", None) for node in nodes],
+        net.channel.stats,
+    )
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_scenario_identical_to_per_receiver_dispatch(scenario, scheme, monkeypatch):
-    config = ScenarioConfig(scheme_label=scheme, seed=4, **SCENARIOS[scenario])
-    runs = run_scenario(config).to_dict()
-    monkeypatch.setattr(network, "WirelessChannel", PerReceiverChannel)
-    reference = run_scenario(config).to_dict()
+def test_scenario_identical_to_per_receiver_dispatch(scenario, scheme):
+    config = ScenarioConfig(seed=4, **SCHEMES[scheme], **SCENARIOS[scenario])
+    result, layers = _run(config, WirelessChannel, Radio)
+    reference, reference_layers = _run(config, ReferenceChannel, ReferenceRadio)
     assert reference["events_processed"] > 1000
-    assert runs == reference
+    assert result == reference
+    assert layers == reference_layers
+    if scheme in ("D", "A"):
+        # The unicast MACs were handed fewer frames than the radios decoded:
+        # the comparison covers frames addressed to other stations.
+        radios, macs = layers[0], layers[1]
+        handed = sum(mac.data_frames_received + mac.ack_frames_received for mac in macs)
+        assert sum(radio.frames_decoded for radio in radios) > handed
 
 
-class TracingRadio(Radio):
-    """Logs every signal callback as ``(now, edge, node, transmission id)``."""
+class _Tracing:
+    """Logs every signal callback as ``(now, edge, node)``."""
 
     def __init__(self, node_id, position, channel, trace):
         self.trace = trace
         super().__init__(node_id, position, channel)
 
-    def _signal_start(self, reception):
-        self.trace.append((self._sim.now, "start", self.node_id, reception.transmission.transmission_id))
-        super()._signal_start(reception)
+    def _signal_start(self, payload):
+        self.trace.append((self._sim.now, "start", self.node_id))
+        super()._signal_start(payload)
 
-    def _signal_end(self, reception):
-        self.trace.append((self._sim.now, "end", self.node_id, reception.transmission.transmission_id))
-        super()._signal_end(reception)
+    def _signal_end(self, payload):
+        self.trace.append((self._sim.now, "end", self.node_id))
+        super()._signal_end(payload)
 
 
-def _callback_trace(channel_cls, model_propagation_delay):
+class TracingRadio(_Tracing, Radio):
+    pass
+
+
+class TracingReferenceRadio(_Tracing, ReferenceRadio):
+    pass
+
+
+class UnicastRecordingMac(RecordingMac):
+    """A recording MAC that, like DCF, acts only on frames addressed to it."""
+
+    overhears = False
+
+    def __init__(self, address):
+        super().__init__()
+        self.address = address
+
+
+def _callback_trace(channel_cls, radio_cls, model_propagation_delay, unicast):
     """Overlapping and simultaneous frames among eight radios, every callback logged."""
     sim = Simulator()
     channel = channel_cls(
@@ -118,28 +266,168 @@ def _callback_trace(channel_cls, model_propagation_delay):
     # Registration order is not distance order, so sorting by delay moves entries.
     positions = [(600.0, 0.0), (0.0, 0.0), (150.0, 40.0), (420.0, 0.0),
                  (75.0, 0.0), (300.0, 0.0), (10.0, 5.0), (500.0, 80.0)]
-    radios = [TracingRadio(i, position, channel, trace) for i, position in enumerate(positions)]
-    macs = [RecordingMac() for _ in radios]
+    radios = [radio_cls(i, position, channel, trace) for i, position in enumerate(positions)]
+    macs = [UnicastRecordingMac(i) if unicast else RecordingMac() for i in range(len(radios))]
     for radio, mac in zip(radios, macs):
         radio.attach_mac(mac)
     for k in range(60):
         sender = radios[(3 * k) % len(radios)]
-        frame = make_frame(origin=sender.node_id, transmitter=sender.node_id, n_sub=1 + k % 3)
+        receiver = (sender.node_id + 1 + k % 3) % len(radios)
+        frame = make_frame(
+            origin=sender.node_id, transmitter=sender.node_id, receiver=receiver, n_sub=1 + k % 3
+        )
         # Pairs of frames start at the same nanosecond; others overlap.
         sim.schedule_at(us(150) * (k // 2), sender.transmit, frame, frame.airtime_ns(channel.params))
         sim.schedule_at(us(150) * (k // 2) + us(40), lambda: trace.append((sim.now, "timer")))
     sim.run()
-    received = [[(frame.origin, len(frame.subpackets), errors) for frame, errors in mac.received] for mac in macs]
-    return trace, received, sim.processed_events
+    # The reference hands a unicast MAC every clean frame; keep what the MAC acts on.
+    received = [
+        [
+            (frame.origin, frame.receiver, len(frame.subpackets), errors)
+            for frame, errors in mac.received
+            if mac.overhears or frame.receiver == mac.address
+        ]
+        for mac in macs
+    ]
+    return trace, received, [radio.stats for radio in radios], sim.processed_events
 
 
 @pytest.mark.parametrize("model_propagation_delay", [False, True])
 def test_callback_trace_matches_per_receiver_dispatch(model_propagation_delay):
-    runs = _callback_trace(WirelessChannel, model_propagation_delay)
-    reference = _callback_trace(PerReceiverChannel, model_propagation_delay)
-    assert len(runs[0]) > 500
-    assert any(received for received in runs[1])
-    assert runs == reference
+    for unicast in (False, True):
+        runs = _callback_trace(WirelessChannel, TracingRadio, model_propagation_delay, unicast)
+        reference = _callback_trace(
+            ReferenceChannel, TracingReferenceRadio, model_propagation_delay, unicast
+        )
+        assert len(runs[0]) > 500
+        assert sum(map(len, runs[1])) > 5
+        assert sum(stats.frames_collided for stats in runs[2]) > 5
+        assert runs == reference
+
+
+class EdgeRecordingMac(RecordingMac):
+    """Records carrier-sense edges and completions with their instants."""
+
+    def __init__(self, sim, overhears):
+        super().__init__()
+        self.sim = sim
+        self.overhears = overhears
+        self.address = 0
+        self.edges = []
+
+    def on_channel_busy(self):
+        self.edges.append((self.sim.now, "busy"))
+
+    def on_channel_idle(self):
+        self.edges.append((self.sim.now, "idle"))
+
+    def on_transmission_complete(self, frame):
+        self.edges.append((self.sim.now, "sent"))
+
+
+PARAMS = PhyParams()
+
+#: ``(start_us, duration_us, power_dbm, sender, addressed_here, subpackets)``.
+SIGNALS = st.lists(
+    st.tuples(
+        st.integers(0, 300),
+        st.integers(1, 120),
+        st.floats(PARAMS.cs_threshold_dbm, PARAMS.rx_threshold_dbm + 6.0),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 3),
+    ),
+    max_size=12,
+)
+
+#: The receiver's own frames, one after another: ``(gap_us, duration_us)``.
+OWN_FRAMES = st.lists(st.tuples(st.integers(1, 150), st.integers(1, 60)), max_size=3)
+
+
+def _drive(reference, signals, own_frames, overhears):
+    """Inject ``signals`` and ``own_frames`` at radio 0; what its MAC saw and its counters."""
+    sim = Simulator()
+    channel = WirelessChannel(
+        sim, PARAMS,
+        propagation=ShadowingPropagation(shadowing_deviation_db=0.0),
+        error_model=BitErrorModel(1e-4),
+        rng=RandomStreams(5),
+    )
+    radio_cls = ReferenceRadio if reference else Radio
+    # The senders sit far out of range: only their link streams are used.
+    radios = [radio_cls(i, (20000.0 * i, 0.0), channel) for i in range(4)]
+    mac = EdgeRecordingMac(sim, overhears)
+    radios[0].attach_mac(mac)
+    ids = itertools.count()
+    for start, duration, power, sender, addressed, subpackets in signals:
+        receiver = 0 if addressed else 9
+        frame = make_frame(origin=sender, transmitter=sender, receiver=receiver, n_sub=subpackets)
+        transmission = Transmission(next(ids), frame, radios[sender], us(start), us(duration))
+        decodable = power >= PARAMS.rx_threshold_dbm
+        if reference:
+            payload = Reception(transmission, power, decodable)
+        else:
+            payload = transmission if decodable else None
+        sim.schedule_at(us(start), radios[0]._signal_start, payload)
+        sim.schedule_at(us(start + duration), radios[0]._signal_end, payload)
+    when = 0
+    for gap, duration in own_frames:
+        when += us(gap)
+        sim.schedule_at(when, radios[0].transmit, make_frame(receiver=1), us(duration))
+        when += us(duration)
+    sim.run()
+    delivered = [
+        (frame.origin, frame.receiver, len(frame.subpackets), errors)
+        for frame, errors in mac.received
+        if overhears or frame.receiver == 0
+    ]
+    return mac.edges, delivered, radios[0].stats
+
+
+@settings(max_examples=200, deadline=None)
+@given(signals=SIGNALS, own_frames=OWN_FRAMES, overhears=st.booleans())
+def test_counted_radio_matches_reference_on_random_overlaps(signals, own_frames, overhears):
+    counted = _drive(False, signals, own_frames, overhears)
+    assert counted == _drive(True, signals, own_frames, overhears)
+
+
+class TransmitOnIdleMac(RecordingMac):
+    """Transmits once, from the first idle edge it sees."""
+
+    def __init__(self, radio):
+        super().__init__()
+        self.radio = radio
+
+    def on_channel_idle(self):
+        super().on_channel_idle()
+        if self.idle_events == 1:
+            self.radio.transmit(make_frame(origin=1, transmitter=1, receiver=0), us(20))
+
+
+@pytest.mark.parametrize(
+    "channel_cls, radio_cls", [(WirelessChannel, Radio), (ReferenceChannel, ReferenceRadio)]
+)
+def test_frame_that_frees_the_channel_survives_a_transmission_from_the_idle_edge(
+    channel_cls, radio_cls
+):
+    sim = Simulator()
+    channel = channel_cls(
+        sim, PhyParams(),
+        propagation=ShadowingPropagation(shadowing_deviation_db=0.0),
+        error_model=BitErrorModel(0.0),
+        rng=RandomStreams(1),
+    )
+    sender, receiver = radio_cls(0, (0.0, 0.0), channel), radio_cls(1, (100.0, 0.0), channel)
+    sender.attach_mac(RecordingMac())
+    mac = TransmitOnIdleMac(receiver)
+    receiver.attach_mac(mac)
+    frame = make_frame()
+    sender.transmit(frame, us(100))
+    sim.run()
+    assert receiver.stats.frames_sent == 1
+    assert [received for received, _ in mac.received] == [frame]
+    assert receiver.stats.frames_decoded == 1
+    assert receiver.stats.frames_collided == 0
 
 
 def test_candidate_receivers_are_in_delay_order():

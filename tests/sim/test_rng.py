@@ -1,6 +1,8 @@
 """Named random streams: determinism and independence."""
 
-from repro.sim.rng import RandomStreams
+import pytest
+
+from repro.sim.rng import RandomStreams, UniformStream
 
 
 class TestRandomStreams:
@@ -150,3 +152,18 @@ class TestPhiloxBatching:
         assert list(streams.stream_for("s", 11).random(4)) != list(
             streams.stream_for("s1", 1).random(4)
         )
+
+
+class TestUniformStream:
+    """Buffered uniforms serve exactly the generator's scalar sequence."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 100, 127, 128, 129, 255])
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+    def test_take_equals_scalar_draws_after_any_offset(self, offset, count):
+        uniforms = UniformStream(RandomStreams(seed=3).stream_for("biterror", 0, 1))
+        scalar = RandomStreams(seed=3).stream_for("biterror", 0, 1)
+        assert uniforms.take(offset) == [scalar.random() for _ in range(offset)]
+        assert uniforms.take(count) == [scalar.random() for _ in range(count)]
+        # The draws after a long request continue the same sequence.
+        assert uniforms.take(5) == [scalar.random() for _ in range(5)]
+        assert uniforms.next_float() == scalar.random()
