@@ -175,17 +175,13 @@ class MacLayer(abc.ABC):
     Sub-classes implement :meth:`enqueue` (accept a packet from the network
     layer) and :meth:`on_frame_received` (react to a decoded frame); the
     base class provides radio wiring, upper-layer delivery with duplicate
-    suppression, and statistics.
+    suppression, and statistics.  The radio hands :meth:`on_frame_received`
+    only the frames :meth:`acts_on` accepts; any other frame it decodes
+    costs a header error draw and no call.
     """
 
     #: Most sub-packets one data frame carries; sizes the duplicate filter.
     max_aggregation = 1
-
-    #: Whether :meth:`on_frame_received` acts on frames addressed to other
-    #: stations.  For a MAC that sets it False the radio delivers only
-    #: frames whose ``receiver`` is :attr:`address`; any other frame it
-    #: decodes costs a header error draw and no call.
-    overhears = True
 
     def __init__(
         self,
@@ -277,6 +273,21 @@ class MacLayer(abc.ABC):
 
     def on_channel_idle(self) -> None:
         """The medium turned idle at this station."""
+
+    def acts_on(self, frame) -> bool:
+        """Whether :meth:`on_frame_received` can change anything for ``frame``.
+
+        True when this station is the frame's receiver or final destination
+        or is on its forwarder list.  A MAC that also acts on other frames
+        overrides this; one that returns False for a frame it would act on
+        changes the simulation.
+        """
+        address = self.address
+        return (
+            address == frame.receiver
+            or address == frame.final_dst
+            or address in frame.forwarder_list
+        )
 
     @abc.abstractmethod
     def on_frame_received(self, frame, errors) -> None:

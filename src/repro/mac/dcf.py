@@ -38,10 +38,6 @@ from repro.sim.engine import Event, Simulator
 class DcfMac(MacLayer):
     """802.11 DCF with unicast next-hop frames and block-ACK style aggregation."""
 
-    #: Unicast: ``_handle_data`` and ``_handle_ack`` ignore every frame
-    #: addressed to another station.
-    overhears = False
-
     def __init__(
         self,
         sim: Simulator,

@@ -56,6 +56,11 @@ the signals it senses plus the one clean frame among them (see
 or registers; runs already in flight keep the entries they were given,
 and the per-link stream buffers survive invalidation, so a link's fade
 sample path never depends on when radios happened to move.
+
+A finished network is cyclic garbage (radio and channel, radio and MAC,
+and the radio callbacks in the plans refer to each other), so only a full
+collection would free those buffers.  :meth:`WirelessChannel.release`
+frees them as soon as a run is summarised; the counters stay.
 """
 
 from __future__ import annotations
@@ -408,6 +413,17 @@ class WirelessChannel:
         """Drop every geometry-derived cache (distances, dispatch plans)."""
         self._distance_cache.clear()
         self._plans.clear()
+
+    def release(self) -> None:
+        """Free the plans and per-link stream buffers of a finished run.
+
+        :attr:`stats` and every radio's and MAC's counters stay readable.
+        The channel must not transmit afterwards: its links would lose the
+        buffered draws they had not served yet.
+        """
+        self._invalidate_geometry()
+        self._link_fades.clear()
+        self._link_noise.clear()
 
     # ------------------------------------------------------------------
     # Helpers

@@ -18,10 +18,11 @@ callback gets the frame's transmission when this radio can decode it and
 A decodable signal whose end finds it still in ``_clean`` is decoded; any
 other decodable signal counts as a collision.
 
-A MAC whose :attr:`~repro.mac.base.MacLayer.overhears` is false acts on
-no frame addressed to another station.  For such a frame the radio only
-draws whether the header survives, consuming the link's bit-error draws
-exactly as a full draw would, and counts it.
+A clean frame goes to the MAC only if :meth:`~repro.mac.base.MacLayer.acts_on`
+accepts it: by default, if this station is the frame's receiver or final
+destination or is on its forwarder list.  For any other frame the radio
+only draws whether the header survives, consuming the link's bit-error
+draws exactly as a full draw would, and counts it.
 
 The radio reports three things to the MAC attached to it:
 
@@ -114,8 +115,8 @@ class Radio:
     def attach_mac(self, mac) -> None:
         """Attach the MAC entity that will receive this radio's callbacks.
 
-        Besides the ``on_*`` callbacks the radio reads ``overhears`` and,
-        when that is false, ``address`` (see :class:`~repro.mac.base.MacLayer`).
+        Besides the ``on_*`` callbacks the radio calls ``acts_on(frame)``
+        before it hands a frame over (see :class:`~repro.mac.base.MacLayer`).
         """
         self.mac = mac
 
@@ -234,7 +235,7 @@ class Radio:
         # per-link bit-error stream (independence across forwarders).
         frame = transmission.frame
         mac = self.mac
-        if mac is not None and (mac.overhears or frame.receiver == mac.address):
+        if mac is not None and mac.acts_on(frame):
             result = self.channel.apply_bit_errors(frame, receiver=self, sender=transmission.sender)
             if result.header_ok:
                 self.stats.frames_decoded += 1

@@ -183,6 +183,11 @@ class OpportunisticMac(MacLayer, abc.ABC):
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    def acts_on(self, frame: MacFrame) -> bool:
+        # Every ACK heard counts in ``ack_frames_received``, and one for
+        # another station can tell a tracked receiver it was outranked.
+        return frame.kind is FrameKind.ACK or super().acts_on(frame)
+
     def on_frame_received(self, frame: MacFrame, errors) -> None:
         if frame.kind is FrameKind.DATA:
             self._handle_data(frame, errors)

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.mac.frames import FrameKind, build_data_frame
 from repro.mac.timing import DEFAULT_TIMING
+from repro.phy.channel import WirelessChannel
+from repro.phy.params import LOW_RATE_PHY
+from repro.topology.roofnet import roofnet_scenario
+from repro.topology.standard import fig5b_topology
 from tests.conftest import build_chain_network, collect_deliveries, inject_packets
 
 
@@ -229,3 +234,41 @@ class TestMtxopTimeout:
         short = build_data_frame(DEFAULT_TIMING, 0, 3, 0, None, [], forwarder_list=(1,))
         long = build_data_frame(DEFAULT_TIMING, 0, 3, 0, None, [], forwarder_list=(1, 2, 4, 5, 6))
         assert mac.mtxop_timeout_ns(long) > mac.mtxop_timeout_ns(short)
+
+
+class TestAckForwarderLists:
+    """A RIPPLE ACK carries the forwarder list of the frame it acknowledges.
+
+    The radio's interest filter is exact for RIPPLE ACKs only because of
+    this: a station with a relay of a DATA frame pending is on that frame's
+    list, so it is on the list of the ACK that cancels the relay.
+    """
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            dict(topology=fig5b_topology()),
+            dict(topology=roofnet_scenario(seed=7), phy=LOW_RATE_PHY),
+        ],
+        ids=["fig5b", "roofnet"],
+    )
+    def test_acks_carry_the_acknowledged_frames_forwarder_list(self, scenario):
+        frames = []
+        start = WirelessChannel.start_transmission
+
+        def recording(channel, sender, frame, duration_ns):
+            frames.append(frame)
+            return start(channel, sender, frame, duration_ns)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WirelessChannel, "start_transmission", recording)
+            run_scenario(ScenarioConfig(scheme_label="R16", duration_s=0.15, seed=3, **scenario))
+        lists = {}
+        for frame in frames:
+            if frame.kind is FrameKind.DATA:
+                lists.setdefault(frame.frame_id, set()).add(frame.forwarder_list)
+        acks = [frame for frame in frames if frame.kind is FrameKind.ACK]
+        assert any(ack.forwarder_list for ack in acks)
+        assert any(ack.transmitter != ack.origin for ack in acks)  # relayed ACKs too
+        for ack in acks:
+            assert lists[ack.ack_for_frame] == {ack.forwarder_list}

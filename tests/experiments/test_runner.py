@@ -1,7 +1,11 @@
 """Experiment harness: scheme mapping, scenario construction, result collection."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+import repro.experiments.runner as runner
 from repro.experiments.report import format_table, nested_to_rows, render_panel
 from repro.experiments.runner import (
     DEFAULT_SCHEME_LABELS,
@@ -11,6 +15,9 @@ from repro.experiments.runner import (
     resolve_scheme,
     run_scenario,
 )
+from repro.phy.channel import WirelessChannel
+from repro.phy.params import LOW_RATE_PHY
+from repro.topology.roofnet import roofnet_scenario
 from repro.topology.standard import fig1_topology, line_topology
 
 
@@ -106,6 +113,51 @@ class TestRunScenario:
         a = run_scenario(ScenarioConfig(**base, seed=1))
         b = run_scenario(ScenarioConfig(**base, seed=2))
         assert a.events_processed != b.events_processed
+
+
+def _left_behind(config):
+    """Bytes one run leaves allocated with the cycle collector off, and its network."""
+    built = []
+
+    def capture(config):
+        built.append(build_network(config))
+        return built[-1]
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "build_network", capture)
+            before = tracemalloc.get_traced_memory()[0]
+            run_scenario(config)
+            left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return left, built[0][0]
+
+
+class TestReleaseAfterRun:
+    """A finished network is cyclic garbage, so run_scenario frees its link buffers itself."""
+
+    def test_finished_run_leaves_under_half_the_memory_behind(self, monkeypatch):
+        config = ScenarioConfig(
+            topology=roofnet_scenario(seed=7), phy=LOW_RATE_PHY, scheme_label="D",
+            duration_s=0.1, seed=1,
+        )
+        run_scenario(config)  # first-use imports and caches
+        left, network = _left_behind(config)
+        # The same run keeping its buffers, as it did before release() existed.
+        monkeypatch.setattr(WirelessChannel, "release", lambda channel: None)
+        kept, kept_network = _left_behind(config)
+        assert left < kept / 2
+        # The counters outlive the release.
+        assert network.channel.stats.transmissions > 100
+        assert network.channel.stats == kept_network.channel.stats
+        assert [node.radio.stats for node in network.nodes.values()] == [
+            node.radio.stats for node in kept_network.nodes.values()
+        ]
 
 
 class TestWarmupAccounting:

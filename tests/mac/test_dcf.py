@@ -145,10 +145,11 @@ class TestAfrAggregation:
 
 
 class TestFramesForOtherStations:
-    """DCF acts on no frame addressed to another station.
+    """Every MAC acts on no frame its ``acts_on`` rejects.
 
-    This is what lets the radio skip ``on_frame_received`` for such frames
-    on every MAC with ``overhears = False``.
+    This is what lets the radio skip ``on_frame_received`` for such frames.
+    The station under test has a frame of its own out; a RIPPLE station also
+    has a relay pending.
     """
 
     @pytest.mark.parametrize(
@@ -158,24 +159,71 @@ class TestFramesForOtherStations:
             ("afr", {}),
             ("rate_adapt", {"inner": "dcf"}),
             ("rate_adapt", {"inner": "afr"}),
+            ("ripple", {}),
+            ("ripple1", {}),
+            ("rate_adapt", {"inner": "ripple"}),
+            ("preexor", {}),
+            ("mcexor", {}),
         ],
     )
     def test_frame_for_another_station_changes_nothing(self, scheme, mac_kwargs):
         net, _ = build_chain_network(scheme, n_nodes=3, **mac_kwargs)
         inject_packets(net, 0, 2, 5)
+        inject_packets(net, 1, 2, 5, flow_id=2)
         mac = net.node(1).mac
-        while mac._current_frame is None:  # until the relay has a frame of its own out
+        while mac._current_frame is None:  # until the station has a frame of its own out
             net.sim.step()
-        assert mac.overhears is False
-        data = make_frame(origin=0, transmitter=0, receiver=2, n_sub=3)
-        # An ACK for the relay's own frame, but addressed to another station.
-        ack = dataclasses.replace(
-            make_frame(origin=2, transmitter=2, receiver=0, n_sub=0),
-            kind=FrameKind.ACK, acked_seqs=(0,), ack_for_frame=mac._current_frame.frame_id,
-        )
-        for frame in (data, ack):
-            stats = dataclasses.replace(mac.stats)
-            pending = (net.sim.pending_events, net.sim.cancelled_pending_events)
+        pending_relays = getattr(mac, "_pending_relays", None)
+        if pending_relays is not None:
+            relayed = dataclasses.replace(_anycast(origin=0, final_dst=2), forwarder_list=(1,))
+            mac.on_frame_received(relayed, FrameErrorResult(True, [True]))
+            assert list(pending_relays) == [relayed.frame_id]
+        # Frames of the flow 0 -> 2, as a unicast and as an opportunistic
+        # scheme would send them, naming station 1 nowhere.
+        unicast = make_frame(origin=0, transmitter=0, receiver=2, n_sub=3)
+        anycast = _anycast(origin=0, final_dst=2)
+        acks = [
+            _ack(unicast, receiver=0),
+            _ack(anycast, receiver=None),
+            # An ACK for the station's own frame, but addressed to another station.
+            dataclasses.replace(_ack(mac._current_frame, receiver=0), final_dst=0),
+        ]
+        if scheme in ("preexor", "mcexor"):
+            # They count every ACK heard, and an ACK for another station
+            # can tell a tracked receiver it was outranked.
+            assert all(mac.acts_on(ack) for ack in acks)
+            acks = []
+
+        def state():
+            return (
+                dataclasses.replace(mac.stats),
+                dataclasses.replace(mac.ripple_stats) if pending_relays is not None else None,
+                {key: (relay.frame, relay.event) for key, relay in (pending_relays or {}).items()},
+                net.sim.pending_events,
+                net.sim.cancelled_pending_events,
+            )
+
+        for frame in [unicast, anycast, *acks]:
+            assert not mac.acts_on(frame)
+            before = state()
             mac.on_frame_received(frame, FrameErrorResult(True, [True] * len(frame.subpackets)))
-            assert mac.stats == stats
-            assert (net.sim.pending_events, net.sim.cancelled_pending_events) == pending
+            assert state() == before
+
+
+def _anycast(origin, final_dst):
+    """An opportunistic DATA frame: no receiver, no forwarders."""
+    return dataclasses.replace(
+        make_frame(origin=origin, transmitter=origin, receiver=final_dst, n_sub=2), receiver=None
+    )
+
+
+def _ack(data, receiver):
+    """The final destination's ACK for ``data``, carrying its forwarder list."""
+    return dataclasses.replace(
+        make_frame(origin=data.final_dst, transmitter=data.final_dst, receiver=data.origin, n_sub=0),
+        kind=FrameKind.ACK,
+        receiver=receiver,
+        forwarder_list=data.forwarder_list,
+        acked_seqs=(0,),
+        ack_for_frame=data.frame_id,
+    )

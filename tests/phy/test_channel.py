@@ -18,8 +18,6 @@ from repro.sim.units import us
 class RecordingMac:
     """Minimal MAC stub capturing everything the radio reports."""
 
-    overhears = True  # every decoded frame is reported, whoever it is addressed to
-
     def __init__(self):
         self.received = []
         self.busy_events = 0
@@ -31,6 +29,9 @@ class RecordingMac:
 
     def on_channel_idle(self):
         self.idle_events += 1
+
+    def acts_on(self, frame):
+        return True  # every decoded frame is reported, whoever it is addressed to
 
     def on_frame_received(self, frame, errors):
         self.received.append((frame, errors))

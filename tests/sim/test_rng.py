@@ -1,8 +1,12 @@
 """Named random streams: determinism and independence."""
 
+import hashlib
+import itertools
+
+import numpy as np
 import pytest
 
-from repro.sim.rng import RandomStreams, UniformStream
+from repro.sim.rng import _ZERO_COUNTER, RandomStreams, UniformStream, _philox_generator
 
 
 class TestRandomStreams:
@@ -152,6 +156,52 @@ class TestPhiloxBatching:
         assert list(streams.stream_for("s", 11).random(4)) != list(
             streams.stream_for("s1", 1).random(4)
         )
+
+
+def _reference_generator(seed, name, keys):
+    """The stream as numpy's own keyed constructor builds it."""
+    material = f"{seed}|{len(name)}:{name}|" + ",".join(str(int(k)) for k in keys)
+    key = np.frombuffer(hashlib.sha256(material.encode("utf-8")).digest()[:16], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _state(generator):
+    """A generator's full bit-generator state, arrays as lists."""
+    state = generator.bit_generator.state
+    return {
+        **state,
+        "state": {name: array.tolist() for name, array in state["state"].items()},
+        "buffer": state["buffer"].tolist(),
+    }
+
+
+KEYED_TRIPLES = list(
+    itertools.product(
+        [0, 1, 7, 2**31 + 5, -3],
+        ["mac", "biterror", "shadowing", "", "s|1"],
+        [(), (0,), (3, 7), (7, 3), (2**40, 1, 2)],
+    )
+)
+
+
+class TestKeyedConstruction:
+    """``_philox_generator`` builds the generator ``Philox(key=...)`` builds."""
+
+    @pytest.mark.parametrize("seed, name, keys", KEYED_TRIPLES)
+    def test_state_and_first_draws_equal_numpys_keyed_constructor(self, seed, name, keys):
+        fast, reference = _philox_generator(seed, name, keys), _reference_generator(seed, name, keys)
+        assert _state(fast) == _state(reference)
+        assert fast.random() == reference.random()
+        assert fast.standard_normal() == reference.standard_normal()
+        assert fast.standard_exponential() == reference.standard_exponential()
+        assert fast.integers(0, 2**62) == reference.integers(0, 2**62)
+        assert _state(fast) == _state(reference)
+
+    def test_shared_counter_stays_read_only_zeros(self):
+        for seed, name, keys in KEYED_TRIPLES * 4:
+            _philox_generator(seed, name, keys).random(9)
+        assert not _ZERO_COUNTER.flags.writeable
+        assert _ZERO_COUNTER.tolist() == [0, 0, 0, 0]
 
 
 class TestUniformStream:
