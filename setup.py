@@ -1,9 +1,9 @@
 """Setup shim.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so that ``pip install -e .`` keeps working on minimal offline environments
-whose pip/setuptools cannot build PEP 660 editable wheels (no ``wheel``
-package available).
+The requirements are listed in the README's "Requirements" section; this
+file exists so that ``pip install -e .`` keeps working on minimal offline
+environments whose pip/setuptools cannot build PEP 660 editable wheels (no
+``wheel`` package available).
 """
 
 from setuptools import setup

@@ -24,6 +24,7 @@ import abc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mac.base import RouteDecision
+from repro.routing.graph import Graph
 
 
 class RouteNotFound(RuntimeError):
@@ -60,7 +61,7 @@ class RoutingProtocol(abc.ABC):
         prioritised = list(reversed(intermediate))
         return tuple(prioritised[: self.max_forwarders])
 
-    def update_graph(self, graph) -> None:
+    def update_graph(self, graph: Graph) -> None:
         """Accept a freshly re-estimated connectivity graph (mobility hook).
 
         Called periodically by the mobility subsystem after it rebuilds the

@@ -4,7 +4,8 @@ Predetermined routes (the paper's ROUTE0/1/2 tables) assume the topology
 they were written for; once nodes move, a path can silently rot.
 :class:`AdaptiveEtxRouting` is the route-maintenance half the paper
 leaves to "any routing protocol": it computes minimum-ETX paths over the
-*current* connectivity graph and, each time the mobility subsystem
+*current* connectivity graph (a :data:`~repro.routing.graph.Graph`
+adjacency dict) and, each time the mobility subsystem
 re-estimates links (:meth:`update_graph`), drops its cached routes so
 subsequent packets — and the forwarder lists the opportunistic MACs
 derive from them — follow the new link state.
@@ -19,23 +20,22 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import networkx as nx
-
 from repro.routing.base import RouteNotFound, RoutingProtocol
+from repro.routing.graph import Graph
 from repro.routing.shortest_path import Metric, ShortestPathRouting
 
 
 class AdaptiveEtxRouting(ShortestPathRouting):
     """Minimum-ETX routes over a connectivity graph that changes mid-run.
 
-    All the Dijkstra/route-cache machinery is inherited from
+    The bidirectional Dijkstra search and the route cache are inherited from
     :class:`ShortestPathRouting`; this class adds the static fallback and
     an update counter for diagnostics.
     """
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Graph,
         fallback: Optional[RoutingProtocol] = None,
         metric: Metric = "etx",
         max_forwarders: int = 5,
@@ -53,7 +53,7 @@ class AdaptiveEtxRouting(ShortestPathRouting):
                 return self.fallback.path(src, dst)
             raise
 
-    def update_graph(self, graph: nx.Graph) -> None:
+    def update_graph(self, graph: Graph) -> None:
         """Adopt a freshly re-estimated connectivity graph and forget old routes."""
         super().update_graph(graph)
         self.updates += 1

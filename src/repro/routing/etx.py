@@ -11,11 +11,10 @@ channel ``p_f == p_r``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import networkx as nx
+from typing import Optional
 
 from repro.phy.channel import WirelessChannel
+from repro.routing.graph import Graph
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,13 @@ def link_etx(delivery_probability: float, reverse_probability: Optional[float] =
 
 def build_connectivity_graph(
     channel: WirelessChannel, params: EtxParams | None = None
-) -> nx.Graph:
-    """Build a graph whose edges carry delivery probability, ETX and hop weights.
+) -> Graph:
+    """Build the connectivity :data:`~repro.routing.graph.Graph` of ``channel``.
+
+    Each edge carries ``delivery_probability``, ``etx``, ``hops`` (1) and
+    ``distance``; a pair below ``min_delivery_probability`` gets none.
+    Nodes enter in radio order and edges in radio-pair order, which fixes
+    how the searches of :mod:`repro.routing.graph` break ties.
 
     The closed-form per-link delivery probability (shadowing outage times
     BER frame success) comes from the channel; the per-frame simulation
@@ -56,31 +60,28 @@ def build_connectivity_graph(
     ETX probes would be used in a deployment.
     """
     params = params or EtxParams()
-    graph = nx.Graph()
     radios = channel.radios
-    for radio in radios:
-        graph.add_node(radio.node_id, position=radio.position)
+    graph: Graph = {radio.node_id: {} for radio in radios}
     for i, a in enumerate(radios):
         for b in radios[i + 1 :]:
             probability = channel.link_delivery_probability(a, b, params.probe_bits)
             if probability < params.min_delivery_probability:
                 continue
-            graph.add_edge(
-                a.node_id,
-                b.node_id,
-                delivery_probability=probability,
-                etx=link_etx(probability),
-                hops=1.0,
-                distance=channel.distance(a, b),
-            )
+            graph[a.node_id][b.node_id] = graph[b.node_id][a.node_id] = {
+                "delivery_probability": probability,
+                "etx": link_etx(probability),
+                "hops": 1.0,
+                "distance": channel.distance(a, b),
+            }
     return graph
 
 
-def path_etx(graph: nx.Graph, path: list[int]) -> float:
+def path_etx(graph: Graph, path: list[int]) -> float:
     """Total ETX of a node sequence in ``graph`` (inf if an edge is missing)."""
     total = 0.0
     for a, b in zip(path, path[1:]):
-        if not graph.has_edge(a, b):
+        edge = graph.get(a, {}).get(b)
+        if edge is None:
             return float("inf")
-        total += graph.edges[a, b]["etx"]
+        total += edge["etx"]
     return total

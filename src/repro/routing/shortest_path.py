@@ -8,24 +8,26 @@ Two metrics are supported:
 * ``"etx"`` — minimum expected transmission count, which is what ExOR /
   MORE style forwarder selection uses; this yields the good multi-hop
   routes and is the default for auto-selected forwarder lists.
+
+Both run the bidirectional Dijkstra search of :mod:`repro.routing.graph`
+with the metric as the edge weight, so equal-cost routes are broken by
+the graph's adjacency order.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Literal
 
-import networkx as nx
-
 from repro.routing.base import RouteNotFound, RoutingProtocol
+from repro.routing.graph import Graph, NoPath, shortest_path
 
 Metric = Literal["hops", "etx"]
 
 
 class ShortestPathRouting(RoutingProtocol):
-    """Dijkstra routes over a connectivity graph built from the PHY."""
+    """Bidirectional Dijkstra routes over a connectivity graph built from the PHY."""
 
-    def __init__(self, graph: nx.Graph, metric: Metric = "hops", max_forwarders: int = 5) -> None:
+    def __init__(self, graph: Graph, metric: Metric = "hops", max_forwarders: int = 5) -> None:
         if metric not in ("hops", "etx"):
             raise ValueError(f"unknown metric {metric!r}")
         self.graph = graph
@@ -38,20 +40,18 @@ class ShortestPathRouting(RoutingProtocol):
         cached = self._cache.get(key)
         if cached is not None:
             return list(cached)
-        if src not in self.graph or dst not in self.graph:
-            raise RouteNotFound(f"node {src} or {dst} not in connectivity graph")
         try:
-            route = nx.shortest_path(self.graph, src, dst, weight=self.metric)
-        except nx.NetworkXNoPath as exc:
-            raise RouteNotFound(f"no path from {src} to {dst}") from exc
-        self._cache[key] = list(route)
+            route = shortest_path(self.graph, src, dst, weight=self.metric)
+        except NoPath as exc:
+            raise RouteNotFound(f"no route from {src} to {dst}: {exc}") from exc
+        self._cache[key] = route
         return list(route)
 
     def invalidate(self) -> None:
         """Drop cached routes (after the graph is modified)."""
         self._cache.clear()
 
-    def update_graph(self, graph: nx.Graph) -> None:
+    def update_graph(self, graph: Graph) -> None:
         """Swap in a re-estimated connectivity graph (mobility hook)."""
         self.graph = graph
         self.invalidate()

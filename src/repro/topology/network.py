@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.mac.registry import MAC_SCHEMES, SchemeInfo
 from repro.mac.timing import DEFAULT_TIMING, MacTiming
 from repro.phy.channel import WirelessChannel
@@ -39,6 +37,7 @@ from repro.phy.radio import Radio
 from repro.routing.agent import NetworkAgent
 from repro.routing.base import RoutingProtocol
 from repro.routing.etx import EtxParams, build_connectivity_graph
+from repro.routing.graph import Graph
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.units import seconds
@@ -159,7 +158,7 @@ class WirelessNetwork:
         """Relocate one station (mobility tick or manual repositioning)."""
         self.nodes[node_id].move_to(position)
 
-    def refresh_routes(self, params: Optional[EtxParams] = None) -> nx.Graph:
+    def refresh_routes(self, params: Optional[EtxParams] = None) -> Graph:
         """Re-estimate links from current positions and refresh routes.
 
         This is the route-maintenance step of the mobility subsystem: the
@@ -179,8 +178,12 @@ class WirelessNetwork:
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
-    def connectivity_graph(self, params: Optional[EtxParams] = None) -> nx.Graph:
-        """Connectivity/ETX graph used by SPR and forwarder selection."""
+    def connectivity_graph(self, params: Optional[EtxParams] = None) -> Graph:
+        """Connectivity/ETX graph used by SPR and forwarder selection.
+
+        A :data:`~repro.routing.graph.Graph` adjacency dict built from where
+        the radios are now; see :func:`~repro.routing.etx.build_connectivity_graph`.
+        """
         return build_connectivity_graph(self.channel, params)
 
     # ------------------------------------------------------------------

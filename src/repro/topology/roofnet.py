@@ -15,16 +15,20 @@ layout with the properties the evaluation actually uses:
 
 The layout is deterministic for a given seed, and helpers select the
 k-hop source/destination pairs from the connectivity graph exactly the way
-the experiments need them.
+the experiments need them.  That graph is a
+:data:`~repro.routing.graph.Graph` adjacency dict, and its breadth-first
+searches (:func:`~repro.routing.graph.shortest_path`,
+:func:`~repro.routing.graph.hop_distances`) pick the pairs, their relay
+paths and the hidden terminals.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
+from repro.routing.graph import Graph, hop_distances, shortest_path
 from repro.topology.spec import FlowSpec, TopologySpec
 
 #: Cluster centres (metres) roughly mimicking Roofnet's block structure.
@@ -74,15 +78,15 @@ def roofnet_topology(seed: int = 7) -> TopologySpec:
 
 def connectivity_from_positions(
     positions: Dict[int, Tuple[float, float]], good_link_m: float = 160.0
-) -> nx.Graph:
+) -> Graph:
     """Geometric connectivity graph: edges between nodes within ``good_link_m``.
 
     This is only used to *choose* the measured pairs and their relay paths;
-    the simulation itself uses the full shadowing channel.
+    the simulation itself uses the full shadowing channel.  Nodes enter in
+    ``positions`` order and edges in sorted-pair order; each edge carries
+    its ``distance`` (metres).
     """
-    graph = nx.Graph()
-    for node, position in positions.items():
-        graph.add_node(node, position=position)
+    graph: Graph = {node: {} for node in positions}
     nodes = sorted(positions)
     for i, a in enumerate(nodes):
         ax, ay = positions[a]
@@ -90,7 +94,7 @@ def connectivity_from_positions(
             bx, by = positions[b]
             distance = ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
             if distance <= good_link_m:
-                graph.add_edge(a, b, distance=distance)
+                graph[a][b] = graph[b][a] = {"distance": distance}
     return graph
 
 
@@ -106,7 +110,7 @@ def pick_khop_pairs(
     used, skipping pairs already taken.
     """
     graph = connectivity_from_positions(spec.positions, good_link_m)
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    lengths = hop_distances(graph)
     used: set[Tuple[int, int]] = set()
     chosen: List[List[int]] = []
     for hops in hop_counts:
@@ -124,7 +128,7 @@ def pick_khop_pairs(
         if candidate is None:
             raise RuntimeError(f"no {hops}-hop pair exists in the generated Roofnet layout")
         used.add(candidate)
-        chosen.append(nx.shortest_path(graph, candidate[0], candidate[1]))
+        chosen.append(shortest_path(graph, candidate[0], candidate[1]))
     return chosen
 
 
@@ -156,17 +160,13 @@ def roofnet_scenario(
         on_paths = {node for path in paths for node in path}
         spare = [node for node in spec.node_ids if node not in on_paths]
         graph = connectivity_from_positions(spec.positions)
+        distances = hop_distances(graph)
         hidden_id = 200
         for index, path in enumerate(paths):
             destination = path[-1]
             # Hidden source: a spare node near the destination but at least two
             # (geometric) hops from the flow's source, so the source cannot hear it.
-            candidates = sorted(
-                spare,
-                key=lambda node: nx.shortest_path_length(graph, node, destination)
-                if nx.has_path(graph, node, destination)
-                else 99,
-            )
+            candidates = sorted(spare, key=lambda node: distances[node].get(destination, 99))
             if len(candidates) < 2:
                 break
             hidden_src, hidden_dst = candidates[0], candidates[1]
@@ -180,8 +180,8 @@ def roofnet_scenario(
                     label=f"hidden-{index + 1}",
                 )
             )
-            if nx.has_path(graph, hidden_src, hidden_dst):
-                routes[(hidden_src, hidden_dst)] = nx.shortest_path(graph, hidden_src, hidden_dst)
+            if hidden_dst in distances[hidden_src]:
+                routes[(hidden_src, hidden_dst)] = shortest_path(graph, hidden_src, hidden_dst)
             else:
                 routes[(hidden_src, hidden_dst)] = [hidden_src, hidden_dst]
     spec.flows = flows

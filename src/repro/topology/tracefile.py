@@ -197,8 +197,7 @@ def _derive_routes(
     path: str, spec: TopologySpec, good_link_m: float
 ) -> Dict[Tuple[int, int], List[int]]:
     """Geometric shortest-path ``ROUTE0`` for files that define only flows."""
-    import networkx as nx
-
+    from repro.routing.graph import NoPath, shortest_path
     from repro.topology.roofnet import connectivity_from_positions
 
     graph = connectivity_from_positions(spec.positions, good_link_m=good_link_m)
@@ -208,9 +207,9 @@ def _derive_routes(
             continue
         try:
             routes[(flow.src, flow.dst)] = [
-                int(hop) for hop in nx.shortest_path(graph, flow.src, flow.dst)
+                int(hop) for hop in shortest_path(graph, flow.src, flow.dst)
             ]
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+        except NoPath as exc:
             raise TopologyError(
                 f"{path}: cannot derive a route for flow {flow.flow_id} "
                 f"({flow.src} -> {flow.dst}): no path within {good_link_m:g} m links; "

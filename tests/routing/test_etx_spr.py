@@ -2,7 +2,6 @@
 
 import math
 
-import networkx as nx
 import pytest
 
 from repro.phy.channel import WirelessChannel
@@ -60,17 +59,17 @@ class TestConnectivityGraph:
     def test_close_nodes_are_connected(self):
         channel = make_channel([(0, 0), (100, 0), (200, 0)])
         graph = build_connectivity_graph(channel)
-        assert graph.has_edge(0, 1) and graph.has_edge(1, 2)
+        assert 1 in graph[0] and 2 in graph[1]
 
     def test_far_nodes_are_not_connected(self):
         channel = make_channel([(0, 0), (1500, 0)])
         graph = build_connectivity_graph(channel)
-        assert not graph.has_edge(0, 1)
+        assert 1 not in graph[0]
 
     def test_edges_carry_metrics(self):
         channel = make_channel([(0, 0), (100, 0)])
         graph = build_connectivity_graph(channel)
-        data = graph.edges[0, 1]
+        data = graph[0][1]
         assert 0 < data["delivery_probability"] <= 1
         assert data["etx"] >= 1.0
         assert data["hops"] == 1.0
@@ -80,14 +79,14 @@ class TestConnectivityGraph:
         channel = make_channel([(0, 0), (320, 0)])
         strict = build_connectivity_graph(channel, EtxParams(min_delivery_probability=0.5))
         lax = build_connectivity_graph(channel, EtxParams(min_delivery_probability=0.01))
-        assert not strict.has_edge(0, 1)
-        assert lax.has_edge(0, 1)
+        assert 1 not in strict[0]
+        assert 1 in lax[0]
 
     def test_path_etx_sums_links(self):
         channel = make_channel([(0, 0), (100, 0), (200, 0)])
         graph = build_connectivity_graph(channel)
         total = path_etx(graph, [0, 1, 2])
-        assert total == pytest.approx(graph.edges[0, 1]["etx"] + graph.edges[1, 2]["etx"])
+        assert total == pytest.approx(graph[0][1]["etx"] + graph[1][2]["etx"])
 
     def test_path_etx_missing_edge_is_infinite(self):
         channel = make_channel([(0, 0), (100, 0), (2000, 0)])
@@ -112,7 +111,7 @@ class TestShortestPathRouting:
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            ShortestPathRouting(nx.Graph(), metric="latency")
+            ShortestPathRouting({}, metric="latency")
 
     def test_missing_node_raises(self):
         graph = build_connectivity_graph(make_channel(self.positions()))
@@ -121,9 +120,7 @@ class TestShortestPathRouting:
             routing.path(0, 99)
 
     def test_disconnected_raises(self):
-        graph = nx.Graph()
-        graph.add_nodes_from([0, 1])
-        routing = ShortestPathRouting(graph)
+        routing = ShortestPathRouting({0: {}, 1: {}})
         with pytest.raises(RouteNotFound):
             routing.path(0, 1)
 
@@ -131,7 +128,7 @@ class TestShortestPathRouting:
         graph = build_connectivity_graph(make_channel(self.positions()))
         routing = ShortestPathRouting(graph, metric="hops")
         assert routing.path(0, 2) == [0, 2]
-        graph.remove_edge(0, 2)
+        del graph[0][2], graph[2][0]
         routing.invalidate()
         assert routing.path(0, 2) == [0, 1, 2]
 

@@ -100,8 +100,8 @@ class TestRoofnetLoader:
 
     def test_connectivity_of_empty_node_set(self):
         graph = connectivity_from_positions({})
-        assert graph.number_of_nodes() == 0
-        assert graph.number_of_edges() == 0
+        assert len(graph) == 0
+        assert sum(len(neighbours) for neighbours in graph.values()) == 0
 
     def test_pick_khop_pairs_raises_when_no_pair_exists(self):
         spec = roofnet_topology()

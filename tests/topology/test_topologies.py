@@ -2,11 +2,11 @@
 
 import math
 
-import networkx as nx
 import pytest
 
 from repro.phy.params import PhyParams
 from repro.phy.propagation import ShadowingPropagation
+from repro.routing.graph import hop_distances
 from repro.topology.roofnet import connectivity_from_positions, pick_khop_pairs, roofnet_scenario, roofnet_topology
 from repro.topology.spec import TopologySpec
 from repro.topology.standard import fig1_topology, fig5a_topology, fig5b_topology, line_topology
@@ -188,7 +188,7 @@ class TestRoofnet:
     def test_connectivity_graph_is_connected(self):
         spec = roofnet_topology()
         graph = connectivity_from_positions(spec.positions)
-        assert nx.is_connected(graph)
+        assert all(len(reached) == len(graph) for reached in hop_distances(graph).values())
 
     def test_khop_pairs_have_requested_lengths(self):
         spec = roofnet_topology()
