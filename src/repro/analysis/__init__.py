@@ -21,7 +21,8 @@ suppress an individual finding with an inline pragma::
     rng = np.random.default_rng(seed)  # repro: allow[no-unkeyed-rng] seed-scoped layout draw
 
 The rule catalogue (ids, rationale, pragma syntax) is generated into
-``docs/ANALYSIS.md`` the same way ``docs/COMPONENTS.md`` is.
+``docs/ANALYSIS.md`` by ``python -m repro.docs``, the one command that
+writes every generated document.
 """
 
 from __future__ import annotations

@@ -6,11 +6,10 @@
     python -m repro.analysis --rule no-unkeyed-rng
     python -m repro.analysis --format json       # machine-readable findings
     python -m repro.analysis --list              # rule catalogue (one line each)
-    python -m repro.analysis --write-docs        # regenerate docs/ANALYSIS.md
-    python -m repro.analysis --check-docs        # exit 1 if ANALYSIS.md is stale
 
-Exit status: 0 = clean, 1 = findings (or stale docs), 2 = usage error.
-CI runs the bare form plus ``--check-docs`` and gates on both.
+Exit status: 0 = clean, 1 = findings, 2 = usage error.  CI runs the bare
+form and gates on it.  The full catalogue, ``docs/ANALYSIS.md``, is
+written by ``python -m repro.docs``.
 """
 
 from __future__ import annotations
@@ -22,11 +21,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.base import ANALYSIS_RULES
-from repro.analysis.docs import (
-    DEFAULT_OUTPUT,
-    check_freshness,
-    generate_analysis_markdown,
-)
 from repro.analysis.driver import analyze, known_rule_ids, repo_root
 
 #: Schema version of the ``--format json`` document.
@@ -79,22 +73,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--root", metavar="DIR", help="repository root (default: auto-detected)")
     parser.add_argument("--list", action="store_true", help="print the rule catalogue and exit")
-    parser.add_argument(
-        "--write-docs",
-        action="store_true",
-        help=f"regenerate {DEFAULT_OUTPUT} from the rule registry and exit",
-    )
-    parser.add_argument(
-        "--check-docs",
-        action="store_true",
-        help=f"exit 1 (with a diff) if the committed {DEFAULT_OUTPUT} is stale",
-    )
-    parser.add_argument(
-        "--docs-output",
-        default=None,
-        metavar="PATH",
-        help=f"where --write-docs/--check-docs look (default: <root>/{DEFAULT_OUTPUT})",
-    )
     args = parser.parse_args(argv)
 
     root = Path(args.root) if args.root else repo_root()
@@ -102,25 +80,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         _list_rules(sys.stdout)
         return 0
-
-    docs_path = args.docs_output or str(root / DEFAULT_OUTPUT)
-    if args.write_docs:
-        markdown = generate_analysis_markdown()
-        with open(docs_path, "w", encoding="utf-8") as handle:
-            handle.write(markdown)
-        print(f"wrote {docs_path}")
-        return 0
-    if args.check_docs:
-        diff = check_freshness(docs_path)
-        if diff is None:
-            print(f"{docs_path} is up to date")
-            return 0
-        print(diff, end="")
-        print(
-            f"\n{docs_path} is stale; regenerate with: "
-            "PYTHONPATH=src python -m repro.analysis --write-docs"
-        )
-        return 1
 
     if args.rules:
         unknown = [rule for rule in args.rules if rule not in known_rule_ids()]

@@ -1,28 +1,19 @@
 """Generated rule catalogue: render the live rule registry to Markdown.
 
-``docs/ANALYSIS.md`` is generated from :data:`ANALYSIS_RULES` exactly
-the way ``docs/COMPONENTS.md`` is generated from the component
-registries (:mod:`repro.docs`): the committed copy is checked for
-freshness in CI, and a rule without a docstring fails the build —
-an unexplained rule cannot be complied with.
-
-::
-
-    python -m repro.analysis --write-docs     # (re)write docs/ANALYSIS.md
-    python -m repro.analysis --check-docs     # exit 1 if the committed copy is stale
+``docs/ANALYSIS.md`` is generated from :data:`ANALYSIS_RULES`, and a
+rule without a docstring fails the build — an unexplained rule cannot
+be complied with.  ``python -m repro.docs`` writes it beside the other
+generated documents, and ``python -m repro.docs --check`` gates its
+freshness in CI.
 """
 
 from __future__ import annotations
 
-import difflib
 import inspect
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.base import ANALYSIS_RULES, ProjectRule, Rule
 from repro.analysis.pragmas import PRAGMA_RULE_ID
-
-#: Default location of the generated catalogue, relative to the repo root.
-DEFAULT_OUTPUT = "docs/ANALYSIS.md"
 
 
 class AnalysisDocsError(RuntimeError):
@@ -33,8 +24,8 @@ HEADER = """\
 # Static analysis rules
 
 <!-- GENERATED FILE - DO NOT EDIT.
-     Regenerate with:  PYTHONPATH=src python -m repro.analysis --write-docs
-     CI fails when this file is stale (python -m repro.analysis --check-docs). -->
+     Regenerate with:  PYTHONPATH=src python -m repro.docs
+     CI fails when this file is stale (python -m repro.docs --check). -->
 
 `python -m repro.analysis` enforces the platform's determinism and
 cache-soundness contracts mechanically (see `repro.analysis`).  The pass
@@ -116,22 +107,3 @@ def generate_analysis_markdown() -> str:
     )
     return "\n".join(lines).rstrip() + "\n"
 
-
-def check_freshness(path: str) -> Optional[str]:
-    """None when ``path`` matches the generated document, else a unified diff."""
-    expected = generate_analysis_markdown()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            committed = handle.read()
-    except OSError:
-        committed = ""
-    if committed == expected:
-        return None
-    return "".join(
-        difflib.unified_diff(
-            committed.splitlines(keepends=True),
-            expected.splitlines(keepends=True),
-            fromfile=f"{path} (committed)",
-            tofile=f"{path} (generated)",
-        )
-    )

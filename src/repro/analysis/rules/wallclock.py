@@ -7,9 +7,9 @@ serialization path leaks the host's wall clock into behaviour or into
 cache payloads, which breaks bit-identical replays (two runs of the same
 seed diverge) and cache-soundness (identical configs hash differently).
 Legitimately wall-clocked code is allowlisted *by module*, not by
-pragma: benchmark/sweep timing, and the service layer's single clock
-shim (``repro/service/clock.py``) through which every lease expiry,
-heartbeat and poll deadline is read.
+pragma: the sweep runner (``repro/experiments/parallel.py``), and the
+service layer's single clock shim (``repro/service/clock.py``) through
+which every lease expiry, heartbeat and poll deadline is read.
 """
 
 from __future__ import annotations
@@ -53,23 +53,22 @@ _BANNED_TIME_IMPORTS = {
 
 @register_rule
 class NoWallClock(SourceRule):
-    """Host-clock reads are banned outside the benchmark/timing modules.
+    """Host-clock reads are banned outside the sweep runner and the service clock.
 
     Flags references to ``time.time``/``monotonic``/``perf_counter`` (and
     their ``_ns`` variants), ``datetime.now``/``utcnow``/``date.today``,
     and ``from time import perf_counter``-style imports anywhere in
-    ``src/repro`` except ``experiments/bench.py`` and the sweep runner
-    (``experiments/parallel.py``), whose job is measuring wall time, and
-    ``service/clock.py`` — the simulation service's one window onto
-    operational time (job leases, heartbeats, retry backoff).  The rest
-    of the service package must route clock reads through that shim, and
-    simulation code must derive every timestamp from ``Simulator.now``.
+    ``src/repro`` except the sweep runner (``experiments/parallel.py``),
+    which may time the work it fans out, and ``service/clock.py`` — the
+    simulation service's one window onto operational time (job leases,
+    heartbeats, retry backoff).  The rest of the service package must
+    route clock reads through that shim, and simulation code must derive
+    every timestamp from ``Simulator.now``.
     """
 
     id = "no-wall-clock"
     title = "host-clock read inside the simulation/serialization path"
     allow_modules = (
-        "repro/experiments/bench.py",
         "repro/experiments/parallel.py",
         "repro/service/clock.py",
     )
@@ -90,7 +89,8 @@ class _WallClockChecker(Checker):
             self.emit(
                 node,
                 f"{name} reads the host clock; simulation code must use "
-                "Simulator.now (wall-clock timing belongs in repro.experiments.bench)",
+                "Simulator.now (wall-clock timing belongs in the sweep runner, "
+                "repro.experiments.parallel)",
             )
             return
         head, _, tail = name.rpartition(".")
@@ -98,7 +98,8 @@ class _WallClockChecker(Checker):
             self.emit(
                 node,
                 f"{name} reads the host clock; simulation code must use "
-                "Simulator.now (wall-clock timing belongs in repro.experiments.bench)",
+                "Simulator.now (wall-clock timing belongs in the sweep runner, "
+                "repro.experiments.parallel)",
             )
 
     def _import_from(self, node: ast.ImportFrom) -> None:

@@ -16,7 +16,8 @@ turns that surface into a first-class test subject:
   failing spec naming the offending component(s);
 * :mod:`repro.corpus.golden` — pinned sweep-cache digests tripwiring
   accidental schema drift;
-* :mod:`repro.corpus.docs` — the generated ``docs/CORPUS.md`` catalogue.
+* :mod:`repro.corpus.docs` — the ``docs/CORPUS.md`` catalogue, written by
+  ``python -m repro.docs``.
 
 CLI: ``python -m repro.corpus --sample 64 --seed 0`` (exit 1 on
 findings); the same sampled specs run as the cached ``corpus``

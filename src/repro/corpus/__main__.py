@@ -7,13 +7,12 @@
     python -m repro.corpus --check determinism      # one invariant (repeatable)
     python -m repro.corpus --format json            # machine-readable findings
     python -m repro.corpus --list                   # check catalogue (one line each)
-    python -m repro.corpus --write-docs             # regenerate docs/CORPUS.md
-    python -m repro.corpus --check-docs             # exit 1 if CORPUS.md is stale
     python -m repro.corpus --write-golden PATH      # regenerate the digest pins
 
-Exit status: 0 = clean, 1 = findings (or stale docs), 2 = usage error —
-the same contract as ``python -m repro.analysis``, so CI treats both
-gates identically.
+Exit status: 0 = clean, 1 = findings, 2 = usage error — the same
+contract as ``python -m repro.analysis``, so CI treats both gates
+identically.  The full catalogue, ``docs/CORPUS.md``, is written by
+``python -m repro.docs``.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.driver import repo_root
 from repro.corpus import checks as checks_mod
 from repro.corpus import space as space_mod
-from repro.corpus.docs import DEFAULT_OUTPUT, check_freshness, generate_corpus_markdown
 
 #: Schema version of the ``--format json`` document.
 JSON_SCHEMA_VERSION = 1
@@ -115,22 +111,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--list", action="store_true", help="print the check catalogue and exit"
     )
     parser.add_argument(
-        "--write-docs",
-        action="store_true",
-        help=f"regenerate {DEFAULT_OUTPUT} from the live registries and exit",
-    )
-    parser.add_argument(
-        "--check-docs",
-        action="store_true",
-        help=f"exit 1 (with a diff) if the committed {DEFAULT_OUTPUT} is stale",
-    )
-    parser.add_argument(
-        "--docs-output",
-        default=None,
-        metavar="PATH",
-        help=f"where --write-docs/--check-docs look (default: <root>/{DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
         "--write-golden",
         default=None,
         metavar="PATH",
@@ -148,26 +128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         count = write_golden(args.write_golden)
         print(f"wrote {count} digest pins to {args.write_golden}")
         return 0
-
-    if args.write_docs or args.check_docs:
-        root = repo_root()
-        docs_path = args.docs_output or str(root / DEFAULT_OUTPUT)
-        if args.write_docs:
-            markdown = generate_corpus_markdown()
-            with open(docs_path, "w", encoding="utf-8") as handle:
-                handle.write(markdown)
-            print(f"wrote {docs_path}")
-            return 0
-        diff = check_freshness(docs_path)
-        if diff is None:
-            print(f"{docs_path} is up to date")
-            return 0
-        print(diff, end="")
-        print(
-            f"\n{docs_path} is stale; regenerate with: "
-            "PYTHONPATH=src python -m repro.corpus --write-docs"
-        )
-        return 1
 
     known = checks_mod.known_check_ids()
     if args.checks:

@@ -1,28 +1,20 @@
 """Generated corpus catalogue: render the live spec space to Markdown.
 
 ``docs/CORPUS.md`` is generated from the live registries and check/
-constraint tables exactly the way ``docs/ANALYSIS.md`` is generated from
-the rule registry: the committed copy is checked for freshness in CI, a
-check without a docstring fails the build, and the document can never
-drift from what ``python -m repro.corpus`` actually enumerates.
-
-::
-
-    python -m repro.corpus --write-docs     # (re)write docs/CORPUS.md
-    python -m repro.corpus --check-docs     # exit 1 if the committed copy is stale
+constraint tables, and a check without a docstring fails the build.
+``python -m repro.docs`` writes it beside the other generated documents,
+and ``python -m repro.docs --check`` gates its freshness in CI, so it
+can never drift from what ``python -m repro.corpus`` actually
+enumerates.
 """
 
 from __future__ import annotations
 
-import difflib
 import inspect
-from typing import List, Optional
+from typing import List
 
 from repro.corpus.checks import CORPUS_CHECKS, known_check_ids
 from repro.corpus.space import CONSTRAINTS, LAYERS, default_space
-
-#: Default location of the generated catalogue, relative to the repo root.
-DEFAULT_OUTPUT = "docs/CORPUS.md"
 
 
 class CorpusDocsError(RuntimeError):
@@ -33,8 +25,8 @@ HEADER = """\
 # Scenario corpus
 
 <!-- GENERATED FILE - DO NOT EDIT.
-     Regenerate with:  PYTHONPATH=src python -m repro.corpus --write-docs
-     CI fails when this file is stale (python -m repro.corpus --check-docs). -->
+     Regenerate with:  PYTHONPATH=src python -m repro.docs
+     CI fails when this file is stale (python -m repro.docs --check). -->
 
 `python -m repro.corpus` enumerates the valid scenario space straight
 off the live component registries, samples it with a seeded Philox
@@ -139,22 +131,3 @@ def generate_corpus_markdown() -> str:
     lines.append(GOLDEN_NOTE)
     return "\n".join(lines).rstrip() + "\n"
 
-
-def check_freshness(path: str) -> Optional[str]:
-    """None when ``path`` matches the generated document, else a unified diff."""
-    expected = generate_corpus_markdown()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            committed = handle.read()
-    except OSError:
-        committed = ""
-    if committed == expected:
-        return None
-    return "".join(
-        difflib.unified_diff(
-            committed.splitlines(keepends=True),
-            expected.splitlines(keepends=True),
-            fromfile=f"{path} (committed)",
-            tofile=f"{path} (generated)",
-        )
-    )

@@ -1,24 +1,25 @@
-"""Generated component reference: render the live registries to Markdown.
+"""Generated reference documents: one command writes or checks all three.
 
-The component registries are the single source of truth for what the
-system can do, so the reference manual is *generated from them* instead
-of hand-maintained::
+Three reference documents are generated from the live registries instead
+of being hand-maintained.  Each generator lives next to its registry;
+:data:`GENERATED_DOCS` maps each document to its generator::
 
-    python -m repro.docs                 # (re)write docs/COMPONENTS.md
-    python -m repro.docs --check         # exit 1 if the committed copy is stale
-    python -m repro.docs --stdout        # print the Markdown
+    python -m repro.docs            # (re)write every generated document
+    python -m repro.docs --check    # write nothing; exit 1, with a diff, if one is stale
 
-For every registry (topology, MAC, routing, traffic, mobility,
-propagation) the generator emits each entry's canonical name, aliases,
-parameter schema and one-line description.  Parameters come from the
-registered factory's signature (or its ``doc_params`` attribute for
-factories with non-introspectable ``(params, bounds)`` protocols);
-descriptions come from the factory's docstring.  A registered factory
-*without* a docstring fails the build — an undocumented component is a
-bug, not a gap.
+Paths resolve against the repository root, whatever the working
+directory.  The CI ``docs-freshness`` job runs ``--check``, so no
+document can drift from the code the way hand-written tables do.
 
-The CI ``docs-freshness`` job runs ``--check`` so ``docs/COMPONENTS.md``
-can never drift from the code the way hand-written tables do.
+This module also holds the ``docs/COMPONENTS.md`` generator.  For every
+component registry (topology, MAC, routing, traffic, mobility,
+propagation) it emits each entry's canonical name, aliases, parameter
+schema and one-line description.  Parameters come from the registered
+factory's signature (or its ``doc_params`` attribute for factories with
+non-introspectable ``(params, bounds)`` protocols); descriptions come
+from the factory's docstring.  A registered factory *without* a
+docstring fails the build — an undocumented component is a bug, not a
+gap.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ import argparse
 import difflib
 import inspect
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Default location of the generated reference, relative to the repo root.
-DEFAULT_OUTPUT = "docs/COMPONENTS.md"
+from repro.analysis.docs import generate_analysis_markdown
+from repro.analysis.driver import repo_root
+from repro.corpus.docs import generate_corpus_markdown
 
 HEADER = """\
 # Component reference
@@ -261,12 +264,19 @@ def generate_components_markdown() -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def check_freshness(path: str) -> Optional[str]:
-    """None when ``path`` matches the generated document, else a unified diff."""
-    expected = generate_components_markdown()
+#: Each generated document's repository-relative path, and its generator.
+GENERATED_DOCS: Dict[str, Callable[[], str]] = {
+    "docs/COMPONENTS.md": generate_components_markdown,
+    "docs/ANALYSIS.md": generate_analysis_markdown,
+    "docs/CORPUS.md": generate_corpus_markdown,
+}
+
+
+def check_freshness(root: Path, path: str) -> Optional[str]:
+    """None when ``root / path`` holds what its generator writes, else a unified diff."""
+    expected = GENERATED_DOCS[path]()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            committed = handle.read()
+        committed = (root / path).read_text(encoding="utf-8")
     except OSError:
         committed = ""
     if committed == expected:
@@ -284,36 +294,32 @@ def check_freshness(path: str) -> Optional[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.docs",
-        description="Generate docs/COMPONENTS.md from the live component registries.",
-    )
-    parser.add_argument(
-        "--output", default=DEFAULT_OUTPUT, metavar="PATH", help="where to write the Markdown"
+        description="Generate the reference documents from the live registries.",
     )
     parser.add_argument(
         "--check",
         action="store_true",
-        help="do not write; exit 1 (with a diff) if the committed copy is stale",
+        help="do not write; exit 1 (with a diff) if a committed copy is stale",
     )
-    parser.add_argument("--stdout", action="store_true", help="print the Markdown instead of writing")
     args = parser.parse_args(argv)
-    if args.check:
-        diff = check_freshness(args.output)
-        if diff is None:
-            print(f"{args.output} is up to date")
-            return 0
-        print(diff, end="")
-        print(
-            f"\n{args.output} is stale; regenerate with: PYTHONPATH=src python -m repro.docs"
-        )
-        return 1
-    markdown = generate_components_markdown()
-    if args.stdout:
-        print(markdown, end="")
+    root = repo_root()
+    if not args.check:
+        for path, generate in GENERATED_DOCS.items():
+            (root / path).write_text(generate(), encoding="utf-8")
+            print(f"wrote {path}")
         return 0
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(markdown)
-    print(f"wrote {args.output}")
-    return 0
+    stale = False
+    for path in GENERATED_DOCS:
+        diff = check_freshness(root, path)
+        if diff is None:
+            print(f"{path} is up to date")
+        else:
+            print(diff, end="")
+            print(f"{path} is stale")
+            stale = True
+    if stale:
+        print("regenerate with: PYTHONPATH=src python -m repro.docs")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

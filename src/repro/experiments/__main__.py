@@ -37,12 +37,6 @@ Re-render a completed experiment's tables *without* simulating anything
     python -m repro.experiments report fig3
     python -m repro.experiments report mobility-tcp --seeds 3
 
-Time the simulator itself on a fixed scenario matrix and write a
-``BENCH_<rev>.json`` performance baseline (see :mod:`repro.experiments.bench`)::
-
-    python -m repro.experiments bench
-    python -m repro.experiments bench --quick --output bench.json
-
 Results are rendered as the aligned text tables of
 :mod:`repro.experiments.report`; a cache summary (hits/misses) is printed
 at the end.  The cache lives under ``.repro-cache`` (override with
@@ -592,12 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the paper's figures/tables through the parallel sweep runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    list_parser = sub.add_parser("list", help="list runnable experiments and registered components")
-    list_parser.add_argument(
-        "--markdown",
-        action="store_true",
-        help="print the full generated component reference (docs/COMPONENTS.md) instead",
-    )
+    sub.add_parser("list", help="list runnable experiments and registered components")
     # Arguments shared by 'run' and 'report' — defined once so the two
     # commands cannot drift apart (identical flags and defaults are what
     # makes 'report' recompute the same cache digests 'run' stored under).
@@ -666,13 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="experiment names from 'list', or 'all'",
     )
-    bench = sub.add_parser(
-        "bench",
-        help="time the simulator on a fixed scenario matrix, write BENCH_<rev>.json",
-    )
-    from repro.experiments.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
     return parser
 
 
@@ -703,7 +685,7 @@ def _print_component_registries() -> None:
     from repro.transport.registry import TRANSPORT_SCHEMES
 
     print("\ncomponent registries (compose freely with run --set; "
-          "full reference: docs/COMPONENTS.md or 'list --markdown'):")
+          "full reference: docs/COMPONENTS.md):")
     registries = (
         TOPOLOGIES, MAC_SCHEMES, ROUTING_STRATEGIES, TRAFFIC_KINDS,
         TRANSPORT_SCHEMES, MOBILITY_MODELS, PROPAGATION_MODELS,
@@ -715,19 +697,9 @@ def _print_component_registries() -> None:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        if args.markdown:
-            from repro.docs import generate_components_markdown
-
-            print(generate_components_markdown(), end="")
-            return 0
         _print_experiment_groups()
         _print_component_registries()
         return 0
-
-    if args.command == "bench":
-        from repro.experiments.bench import run_bench_cli
-
-        return run_bench_cli(args)
 
     spec_mode = args.command == "run" and (args.spec is not None or args.set is not None)
     if spec_mode and args.names:

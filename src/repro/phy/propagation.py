@@ -176,10 +176,10 @@ class ShadowingPropagation(PathLossModel):
             raise ValueError("probability must be strictly between 0 and 1")
         # Invert: P[mean + X >= threshold] = probability
         #   mean = threshold - sigma * Phi^{-1}(1 - probability)
-        from scipy.stats import norm  # local import: scipy is an optional heavy dep
+        from statistics import NormalDist
 
-        offset = self.shadowing_deviation_db * norm.ppf(1.0 - probability)
-        target_mean = threshold_dbm + offset
+        offset = self.shadowing_deviation_db * NormalDist().inv_cdf(1.0 - probability)
+        target_mean = threshold_dbm - offset
         loss_db = tx_power_dbm - target_mean - self.reference_loss_db()
         return self.reference_distance_m * 10.0 ** (loss_db / (10.0 * self.path_loss_exponent))
 
@@ -250,7 +250,7 @@ class RicianFading(PathLossModel):
         ``2*(K+1)*|h|^2`` is noncentral chi-squared with 2 degrees of
         freedom and noncentrality ``2K``; scipy evaluates that exactly,
         and a numpy trapezoid integration of the Rician power pdf stands
-        in when scipy is unavailable (tier-1 CI installs numpy only).
+        in when scipy is unavailable (the numpy-only CI jobs run it).
         """
         if gain <= 0.0:
             return 1.0

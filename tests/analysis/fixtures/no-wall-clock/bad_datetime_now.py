@@ -1,5 +1,5 @@
 # fixture-module: repro/experiments/fixture.py
-"""Bad: wall-clock timestamps leak into results outside the bench module."""
+"""Bad: wall-clock timestamps leak into results outside the sweep runner."""
 
 from datetime import datetime, timezone
 

@@ -1,5 +1,5 @@
 # fixture-module: repro/experiments/bench.py
-"""Good: the benchmark module's whole business is wall-clock timing."""
+"""Bad: the retired timing harness's path carries no exemption any more."""
 
 import time
 

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, JSON schema, --list, docs freshness flags."""
+"""CLI contract: exit codes, JSON schema, --list."""
 
 import json
 
@@ -69,19 +69,3 @@ def test_unknown_rule_is_a_usage_error(capsys):
     assert excinfo.value.code == 2
     assert "no-such-rule" in capsys.readouterr().err
 
-
-def test_check_docs_on_committed_tree(capsys):
-    assert main(["--check-docs"]) == 0
-
-
-def test_check_docs_detects_staleness(tmp_path, capsys):
-    stale = tmp_path / "ANALYSIS.md"
-    stale.write_text("# wrong\n", encoding="utf-8")
-    assert main(["--check-docs", "--docs-output", str(stale)]) == 1
-    assert "stale" in capsys.readouterr().out
-
-
-def test_write_docs_roundtrips(tmp_path, capsys):
-    out_path = tmp_path / "ANALYSIS.md"
-    assert main(["--write-docs", "--docs-output", str(out_path)]) == 0
-    assert main(["--check-docs", "--docs-output", str(out_path)]) == 0

@@ -1,13 +1,17 @@
 """Meta-test: the committed tree itself passes the full analysis gate.
 
 This is the test CI's ``analysis`` job mirrors — any rule violation
-introduced anywhere under ``src/repro`` (or a stale ``docs/ANALYSIS.md``)
-fails the suite locally before it fails the gate.
+introduced anywhere under ``src/repro`` fails the suite locally before it
+fails the gate.  A stale ``docs/ANALYSIS.md`` fails here and in CI's
+``docs-freshness`` job.
 """
 
+from fnmatch import fnmatch
+
 from repro.analysis import analyze
-from repro.analysis.docs import DEFAULT_OUTPUT, check_freshness
+from repro.analysis.base import ANALYSIS_RULES
 from repro.analysis.driver import iter_modules, known_rule_ids, repo_root
+from repro.docs import check_freshness
 
 
 def test_full_pass_is_clean():
@@ -33,7 +37,16 @@ def test_pass_covers_the_whole_package():
 
 
 def test_analysis_docs_are_fresh():
-    assert check_freshness(str(repo_root() / DEFAULT_OUTPUT)) is None
+    assert check_freshness(repo_root(), "docs/ANALYSIS.md") is None
+
+
+def test_every_exemption_names_an_existing_module():
+    """An exemption left behind for a deleted module would silently exempt
+    whatever next lands at that path."""
+    modules = [module for _, module in iter_modules()]
+    for rule_id in known_rule_ids():
+        for pattern in ANALYSIS_RULES.lookup(rule_id).allow_modules:
+            assert any(fnmatch(module, pattern) for module in modules), (rule_id, pattern)
 
 
 def test_roofnet_suppression_is_justified():

@@ -56,3 +56,10 @@ def test_fixture(rule_id, path):
         assert all(f.line >= 1 for f in findings)
     else:
         assert findings == [], [f.render() for f in findings]
+
+
+@pytest.mark.parametrize("name", ["bad_time_time", "bad_datetime_now"])
+def test_wall_clock_finding_points_at_the_sweep_runner(name):
+    source, module = _load(FIXTURES / "no-wall-clock" / f"{name}.py")
+    (finding,) = analyze_source(source, module=module, rule_ids=["no-wall-clock"])
+    assert "belongs in the sweep runner, repro.experiments.parallel" in finding.message

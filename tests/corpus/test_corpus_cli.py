@@ -1,4 +1,4 @@
-"""CLI contract of python -m repro.corpus: exit codes, JSON, docs flags."""
+"""CLI contract of python -m repro.corpus: exit codes, JSON, golden pins."""
 
 import json
 
@@ -40,23 +40,6 @@ class TestGate:
             assert exc.code == 2
         else:  # pragma: no cover - argparse always raises
             raise AssertionError("expected SystemExit")
-
-
-class TestDocs:
-    def test_committed_corpus_docs_are_fresh(self, capsys):
-        assert main(["--check-docs"]) == 0
-        assert "up to date" in capsys.readouterr().out
-
-    def test_stale_docs_exit_one_with_diff(self, tmp_path, capsys):
-        stale = tmp_path / "CORPUS.md"
-        stale.write_text("outdated\n", encoding="utf-8")
-        assert main(["--check-docs", "--docs-output", str(stale)]) == 1
-        assert "stale" in capsys.readouterr().out
-
-    def test_write_docs_round_trips_check(self, tmp_path, capsys):
-        target = tmp_path / "CORPUS.md"
-        assert main(["--write-docs", "--docs-output", str(target)]) == 0
-        assert main(["--check-docs", "--docs-output", str(target)]) == 0
 
 
 class TestGolden:

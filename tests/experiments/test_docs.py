@@ -1,10 +1,18 @@
-"""The generated component reference: content, freshness, failure modes."""
+"""The generated reference documents: content, freshness, the one command."""
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+
 import pytest
 
+import repro.docs
+from repro.analysis.driver import repo_root
 from repro.docs import (
+    GENERATED_DOCS,
     DocsError,
     check_freshness,
     generate_components_markdown,
@@ -12,6 +20,16 @@ from repro.docs import (
     registry_sections,
 )
 from repro.registry import Registry
+
+
+@pytest.fixture
+def scratch_root(tmp_path, monkeypatch):
+    """A repository root holding copies of every committed generated document."""
+    for path in GENERATED_DOCS:
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(repo_root() / path, tmp_path / path)
+    monkeypatch.setattr(repro.docs, "repo_root", lambda: tmp_path)
+    return tmp_path
 
 
 class TestGeneration:
@@ -59,38 +77,71 @@ class TestGeneration:
         with pytest.raises(DocsError, match="demo widget 'undocumented'"):
             _plain_rows(registry, skip=0)
 
+    @pytest.mark.parametrize("path", list(GENERATED_DOCS))
+    def test_header_names_the_one_command(self, path):
+        header, _, _ = GENERATED_DOCS[path]().partition("-->")
+        assert "Regenerate with:  PYTHONPATH=src python -m repro.docs\n" in header
+        assert "(python -m repro.docs --check)" in header
+
 
 class TestFreshness:
-    def test_committed_copy_is_fresh(self):
-        """The repo's docs/COMPONENTS.md must match the live registries."""
-        assert check_freshness("docs/COMPONENTS.md") is None
+    @pytest.mark.parametrize("path", list(GENERATED_DOCS))
+    def test_committed_copy_is_fresh(self, path):
+        """The repo's generated documents must match the live registries."""
+        assert check_freshness(repo_root(), path) is None
 
-    def test_stale_copy_yields_a_diff(self, tmp_path):
-        stale = tmp_path / "COMPONENTS.md"
-        stale.write_text("# old\n", encoding="utf-8")
-        diff = check_freshness(str(stale))
-        assert diff is not None and "generated" in diff
+    @pytest.mark.parametrize("path", list(GENERATED_DOCS))
+    def test_stale_copy_yields_a_diff(self, path, scratch_root, capsys):
+        (scratch_root / path).write_text("# old\n", encoding="utf-8")
+        assert main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert f"--- {path} (committed)\n+++ {path} (generated)\n" in out
+        assert "-# old\n" in out
+        assert [doc for doc in GENERATED_DOCS if f"{doc} is stale" in out] == [path]
+        assert out.count("is up to date") == len(GENERATED_DOCS) - 1
 
-    def test_missing_copy_is_stale(self, tmp_path):
-        assert check_freshness(str(tmp_path / "nope.md")) is not None
+    @pytest.mark.parametrize("path", list(GENERATED_DOCS))
+    def test_missing_copy_is_stale(self, path, scratch_root):
+        (scratch_root / path).unlink()
+        stale = [doc for doc in GENERATED_DOCS if check_freshness(scratch_root, doc)]
+        assert stale == [path]
+
+    def test_write_regenerates_every_document(self, scratch_root, capsys):
+        for path in GENERATED_DOCS:
+            (scratch_root / path).write_text("# old\n", encoding="utf-8")
+        assert main([]) == 0
+        for path in GENERATED_DOCS:
+            assert (scratch_root / path).read_bytes() == (repo_root() / path).read_bytes()
 
 
 class TestCli:
-    def test_check_mode_exit_codes(self, tmp_path, capsys):
-        target = tmp_path / "COMPONENTS.md"
-        assert main(["--output", str(target)]) == 0  # writes
-        assert main(["--check", "--output", str(target)]) == 0  # fresh
-        target.write_text("# stale\n", encoding="utf-8")
-        assert main(["--check", "--output", str(target)]) == 1
+    def test_check_mode_exit_codes(self, scratch_root, capsys):
+        assert main([]) == 0  # writes
+        assert main(["--check"]) == 0  # fresh
+        (scratch_root / "docs/COMPONENTS.md").write_text("# stale\n", encoding="utf-8")
+        assert main(["--check"]) == 1
         capsys.readouterr()
 
-    def test_stdout_mode_prints_markdown(self, capsys):
-        assert main(["--stdout"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("# Component reference")
+    def test_check_resolves_paths_against_the_repository_root(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(repo_root() / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.docs", "--check"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert not list(tmp_path.iterdir())
 
-    def test_experiments_list_markdown_matches_generator(self, capsys):
-        from repro.experiments.__main__ import main as experiments_main
-
-        assert experiments_main(["list", "--markdown"]) == 0
-        assert capsys.readouterr().out == generate_components_markdown()
+    def test_write_resolves_paths_against_the_repository_root(
+        self, scratch_root, tmp_path_factory, monkeypatch, capsys
+    ):
+        elsewhere = tmp_path_factory.mktemp("elsewhere")
+        monkeypatch.chdir(elsewhere)
+        for path in GENERATED_DOCS:
+            (scratch_root / path).write_text("# old\n", encoding="utf-8")
+        assert main([]) == 0
+        assert not list(elsewhere.iterdir())
+        assert [doc for doc in GENERATED_DOCS if check_freshness(scratch_root, doc)] == []

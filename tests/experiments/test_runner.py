@@ -15,10 +15,13 @@ from repro.experiments.runner import (
     resolve_scheme,
     run_scenario,
 )
+from repro.mobility.spec import MobilitySpec
 from repro.phy.channel import WirelessChannel
 from repro.phy.params import LOW_RATE_PHY
+from repro.spec import TransportSpec
 from repro.topology.roofnet import roofnet_scenario
 from repro.topology.standard import fig1_topology, line_topology
+from repro.topology.wigle import wigle_topology
 
 
 class TestSchemeMapping:
@@ -113,6 +116,38 @@ class TestRunScenario:
         a = run_scenario(ScenarioConfig(**base, seed=1))
         b = run_scenario(ScenarioConfig(**base, seed=2))
         assert a.events_processed != b.events_processed
+
+
+#: One scenario per hot-path stressor: relay pipelines on a clear, a noisy
+#: and a cubic-controlled line, large-N dispatch on Roofnet, hidden
+#: terminals on Wigle, and per-tick geometry invalidation under mobility.
+STRESS_FAMILIES = {
+    "line-clear": lambda: dict(topology=line_topology(5), bit_error_rate=1e-6),
+    "line-cubic": lambda: dict(
+        topology=line_topology(5), transport=TransportSpec("cubic"), bit_error_rate=1e-6
+    ),
+    "line-noisy": lambda: dict(topology=line_topology(5), bit_error_rate=1e-5),
+    "roofnet": lambda: dict(topology=roofnet_scenario(seed=7), phy=LOW_RATE_PHY),
+    "wigle": lambda: dict(topology=wigle_topology(include_hidden=True), phy=LOW_RATE_PHY),
+    "mobility": lambda: dict(
+        topology=fig1_topology(), mobility=MobilitySpec.random_waypoint(10.0)
+    ),
+}
+
+
+class TestSchemeMatrix:
+    """Every stressor under every relaying scheme runs, delivers, and replays."""
+
+    @pytest.mark.parametrize("scheme", ["D", "A", "R1", "R16"])
+    @pytest.mark.parametrize("family", list(STRESS_FAMILIES))
+    def test_run_delivers_and_replays_bit_identically(self, family, scheme):
+        config = ScenarioConfig(
+            scheme_label=scheme, duration_s=0.15, seed=1, **STRESS_FAMILIES[family]()
+        )
+        first = run_scenario(config)
+        assert first.events_processed > 1000
+        assert first.total_throughput_mbps > 0
+        assert run_scenario(config).to_dict() == first.to_dict()
 
 
 def _left_behind(config):
