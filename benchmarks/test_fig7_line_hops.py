@@ -30,7 +30,7 @@ def test_fig7_line_hops(benchmark, run_once, cross_traffic):
         # must keep its lead on at least the shorter paths.  (On the longest
         # path our RIPPLE can fall below DCF because forwarder-local traffic
         # aggregation — the paper's remedy for relayed/local contention — is
-        # not modelled: RippleMac accepts aggregate_local_traffic but ignores it.)
+        # not modelled.)
         # Per-(label, hops) positivity is seed-sensitive at 0.4 s (a single
         # saturated relay can starve one flow for a whole short window), so
         # the progress claim is asserted per scheme across the sweep.

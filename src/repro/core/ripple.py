@@ -105,6 +105,10 @@ class RippleStats:
 class RippleMac(MacLayer):
     """The RIPPLE MAC/forwarding layer."""
 
+    #: Its edge callbacks act only on pending relays and the contending
+    #: access, and both hold the radio's ``mac_active`` while they exist.
+    needs_every_edge = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -114,14 +118,12 @@ class RippleMac(MacLayer):
         timing: MacTiming,
         rng: "np.random.Generator | RandomStreams",
         max_aggregation: int = 16,
-        aggregate_local_traffic: bool = True,
     ) -> None:
         # A RandomStreams registry is resolved by MacLayer into this
         # station's keyed "mac" substream; the only randomness RIPPLE itself
         # consumes is the DCF backoff of its source-side channel access.
         super().__init__(sim, address, radio, phy, timing, rng)
         self.max_aggregation = max(1, int(max_aggregation))
-        self.aggregate_local_traffic = aggregate_local_traffic
         self.queue = DropTailQueue(capacity=timing.queue_capacity)  # the paper's Sq
         self.reorder = ReorderBuffer()  # the paper's Rq
         self.ripple_stats = RippleStats()
@@ -433,12 +435,25 @@ class RippleMac(MacLayer):
     # ------------------------------------------------------------------
     def _schedule_relay(self, relay_frame: MacFrame, required_idle_ns: int) -> None:
         pending = _PendingRelay(frame=relay_frame, required_idle_ns=required_idle_ns)
-        self._pending_relays[relay_frame.frame_id] = pending
+        self._put_relay(pending)
         self._arm_relay(pending)
         if pending.event is not None:
             # Armed during frame delivery, after the idle edge re-armed our
             # own grant: the relay must still win a tie with it.
             self.access.defer_to(pending.event.time)
+
+    def _put_relay(self, pending: _PendingRelay) -> None:
+        """Add a pending relay; the first one holds the radio's busy/idle edges."""
+        if not self._pending_relays:
+            self.radio.hold_mac_active()
+        self._pending_relays[pending.frame.frame_id] = pending
+
+    def _pop_relay(self, frame_id: int) -> Optional[_PendingRelay]:
+        """Remove a pending relay; the last one releases the radio's edges."""
+        pending = self._pending_relays.pop(frame_id, None)
+        if pending is not None and not self._pending_relays:
+            self.radio.release_mac_active()
+        return pending
 
     def _arm_relay(self, pending: _PendingRelay) -> None:
         if self.radio.busy:
@@ -465,13 +480,13 @@ class RippleMac(MacLayer):
     def _fire_relay(self, pending: _PendingRelay) -> None:
         pending.event = None
         frame = pending.frame
-        self._pending_relays.pop(frame.frame_id, None)
+        self._pop_relay(frame.frame_id)
         if frame.frame_id in self._suppressed_frames or frame.frame_id in self._relayed_frames:
             return
         if self.radio.busy:
             # Lost the race against another transmission that started in the
             # same instant; treat it like a busy channel and wait again.
-            self._pending_relays[frame.frame_id] = pending
+            self._put_relay(pending)
             return
         self._relayed_frames.add(frame.frame_id)
         if frame.kind is FrameKind.DATA:
@@ -483,7 +498,7 @@ class RippleMac(MacLayer):
         self.radio.transmit(frame, frame.airtime_ns(self.phy))
 
     def _cancel_relay(self, frame_id: int, suppressed: bool) -> None:
-        pending = self._pending_relays.pop(frame_id, None)
+        pending = self._pop_relay(frame_id)
         if pending is not None:
             if pending.event is not None:
                 pending.event.cancel()

@@ -47,7 +47,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import tempfile
 from itertools import product
@@ -322,6 +321,9 @@ class SweepRunner:
         return [_run_config_to_dict(config) for config in configs]
 
     def _execute_parallel(self, configs: List[ScenarioConfig]) -> List[Dict[str, object]]:
+        # Imported here: a process that never fans out never loads it.
+        import multiprocessing
+
         # fork is cheapest where available (Linux); spawn works everywhere
         # else because configs and the worker function are picklable.
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"

@@ -63,6 +63,12 @@ class ChannelAccess:
     sensed signal (scheduled one propagation delay, under a slot, earlier)
     but not when it is our own transmission (armed a SIFS or more earlier);
     see also :meth:`defer_to`.
+
+    Both notifications do nothing while the station is not contending (no
+    grant is armed then), so the access holds its radio's
+    :attr:`~repro.phy.radio.Radio.mac_active` from :meth:`request` to the
+    grant, and a MAC that does not need every edge gets none while it does
+    not contend.
     """
 
     def __init__(
@@ -104,6 +110,8 @@ class ChannelAccess:
         if self._active:
             return
         self._active = True
+        # Before reading carrier sense: a busy medium resumes us on its idle edge.
+        self._radio.hold_mac_active()
         if not self._radio.busy:
             self._resume()  # otherwise the idle edge resumes
 
@@ -166,6 +174,7 @@ class ChannelAccess:
         self._grant = None
         self._active = False
         self._remaining_slots = None
+        self._radio.release_mac_active()
         self._on_granted()
 
 
@@ -178,10 +187,24 @@ class MacLayer(abc.ABC):
     suppression, and statistics.  The radio hands :meth:`on_frame_received`
     only the frames :meth:`acts_on` accepts; any other frame it decodes
     costs a header error draw and no call.
+
+    Likewise the radio calls :meth:`on_channel_busy` and
+    :meth:`on_channel_idle` at every carrier-sense edge unless the class
+    sets :attr:`needs_every_edge` False.  Such a MAC promises that both do
+    nothing unless it holds the radio's
+    :attr:`~repro.phy.radio.Radio.mac_active`
+    (:meth:`~repro.phy.radio.Radio.hold_mac_active`, released once per
+    hold), and it gets edges only while it does.  :class:`ChannelAccess`
+    holds the flag while it contends; RIPPLE also holds it while a relay
+    waits for the medium.  A MAC that breaks the promise changes the
+    simulation.
     """
 
     #: Most sub-packets one data frame carries; sizes the duplicate filter.
     max_aggregation = 1
+
+    #: Whether the radio must report every busy/idle edge (class notes).
+    needs_every_edge = True
 
     def __init__(
         self,
@@ -266,7 +289,8 @@ class MacLayer(abc.ABC):
     # ------------------------------------------------------------------
     # Radio callbacks
     # ------------------------------------------------------------------
-    # One call per carrier-sense edge.  Contending MACs bind these to their
+    # One call per carrier-sense edge, or per edge while the MAC holds the
+    # radio's mac_active.  Contending MACs bind these to their
     # ChannelAccess; RIPPLE overrides them to handle its relays first.
     def on_channel_busy(self) -> None:
         """The medium turned busy at this station."""
@@ -278,9 +302,9 @@ class MacLayer(abc.ABC):
         """Whether :meth:`on_frame_received` can change anything for ``frame``.
 
         True when this station is the frame's receiver or final destination
-        or is on its forwarder list.  A MAC that also acts on other frames
-        overrides this; one that returns False for a frame it would act on
-        changes the simulation.
+        or is on its forwarder list.  A MAC that acts on other frames, or on
+        fewer, overrides this; one that returns False for a frame it would
+        act on changes the simulation.
         """
         address = self.address
         return (

@@ -38,6 +38,9 @@ from repro.sim.engine import Event, Simulator
 class DcfMac(MacLayer):
     """802.11 DCF with unicast next-hop frames and block-ACK style aggregation."""
 
+    #: Its edge callbacks are the access's, which act only while it contends.
+    needs_every_edge = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -157,6 +160,10 @@ class DcfMac(MacLayer):
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    def acts_on(self, frame: MacFrame) -> bool:
+        """Only frames addressed to this station: both handlers ignore any other."""
+        return frame.receiver == self.address
+
     def on_frame_received(self, frame: MacFrame, errors) -> None:
         if frame.kind is FrameKind.DATA:
             self._handle_data(frame, errors)

@@ -104,9 +104,7 @@ def _make_afr(network, node, **kwargs):
     )
 
 
-@register_mac_scheme(
-    "ripple", label="R16 (RIPPLE)", opportunistic=True, params=("aggregate_local_traffic",)
-)
+@register_mac_scheme("ripple", label="R16 (RIPPLE)", opportunistic=True)
 def _make_ripple(network, node, **kwargs):
     """RIPPLE: opportunistic mTXOP relaying with two-way aggregation (the R16 bars)."""
     from repro.core.ripple import RippleMac
@@ -119,16 +117,10 @@ def _make_ripple(network, node, **kwargs):
         network.timing,
         network.rng,
         max_aggregation=kwargs.get("max_aggregation", 16),
-        aggregate_local_traffic=kwargs.get("aggregate_local_traffic", True),
     )
 
 
-@register_mac_scheme(
-    "ripple1",
-    label="R1 (RIPPLE, no aggregation)",
-    opportunistic=True,
-    params=("aggregate_local_traffic",),
-)
+@register_mac_scheme("ripple1", label="R1 (RIPPLE, no aggregation)", opportunistic=True)
 def _make_ripple1(network, node, **kwargs):
     """RIPPLE with aggregation disabled — one packet per mTXOP frame (the R1 bars)."""
     kwargs = dict(kwargs)
@@ -170,7 +162,7 @@ def _make_mcexor(network, node, **kwargs):
     "rate_adapt",
     label="ARF rate adaptation (wraps another scheme)",
     opportunistic=False,
-    params=("inner", "rates", "up_after", "down_after", "aggregate_local_traffic"),
+    params=("inner", "rates", "up_after", "down_after"),
 )
 def _make_rate_adapt(network, node, **kwargs):
     """ARF rate adaptation wrapped around another registered scheme (``inner``, default dcf)."""
@@ -184,7 +176,7 @@ def _make_rate_adapt(network, node, **kwargs):
     inner = MAC_SCHEMES.lookup(inner_name)
     if inner.factory is _make_rate_adapt:
         raise ValueError("rate_adapt cannot wrap itself")
-    inner.validate_kwargs(kwargs)
+    # install_stack validated kwargs against params: only max_aggregation is left.
     mac = inner.factory(network, node, **kwargs)
     mac.rate_controller = ArfRateController(mac, rates=rates, up_after=up_after, down_after=down_after)
     # The NetworkAgent must feed the *inner* scheme what it expects

@@ -53,9 +53,13 @@ reaches the reception threshold and ``None`` when it only reaches the
 carrier-sense threshold, and each radio keeps no more than a count of
 the signals it senses plus the one clean frame among them (see
 :mod:`repro.phy.radio`).  Plans are invalidated whenever any radio moves
-or registers; runs already in flight keep the entries they were given,
-and the per-link stream buffers survive invalidation, so a link's fade
-sample path never depends on when radios happened to move.
+or registers; runs already in flight keep the entries they were given.
+The per-link fade streams survive invalidation, so a rebuilt plan
+continues each link's draws instead of restarting them.  But the rows
+of the dropped plan's current block that no frame was served yet are
+lost with it, so under mobility the fades a link's frames get depend on
+when stations moved (deterministically: the same seed gives the same
+run).
 
 A finished network is cyclic garbage (radio and channel, radio and MAC,
 and the radio callbacks in the plans refer to each other), so only a full
@@ -91,8 +95,9 @@ class _LinkFadeStream:
     hot-path contract in :mod:`repro.phy.propagation`) at a fraction of
     the cost.  The buffer belongs to the link's keyed RNG stream, not to
     the dispatch-plan cache: geometry invalidation rebuilds plans but
-    keeps these objects, so a link's fade sample path never depends on
-    when radios happened to move.
+    keeps these objects, so a rebuilt plan continues the link's draws.
+    Draws a dropped plan had taken into its block but not served are
+    skipped (see the module notes).
     """
 
     #: Draws pulled from the generator per refill; must be a multiple of
@@ -347,9 +352,9 @@ class WirelessChannel:
         heuristic one.  Each entry carries the link's deterministic power
         and propagation delay (both pure functions of the frozen geometry)
         so per-frame dispatch is one buffered fade row and a compare per
-        candidate.  The per-link generators come from the keyed-stream
-        registry, so rebuilding a plan after a move resumes each link's
-        sample path instead of restarting it.
+        candidate.  The per-link fade streams outlive the plan, so
+        rebuilding it after a move continues each link's draws instead of
+        restarting them, minus the rows the old plan drew and never served.
         """
         propagation = self.propagation
         params = self.params
@@ -475,14 +480,20 @@ class WirelessChannel:
 
         Consumes the same ``1 + len(frame.subpackets)`` uniforms from the
         link's stream as :meth:`apply_bit_errors`, so the link's later
-        draws do not depend on which of the two evaluated a frame.
+        draws do not depend on which of the two evaluated a frame, but
+        reads only the header's (:meth:`~repro.sim.rng.UniformStream.first_of`).
         """
-        draws = self._noise_for(sender.node_id, receiver.node_id).take(1 + len(frame.subpackets))
+        # Runs once per frame a station decodes and ignores (most of them on
+        # a mesh), so the cached link stream is looked up inline.
+        noise = self._link_noise.get((sender.node_id, receiver.node_id))
+        if noise is None:
+            noise = self._noise_for(sender.node_id, receiver.node_id)
+        draw = noise.first_of(1 + len(frame.subpackets))
         bits = frame.header_bits
         probability = self._prob_cache.get(bits)
         if probability is None:
             probability = self._prob_cache[bits] = self.error_model.success_probability(bits)
-        return draws[0] < probability
+        return draw < probability
 
     def _noise_for(self, sender_id: int, receiver_id: int) -> UniformStream:
         """The (cached) buffered bit-error uniforms of one directed link."""

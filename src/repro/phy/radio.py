@@ -30,6 +30,19 @@ The radio reports three things to the MAC attached to it:
   "idle for ``i * slot + SIFS``" timers of RIPPLE's mTXOP),
 * successfully decoded frames together with per-sub-packet error flags,
 * completion of its own transmissions.
+
+Busy/idle edges reach the MAC only while :attr:`Radio.mac_active` is true.
+A MAC whose edge callbacks do nothing unless it is contending or has a
+timer waiting on the medium opts out of the rest when it is built
+(:attr:`~repro.mac.base.MacLayer.needs_every_edge` False) and holds the
+flag only for those spells (:meth:`Radio.hold_mac_active`); reasons are
+counted, so two that overlap, such as RIPPLE contending with a relay
+pending, keep it set until both are released.  Any other MAC keeps the
+flag set for good and gets every edge.  On a mesh most stations spend
+most of the time in neither state, so most edges cost the radio its
+carrier-sense bookkeeping and no call.  That bookkeeping (``_sensing``,
+:attr:`busy`, ``_clean``, ``_idle_since``) still runs at every edge, so
+whatever the MAC reads when it wakes is current.
 """
 
 from __future__ import annotations
@@ -76,6 +89,8 @@ class Radio:
         "_sensing",
         "_clean",
         "_idle_since",
+        "mac_active",
+        "_mac_holds",
     )
 
     def __init__(self, node_id: int, position: tuple[float, float], channel: "WirelessChannel") -> None:
@@ -84,6 +99,9 @@ class Radio:
         self._sim = channel.sim
         self._position = (float(position[0]), float(position[1]))
         self.mac = None  # attached later by the node wiring
+        #: Whether busy/idle edges are handed to the MAC (module notes).
+        self.mac_active = False
+        self._mac_holds = 0
         self.stats = RadioStats()
         self._current_tx: Optional["Transmission"] = None
         #: Sensed signals in the air, and the clean one (module notes).
@@ -117,8 +135,24 @@ class Radio:
 
         Besides the ``on_*`` callbacks the radio calls ``acts_on(frame)``
         before it hands a frame over (see :class:`~repro.mac.base.MacLayer`).
+        A MAC whose ``needs_every_edge`` is False gets ``on_channel_busy``
+        and ``on_channel_idle`` only while it holds :attr:`mac_active`
+        (:meth:`hold_mac_active`); any other MAC, including one without
+        the attribute, gets every edge.
         """
         self.mac = mac
+        self._mac_holds = int(mac is not None and getattr(mac, "needs_every_edge", True))
+        self.mac_active = self._mac_holds > 0
+
+    def hold_mac_active(self) -> None:
+        """Add one reason for the MAC to get busy/idle edges."""
+        self._mac_holds += 1
+        self.mac_active = True
+
+    def release_mac_active(self) -> None:
+        """Drop one reason added by :meth:`hold_mac_active`."""
+        self._mac_holds -= 1
+        self.mac_active = self._mac_holds > 0
 
     # ------------------------------------------------------------------
     # Mobility
@@ -178,7 +212,7 @@ class Radio:
         self.busy = True
         self.stats.frames_sent += 1
         self.stats.airtime_tx_ns += duration_ns
-        if not was_busy and self.mac is not None:
+        if not was_busy and self.mac_active:
             self.mac.on_channel_busy()
         return transmission
 
@@ -188,7 +222,7 @@ class Radio:
         if not self._sensing:
             self.busy = False
             self._idle_since = self._sim.now
-            if self.mac is not None:
+            if self.mac_active:
                 self.mac.on_channel_idle()
         if self.mac is not None:
             self.mac.on_transmission_complete(transmission.frame)
@@ -206,7 +240,7 @@ class Radio:
         else:
             self._clean = transmission
             self.busy = True
-            if self.mac is not None:
+            if self.mac_active:
                 self.mac.on_channel_busy()
 
     def _signal_end(self, transmission: Optional["Transmission"]) -> None:
@@ -222,7 +256,7 @@ class Radio:
             self._clean = None
             self.busy = False
             self._idle_since = self._sim.now
-            if self.mac is not None:
+            if self.mac_active:
                 self.mac.on_channel_idle()
         if transmission is None:
             return

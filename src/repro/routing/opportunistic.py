@@ -54,6 +54,9 @@ class _TrackedReception:
 class OpportunisticMac(MacLayer, abc.ABC):
     """Common source/forwarder logic for preExOR and MCExOR."""
 
+    #: Its edge callbacks are the access's, which act only while it contends.
+    needs_every_edge = False
+
     def __init__(
         self,
         sim: Simulator,

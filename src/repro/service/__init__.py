@@ -20,9 +20,11 @@ Layers (see ``docs/SERVICE.md`` for the full architecture):
 * :mod:`repro.service.worker` — the claim-run-complete loop; executes
   jobs through ``SweepRunner`` + the shared cache, so cached digests
   complete instantly and fresh runs are bit-identical to local ones.
-* :mod:`repro.service.app` / :mod:`repro.service.schemas` — the stdlib
-  ``http.server`` API with strict request validation, structured 400s
-  and queue-depth backpressure (429).
+* :mod:`repro.service.app` / :mod:`repro.service.schemas` — the
+  socket-free request handlers, with strict request validation,
+  structured 400s and queue-depth backpressure (429).
+* :mod:`repro.service.server` — the stdlib ``http.server`` front the
+  ``serve`` command binds.
 * :mod:`repro.service.client` — the tiny ``urllib`` client the tests,
   CLI and CI smoke job share.
 * :mod:`repro.service.executor` — ``JobStoreExecutor``, the
@@ -32,6 +34,11 @@ Layers (see ``docs/SERVICE.md`` for the full architecture):
   clock (leases and timeouts are operational time; simulation time
   never is).
 
+The package re-exports only the store, queue and worker.  The client,
+the executor and the server are imported from their modules, so a
+process that never talks HTTP loads neither ``urllib`` nor
+``http.server``.
+
 Run it::
 
     python -m repro.service serve  --store DIR --port 8642 --workers 4
@@ -40,22 +47,15 @@ Run it::
     python -m repro.service status --url http://HOST:8642 JOB_ID
 """
 
-from repro.service.client import JobFailed, ServiceClient, ServiceError
-from repro.service.executor import DistributedSweepError, JobStoreExecutor
 from repro.service.queue import WorkQueue
 from repro.service.store import JobNotFound, JobRecord, JobStore, JobStoreError
 from repro.service.worker import Worker
 
 __all__ = [
-    "DistributedSweepError",
-    "JobFailed",
     "JobNotFound",
     "JobRecord",
     "JobStore",
     "JobStoreError",
-    "JobStoreExecutor",
-    "ServiceClient",
-    "ServiceError",
     "WorkQueue",
     "Worker",
 ]

@@ -15,6 +15,10 @@ format ``python -m repro.experiments run --spec`` takes, ``-`` for
 stdin) and prints the service's JSON responses; with ``--wait`` it polls
 to completion and prints the final job *and* its result payload, so
 scripts never scrape human-formatted output.
+
+Each command imports what only it needs (``serve`` the HTTP server,
+``submit`` and ``status`` the HTTP client), so a ``worker`` process
+loads neither.
 """
 
 from __future__ import annotations
@@ -26,14 +30,7 @@ import subprocess
 import sys
 from typing import List, Optional
 
-from repro.service.app import (
-    DEFAULT_HOST,
-    DEFAULT_MAX_QUEUE,
-    DEFAULT_PORT,
-    SimulationService,
-    make_server,
-)
-from repro.service.client import JobFailed, ServiceClient, ServiceError
+from repro.service.app import DEFAULT_HOST, DEFAULT_MAX_QUEUE, DEFAULT_PORT, SimulationService
 from repro.service.queue import DEFAULT_LEASE_TTL_S
 from repro.service.store import JobStore
 from repro.service.worker import Worker
@@ -58,6 +55,8 @@ def _spawn_workers(count: int, args) -> List[subprocess.Popen]:
 
 
 def _cmd_serve(args) -> int:
+    from repro.service.server import make_server
+
     store = JobStore(args.store)
     cache = _make_cache(store, args.cache_dir)
     service = SimulationService(store, cache, max_queue=args.max_queue)
@@ -117,6 +116,8 @@ def _print_json(document) -> None:
 
 
 def _cmd_submit(args) -> int:
+    from repro.service.client import JobFailed, ServiceClient, ServiceError
+
     if args.spec == "-":
         document = json.load(sys.stdin)
     else:
@@ -153,6 +154,8 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_status(args) -> int:
+    from repro.service.client import ServiceClient, ServiceError
+
     client = ServiceClient(args.url)
     try:
         _print_json(client.job(args.job_id))

@@ -186,12 +186,32 @@ class UniformStream:
         index = self._index
         buffer = self._buffer
         if index + count > len(buffer):
-            tail = buffer[index:]
-            buffer = tail + self.generator.random(max(self.BLOCK, count - len(tail))).tolist()
-            self._buffer = buffer
+            buffer = self._refill(index, count)
             index = 0
         self._index = index + count
         return buffer[index : index + count]
+
+    def first_of(self, count: int) -> float:
+        """The first of the stream's next ``count`` uniforms; consumes all ``count``.
+
+        Equal to ``take(count)[0]`` and leaves the stream where :meth:`take`
+        would, without building the list: for a caller that compares one
+        draw but must keep its place in the sequence.
+        """
+        index = self._index
+        buffer = self._buffer
+        if index + count > len(buffer):
+            buffer = self._refill(index, count)
+            index = 0
+        self._index = index + count
+        return buffer[index]
+
+    def _refill(self, index: int, count: int) -> List[float]:
+        """The unserved tail from ``index`` on, then fresh draws: at least ``count``."""
+        tail = self._buffer[index:]
+        buffer = tail + self.generator.random(max(self.BLOCK, count - len(tail))).tolist()
+        self._buffer = buffer
+        return buffer
 
     def next_float(self) -> float:
         """The stream's single next uniform (the scalar hot-path entry point)."""

@@ -259,13 +259,14 @@ class TestComponentParamValidation:
             run_scenario(config)
 
     def test_valid_mac_params_still_accepted(self):
-        config = ScenarioConfig(
-            topology=fig1_topology(),
-            mac=MacSpec("ripple", {"max_aggregation": 2, "aggregate_local_traffic": False}),
-            active_flows=[1],
-            duration_s=0.02,
-        )
-        assert run_scenario(config).events_processed > 0
+        for mac in (
+            MacSpec("ripple", {"max_aggregation": 2}),
+            MacSpec("rate_adapt", {"inner": "ripple", "max_aggregation": 2, "up_after": 3}),
+        ):
+            config = ScenarioConfig(
+                topology=fig1_topology(), mac=mac, active_flows=[1], duration_s=0.02
+            )
+            assert run_scenario(config).events_processed > 0
 
     def test_adaptive_etx_missing_fallback_route_set_raises(self):
         config = ScenarioConfig(

@@ -54,6 +54,7 @@ class SlotSteppingAccess:
         if self._active:
             return
         self._active = True
+        self._radio.hold_mac_active()
         self._try_resume()
 
     def defer_to(self, when):
@@ -101,17 +102,25 @@ class SlotSteppingAccess:
         if self._remaining_slots <= 0:
             self._active = False
             self._remaining_slots = None
+            self._radio.release_mac_active()
             self._on_granted()
             return
         self._slot_event = self._sim.schedule(self._timing.slot_ns, self._slot_elapsed)
 
 
 class _Medium:
-    """The two carrier-sense facts ChannelAccess reads from its radio."""
+    """The two carrier-sense facts ChannelAccess reads from its radio, and its holds there."""
 
     def __init__(self):
         self.busy = False
         self.is_transmitting = False
+        self.holds = 0
+
+    def hold_mac_active(self):
+        self.holds += 1
+
+    def release_mac_active(self):
+        self.holds -= 1
 
 
 class _RecordingUniforms:
@@ -183,6 +192,8 @@ def _drive(access_cls, seed, horizon=us(20_000)):
         access.request()
 
     def busy_edge(end, own):
+        # The access holds the radio's edges exactly while it contends.
+        assert medium.holds == state["contending"]
         if state["contending"]:
             counted = sim.now - state["resumed_at"] - DIFS
             if counted < 0:
@@ -195,6 +206,7 @@ def _drive(access_cls, seed, horizon=us(20_000)):
         sim.schedule_at(end, idle_edge)
 
     def idle_edge():
+        assert medium.holds == state["contending"]
         medium.busy = False
         medium.is_transmitting = False
         if state["contending"]:

@@ -142,4 +142,4 @@ class TestEndToEnd:
 
     def test_inner_scheme_param_typos_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter"):
-            self.run(MacSpec("rate_adapt", {"inner": "dcf", "aggregate_local_traffic": True}))
+            self.run(MacSpec("rate_adapt", {"inner": "ripple", "max_agregation": 8}))

@@ -12,9 +12,10 @@ import pytest
 
 from repro.experiments.parallel import config_digest
 from repro.experiments.runner import run_scenario
-from repro.service.app import SimulationService, make_server
+from repro.service.app import SimulationService
 from repro.service.client import JobFailed, ServiceClient, ServiceError
 from repro.service.queue import WorkQueue
+from repro.service.server import make_server
 from repro.service.worker import Worker
 from repro.spec import ScenarioConfig
 

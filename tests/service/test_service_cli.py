@@ -7,7 +7,8 @@ import pytest
 
 from repro.experiments.parallel import ResultCache, config_digest
 from repro.service.__main__ import build_parser, main
-from repro.service.app import SimulationService, make_server
+from repro.service.app import SimulationService
+from repro.service.server import make_server
 from repro.service.store import JobStore
 from repro.spec import ScenarioConfig
 

@@ -217,3 +217,14 @@ class TestUniformStream:
         # The draws after a long request continue the same sequence.
         assert uniforms.take(5) == [scalar.random() for _ in range(5)]
         assert uniforms.next_float() == scalar.random()
+
+    @pytest.mark.parametrize("offset", [0, 1, 100, 127, 128, 129, 255])
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+    def test_first_of_equals_take_and_leaves_the_stream_where_take_does(self, offset, count):
+        uniforms = UniformStream(RandomStreams(seed=3).stream_for("biterror", 0, 1))
+        reference = UniformStream(RandomStreams(seed=3).stream_for("biterror", 0, 1))
+        assert uniforms.take(offset) == reference.take(offset)
+        assert uniforms.first_of(count) == reference.take(count)[0]
+        assert (uniforms._buffer, uniforms._index) == (reference._buffer, reference._index)
+        assert uniforms.take(5) == reference.take(5)
+        assert uniforms.next_float() == reference.next_float()
