@@ -186,7 +186,7 @@ class MacLayer(abc.ABC):
     base class provides radio wiring, upper-layer delivery with duplicate
     suppression, and statistics.  The radio hands :meth:`on_frame_received`
     only the frames :meth:`acts_on` accepts; any other frame it decodes
-    costs a header error draw and no call.
+    costs no call and no bit-error draw.
 
     Likewise the radio calls :meth:`on_channel_busy` and
     :meth:`on_channel_idle` at every carrier-sense edge unless the class

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.serialization import Wire
 from repro.sim.units import ns_to_seconds
-from repro.transport.tcp import TcpSender, TcpSink
-from repro.transport.udp import UdpReceiver
+
+if TYPE_CHECKING:  # pragma: no cover - transport.udp imports repro.metrics
+    from repro.transport.tcp import TcpSender, TcpSink
+    from repro.transport.udp import UdpReceiver
 
 
 @dataclass
@@ -72,8 +74,8 @@ def summarize_udp_flow(
     flow_id: int, src: int, dst: int, receiver: UdpReceiver, sent: int, duration_ns: int
 ) -> FlowResult:
     """Build a :class:`FlowResult` from a UDP receiver's counters."""
-    delays = receiver.stats.delays_ns
-    mean_delay_ms = (sum(delays) / len(delays) / 1e6) if delays else 0.0
+    stats = receiver.stats
+    mean_delay_ms = (stats.delay_sum_ns / stats.received / 1e6) if stats.received else 0.0
     return FlowResult(
         flow_id=flow_id,
         kind="udp",

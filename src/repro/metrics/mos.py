@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.serialization import Wire
 
@@ -80,13 +79,14 @@ class VoipQuality(Wire):
 
 
 def evaluate_voip(
-    delays_ms: Sequence[float],
+    on_time: int,
     packets_sent: int,
-    wireless_budget_ms: float = WIRELESS_DELAY_BUDGET_MS,
     mouth_to_ear_ms: float = MOUTH_TO_EAR_DELAY_MS,
 ) -> VoipQuality:
-    """Score a VoIP flow from its per-packet one-way wireless delays.
+    """Score a VoIP flow from how many of its packets arrived on time.
 
+    ``on_time`` counts the packets whose one-way wireless delay was within
+    :data:`WIRELESS_DELAY_BUDGET_MS` (the UDP receiver counts them).
     Packets that never arrived, plus packets that arrived after the wireless
     delay budget, count as losses (Section IV-E).  The mouth-to-ear delay
     used in the R-factor is the fixed budget — coding, de-jitter buffering
@@ -95,8 +95,7 @@ def evaluate_voip(
     """
     if packets_sent <= 0:
         return VoipQuality(mouth_to_ear_ms, 1.0, r_factor(mouth_to_ear_ms, 1.0), 1.0)
-    on_time = [d for d in delays_ms if d <= wireless_budget_ms]
-    losses = packets_sent - len(on_time)
+    losses = packets_sent - on_time
     loss_rate = min(1.0, max(0.0, losses / packets_sent))
     rating = r_factor(mouth_to_ear_ms, loss_rate)
     return VoipQuality(

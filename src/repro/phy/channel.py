@@ -15,9 +15,10 @@ which is what creates hidden terminals in the Fig. 5(b), Wigle and
 Roofnet scenarios.
 
 Bit errors (the i.i.d. BER model) are applied at reception completion by
-the receiving radio via :meth:`WirelessChannel.apply_bit_errors`, or only
-to the header, via :meth:`WirelessChannel.header_survives`, for a frame
-its MAC would ignore.
+the receiving radio via :meth:`WirelessChannel.apply_bit_errors`, for a
+frame its MAC acts on.  A frame no MAC acts on draws nothing; its link
+owes the draws instead (:meth:`WirelessChannel.owe_bit_errors`, and
+"Owed bit-error draws" below).
 
 Hot-path design
 ---------------
@@ -64,7 +65,23 @@ run).
 A finished network is cyclic garbage (radio and channel, radio and MAC,
 and the radio callbacks in the plans refer to each other), so only a full
 collection would free those buffers.  :meth:`WirelessChannel.release`
-frees them as soon as a run is summarised; the counters stay.
+frees them, and the per-link generators the stream registry keeps, as
+soon as a run is summarised; the counters stay.
+
+Owed bit-error draws
+--------------------
+A link's bit-error uniforms come from its own keyed stream, read in the
+order frames end at the receiver, ``1 + len(subpackets)`` per frame.  On
+a mesh most frames a radio decodes are ones its MAC ignores, and their
+draws would only choose between two :class:`~repro.phy.radio.RadioStats`
+counters.  So such a frame draws nothing: its link adds the uniforms the
+frame would have consumed to an owed count.  The link builds its
+:class:`~repro.sim.rng.UniformStream`, and the Philox generator behind
+it, only when a MAC first acts on a frame over it, and every read skips
+what is owed first (:meth:`~repro.sim.rng.UniformStream.skip`).  So each
+frame a MAC acts on reads the same positions of its link's sequence as if
+every frame had drawn, and a link that only ever carries ignored frames
+never builds a generator.
 """
 
 from __future__ import annotations
@@ -122,6 +139,21 @@ class _LinkFadeStream:
             index = 0
         self._index = index + count
         return buffer[index : index + count]
+
+
+class _LinkNoise:
+    """One directed link's bit-error uniforms, built on first read (module notes).
+
+    ``owed`` counts the uniforms of the frames decoded over the link that
+    no MAC acted on since the last read.  ``uniforms`` stays None, and no
+    generator exists, until a MAC first acts on a frame over the link.
+    """
+
+    __slots__ = ("uniforms", "owed")
+
+    def __init__(self) -> None:
+        self.uniforms: Optional[UniformStream] = None
+        self.owed = 0
 
 
 class _DispatchPlan:
@@ -218,11 +250,13 @@ class WirelessChannel:
 
     #: Hard cap on per-link stream buffers (fades and bit-error uniforms,
     #: each ~1 KB: a Generator plus a batch).  Overflow drops the whole
-    #: table: the keyed stream registry retains every generator's state, so
-    #: surviving links resume their sample paths minus any unserved
-    #: buffered draws — a deterministic (same-seed-same-everything) but
-    #: real perturbation, which is why the cap is far above any current
-    #: workload's link count.
+    #: table, owed bit-error counts included: the keyed stream registry
+    #: retains every generator's state, so surviving links resume their
+    #: sample paths minus any unserved buffered draws, and a link's next
+    #: frames read the positions it owed instead of skipping them (a link
+    #: that never built its generator reads them from its first draw) — a
+    #: deterministic (same-seed-same-everything) but real perturbation,
+    #: which is why the cap is far above any current workload's link count.
     LINK_FADES_MAX = 1 << 16
 
     def __init__(
@@ -255,8 +289,8 @@ class WirelessChannel:
         #: deliberately *not* geometry-invalidated (fades are i.i.d. per
         #: frame, so they stay valid when stations move).
         self._link_fades: Dict[Tuple[int, int], _LinkFadeStream] = {}
-        #: Per-link buffered bit-error uniforms, same lifecycle as fades.
-        self._link_noise: Dict[Tuple[int, int], UniformStream] = {}
+        #: Per-link bit-error uniforms and owed counts, same lifecycle as fades.
+        self._link_noise: Dict[Tuple[int, int], _LinkNoise] = {}
         #: Memoised block success probabilities (few distinct bit counts).
         self._prob_cache: Dict[int, float] = {}
 
@@ -420,15 +454,18 @@ class WirelessChannel:
         self._plans.clear()
 
     def release(self) -> None:
-        """Free the plans and per-link stream buffers of a finished run.
+        """Free the plans, per-link streams and owed counts of a finished run.
 
+        The stream registry forgets the per-link generators too.
         :attr:`stats` and every radio's and MAC's counters stay readable.
-        The channel must not transmit afterwards: its links would lose the
-        buffered draws they had not served yet.
+        The channel must not transmit afterwards: its links would restart
+        their sample paths.
         """
         self._invalidate_geometry()
         self._link_fades.clear()
         self._link_noise.clear()
+        self.rng.forget("shadowing")
+        self.rng.forget("biterror")
 
     # ------------------------------------------------------------------
     # Helpers
@@ -441,15 +478,23 @@ class WirelessChannel:
         draws come from the link's keyed stream — buffered through a
         :class:`~repro.sim.rng.UniformStream`, which serves the identical
         uniform sequence as scalar draws — keeping bit-error sample paths
-        independent across forwarders; anonymous callers fall back to the
-        shared ``biterror`` stream.
+        independent across forwarders.  What the link owes
+        (:meth:`owe_bit_errors`) is skipped first.  Anonymous callers fall
+        back to the shared ``biterror`` stream.
         """
         if receiver is None or sender is None:
             rng = self.rng.stream("biterror")
             subpacket_bits = [subpacket.bits for subpacket in frame.subpackets]
             return self.error_model.evaluate_frame(frame.header_bits, subpacket_bits, rng)
         subpackets = frame.subpackets
-        draws = self._noise_for(sender.node_id, receiver.node_id).take(1 + len(subpackets))
+        key = (sender.node_id, receiver.node_id)
+        link = self._link_noise.get(key)
+        if link is None:
+            link = self._new_link_noise(key)
+        uniforms = link.uniforms
+        if uniforms is None or link.owed:
+            uniforms = self._settle(link, key)
+        draws = uniforms.take(1 + len(subpackets))
         # Block success probabilities are memoised in a plain dict:
         # ``BitErrorModel.success_probability`` is already lru_cache-backed,
         # but its guard branches plus the lru machinery cost more than a
@@ -475,36 +520,34 @@ class WirelessChannel:
             append(draws[index] < probability)
         return FrameErrorResult(header_ok=header_ok, subpacket_ok=subpacket_ok)
 
-    def header_survives(self, frame, receiver: Radio, sender: Radio) -> bool:
-        """Draw only whether ``frame``'s header survives the link ``sender`` → ``receiver``.
+    def owe_bit_errors(self, frame, receiver: Radio, sender: Radio) -> None:
+        """Record that ``receiver`` decoded ``frame`` from ``sender`` and nothing acts on it.
 
-        Consumes the same ``1 + len(frame.subpackets)`` uniforms from the
-        link's stream as :meth:`apply_bit_errors`, so the link's later
-        draws do not depend on which of the two evaluated a frame, but
-        reads only the header's (:meth:`~repro.sim.rng.UniformStream.first_of`).
+        No draw is made: the link owes the ``1 + len(frame.subpackets)``
+        uniforms :meth:`apply_bit_errors` would have consumed, and its next
+        evaluation skips them (module notes).
         """
-        # Runs once per frame a station decodes and ignores (most of them on
-        # a mesh), so the cached link stream is looked up inline.
-        noise = self._link_noise.get((sender.node_id, receiver.node_id))
-        if noise is None:
-            noise = self._noise_for(sender.node_id, receiver.node_id)
-        draw = noise.first_of(1 + len(frame.subpackets))
-        bits = frame.header_bits
-        probability = self._prob_cache.get(bits)
-        if probability is None:
-            probability = self._prob_cache[bits] = self.error_model.success_probability(bits)
-        return draw < probability
+        key = (sender.node_id, receiver.node_id)
+        link = self._link_noise.get(key)
+        if link is None:
+            link = self._new_link_noise(key)
+        link.owed += 1 + len(frame.subpackets)
 
-    def _noise_for(self, sender_id: int, receiver_id: int) -> UniformStream:
-        """The (cached) buffered bit-error uniforms of one directed link."""
-        key = (sender_id, receiver_id)
-        noise = self._link_noise.get(key)
-        if noise is None:
-            noise = UniformStream(self.rng.stream_for("biterror", sender_id, receiver_id))
-            if len(self._link_noise) >= self.LINK_FADES_MAX:
-                self._link_noise.clear()
-            self._link_noise[key] = noise
-        return noise
+    def _new_link_noise(self, key: Tuple[int, int]) -> _LinkNoise:
+        """A fresh entry for the directed link ``key``, owing nothing."""
+        if len(self._link_noise) >= self.LINK_FADES_MAX:
+            self._link_noise.clear()
+        link = self._link_noise[key] = _LinkNoise()
+        return link
+
+    def _settle(self, link: _LinkNoise, key: Tuple[int, int]) -> UniformStream:
+        """``link``'s uniforms, built on first use, with what it owes skipped."""
+        uniforms = link.uniforms
+        if uniforms is None:
+            uniforms = link.uniforms = UniformStream(self.rng.stream_for("biterror", *key))
+        uniforms.skip(link.owed)
+        link.owed = 0
+        return uniforms
 
     def distance(self, a: Radio, b: Radio) -> float:
         """Euclidean distance between two radios in metres (cached per pair).

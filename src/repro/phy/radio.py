@@ -20,9 +20,10 @@ other decodable signal counts as a collision.
 
 A clean frame goes to the MAC only if :meth:`~repro.mac.base.MacLayer.acts_on`
 accepts it: by default, if this station is the frame's receiver or final
-destination or is on its forwarder list.  For any other frame the radio
-only draws whether the header survives, consuming the link's bit-error
-draws exactly as a full draw would, and counts it.
+destination or is on its forwarder list.  Any other clean frame the radio
+counts as decoded without drawing its header's fate, and its link owes
+the bit-error draws instead (see :mod:`repro.phy.channel`), so each frame
+the MAC does get reads the draws it would if every frame drew.
 
 The radio reports three things to the MAC attached to it:
 
@@ -65,7 +66,13 @@ class RadioState(enum.Enum):
 
 @dataclass(slots=True)
 class RadioStats:
-    """Per-radio PHY counters used by tests and the experiment reports."""
+    """Per-radio PHY counters used by tests and the experiment reports.
+
+    ``frames_decoded`` counts the clean frames the MAC got, with a header
+    that survived its bit-error draw, and every clean frame the MAC does
+    not act on, whose header is never drawn.  ``frames_header_error``
+    counts only frames the MAC acts on.  Their sum is every clean frame.
+    """
 
     frames_sent: int = 0
     frames_decoded: int = 0
@@ -276,10 +283,11 @@ class Radio:
                 mac.on_frame_received(frame, result)
             else:
                 self.stats.frames_header_error += 1
-        elif self.channel.header_survives(frame, self, transmission.sender):
-            self.stats.frames_decoded += 1
         else:
-            self.stats.frames_header_error += 1
+            # Its header's fate would decide nothing: count it decoded, and
+            # let the link owe the draws.
+            self.stats.frames_decoded += 1
+            self.channel.owe_bit_errors(frame, self, transmission.sender)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Radio(node={self.node_id}, state={self.state.value})"

@@ -24,7 +24,7 @@ a ``SeedSequence`` from OS entropy and convert the counter word by word,
 then override both.  :func:`_philox_generator` passes the key through
 :class:`_PhiloxKey`, an ``ISeedSequence`` whose state is the key, and a
 shared read-only zero counter, which ``Philox`` copies: the same
-generator state at under half the cost (a Roofnet scenario builds ~800).
+generator state at under half the cost (a 1-s Roofnet scenario builds ~500).
 
 Keyed substreams
 ----------------
@@ -149,6 +149,16 @@ class RandomStreams:
             self._keyed[cache_key] = generator
         return generator
 
+    def forget(self, name: str) -> None:
+        """Drop every stream named ``name``, keyed or not, freeing its generators.
+
+        A stream asked for again afterwards restarts from its first draw,
+        so forget a name only when no draw under it follows, as when a
+        finished run frees its per-link generators.
+        """
+        self._streams.pop(name, None)
+        self._keyed = {key: generator for key, generator in self._keyed.items() if key[0] != name}
+
     def fork(self, offset: int) -> "RandomStreams":
         """A new registry with a seed offset; used for independent replications."""
         return RandomStreams(seed=self._seed + int(offset))
@@ -174,6 +184,9 @@ class UniformStream:
 
     BLOCK = 128
 
+    #: Most uniforms :meth:`skip` draws and discards per generator call.
+    SKIP_CHUNK = 1024
+
     __slots__ = ("generator", "_buffer", "_index")
 
     def __init__(self, generator: np.random.Generator) -> None:
@@ -191,20 +204,28 @@ class UniformStream:
         self._index = index + count
         return buffer[index : index + count]
 
-    def first_of(self, count: int) -> float:
-        """The first of the stream's next ``count`` uniforms; consumes all ``count``.
+    def skip(self, count: int) -> None:
+        """Consume the stream's next ``count`` uniforms without serving them.
 
-        Equal to ``take(count)[0]`` and leaves the stream where :meth:`take`
-        would, without building the list: for a caller that compares one
-        draw but must keep its place in the sequence.
+        The draws that follow are those that would follow ``take(count)``,
+        but no Python float is built: the buffered part is stepped over,
+        and the rest is drawn and discarded in chunks of at most
+        :attr:`SKIP_CHUNK`, so skipping a long run allocates no long array.
+        By the batching contract a discarded chunk leaves the generator
+        where serving it would.
         """
-        index = self._index
-        buffer = self._buffer
-        if index + count > len(buffer):
-            buffer = self._refill(index, count)
-            index = 0
-        self._index = index + count
-        return buffer[index]
+        index = self._index + count
+        unserved = index - len(self._buffer)
+        if unserved <= 0:
+            self._index = index
+            return
+        self._buffer = []
+        self._index = 0
+        random = self.generator.random
+        while unserved > 0:
+            chunk = min(unserved, self.SKIP_CHUNK)
+            random(chunk)
+            unserved -= chunk
 
     def _refill(self, index: int, count: int) -> List[float]:
         """The unserved tail from ``index`` on, then fresh draws: at least ``count``."""

@@ -67,7 +67,7 @@ class VoipFlow:
     def reset_stats(self) -> None:
         """Zero sender-side counters at the warmup/measurement boundary.
 
-        The receiver's delay samples are reset separately (by the experiment
+        The receiver's delay counters are reset separately (by the experiment
         harness) so :meth:`quality` scores only the measurement window.
         """
         self.stats = VoipFlowStats()
@@ -77,8 +77,7 @@ class VoipFlow:
     # ------------------------------------------------------------------
     def quality(self) -> VoipQuality:
         """Score the flow so far with the paper's E-model parameters."""
-        delays_ms = [delay / 1e6 for delay in self.receiver.stats.delays_ns]
-        return evaluate_voip(delays_ms, packets_sent=self.stats.packets_sent)
+        return evaluate_voip(self.receiver.stats.on_time, packets_sent=self.stats.packets_sent)
 
     # ------------------------------------------------------------------
     # Internals

@@ -8,9 +8,10 @@ are recorded at the receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
+from repro.metrics.mos import WIRELESS_DELAY_BUDGET_MS
 from repro.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.units import ns_to_seconds
@@ -26,14 +27,21 @@ class UdpDatagram:
 
 @dataclass(slots=True)
 class UdpStats:
-    """Sender/receiver counters for one UDP flow."""
+    """Sender/receiver counters for one UDP flow.
+
+    A receiver keeps no per-datagram delay: ``delay_sum_ns`` is the sum of
+    the one-way delays of the ``received`` datagrams, and ``on_time``
+    counts those within the paper's wireless delay budget, which is all
+    the flow summary and the E-model read.
+    """
 
     sent: int = 0
     sent_bytes: int = 0
     received: int = 0
     received_bytes: int = 0
     duplicates: int = 0
-    delays_ns: List[int] = field(default_factory=list)
+    delay_sum_ns: int = 0
+    on_time: int = 0
 
 
 class UdpSender:
@@ -104,9 +112,13 @@ class UdpReceiver:
             self.stats.duplicates += 1
             return
         self._seen.add(payload.seq)
-        self.stats.received += 1
-        self.stats.received_bytes += packet.size_bytes
-        self.stats.delays_ns.append(self.sim.now - packet.created_ns)
+        stats = self.stats
+        stats.received += 1
+        stats.received_bytes += packet.size_bytes
+        delay = self.sim.now - packet.created_ns
+        stats.delay_sum_ns += delay
+        if delay / 1e6 <= WIRELESS_DELAY_BUDGET_MS:
+            stats.on_time += 1
         if self._on_receive is not None:
             self._on_receive(packet)
 

@@ -76,30 +76,31 @@ class TestMos:
 
 class TestEvaluateVoip:
     def test_all_on_time_packets(self):
-        quality = evaluate_voip([10.0] * 100, packets_sent=100)
+        quality = evaluate_voip(100, packets_sent=100)
         assert quality.loss_rate == 0.0
         assert quality.mos > 3.8
 
     def test_late_packets_count_as_losses(self):
-        delays = [10.0] * 50 + [80.0] * 50  # half arrive beyond the 52 ms budget
-        quality = evaluate_voip(delays, packets_sent=100)
+        # Half arrive beyond the 52 ms budget, so only half count as on time
+        # (the UDP receiver counts them; tests/transport/test_udp.py).
+        quality = evaluate_voip(50, packets_sent=100)
         assert quality.loss_rate == pytest.approx(0.5)
         assert quality.mos < 2.5
 
     def test_missing_packets_count_as_losses(self):
-        quality = evaluate_voip([10.0] * 60, packets_sent=100)
+        quality = evaluate_voip(60, packets_sent=100)
         assert quality.loss_rate == pytest.approx(0.4)
 
     def test_no_packets_sent_is_worst_case(self):
-        quality = evaluate_voip([], packets_sent=0)
+        quality = evaluate_voip(0, packets_sent=0)
         assert quality.mos == 1.0
 
     def test_budget_constant_matches_paper(self):
         assert WIRELESS_DELAY_BUDGET_MS == 52.0
         assert MOUTH_TO_EAR_DELAY_MS == 177.0
 
-    @given(st.lists(st.floats(min_value=0, max_value=200), max_size=50))
-    def test_quality_always_in_range(self, delays):
-        quality = evaluate_voip(delays, packets_sent=max(len(delays), 1))
+    @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50))
+    def test_quality_always_in_range(self, on_time, lost):
+        quality = evaluate_voip(on_time, packets_sent=max(on_time + lost, 1))
         assert 1.0 <= quality.mos <= 4.5
         assert 0.0 <= quality.loss_rate <= 1.0

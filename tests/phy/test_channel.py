@@ -2,17 +2,19 @@
 
 import pytest
 
+from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.mac.frames import FrameKind, MacFrame, SubPacket
 from repro.mac.timing import DEFAULT_TIMING
 from repro.packet import Packet
 from repro.phy.channel import WirelessChannel
 from repro.phy.error_models import BitErrorModel
-from repro.phy.params import PhyParams
+from repro.phy.params import LOW_RATE_PHY, PhyParams
 from repro.phy.propagation import ShadowingPropagation
 from repro.phy.radio import Radio, RadioState
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.units import us
+from repro.topology.roofnet import roofnet_scenario
 
 
 class RecordingMac:
@@ -286,24 +288,75 @@ class TestBitErrors:
         p = channel.link_delivery_probability(radios[0], radios[1], frame_bits=8000)
         assert 0.85 < p < 0.95  # ~0.92 from BER alone at this short distance
 
-    def test_header_only_draws_consume_the_link_stream_like_full_draws(self):
-        # Interleaving header-only draws with full evaluations must leave the
-        # link's later draws where full evaluations alone would.  The frame
-        # with 130 sub-packets takes more uniforms than one buffered block.
+    def test_owed_draws_leave_the_link_stream_where_full_draws_would(self):
+        # Frames nothing acts on owe their draws; the full evaluations that
+        # follow must read what full evaluations alone would.  The link owes
+        # before its first evaluation, and the frame with 130 sub-packets
+        # takes more uniforms than one buffered block.
         _, mixed, mixed_radios, _ = build([(0, 0), (100, 0)], ber=1e-4, seed=4)
         _, full, full_radios, _ = build([(0, 0), (100, 0)], ber=1e-4, seed=4)
         frames = [make_frame(n_sub=k % 5) for k in range(60)] + [make_frame(n_sub=130)] * 3
+        frames.append(make_frame(n_sub=2))
+        results = []
         for k, frame in enumerate(frames):
             expected = full.apply_bit_errors(frame, full_radios[1], full_radios[0])
-            if k % 3:
-                survives = mixed.header_survives(frame, mixed_radios[1], mixed_radios[0])
-                assert survives == expected.header_ok
+            results.append(expected)
+            if k % 3 != 2 and k != len(frames) - 1:
+                mixed.owe_bit_errors(frame, mixed_radios[1], mixed_radios[0])
             else:
                 assert mixed.apply_bit_errors(frame, mixed_radios[1], mixed_radios[0]) == expected
-        # The draws exercised both outcomes of the header check.
-        assert 0 < sum(
-            full.header_survives(frame, full_radios[1], full_radios[0]) for frame in frames
-        ) < len(frames)
+        # The draws exercised both outcomes of the header and sub-packet checks.
+        assert 0 < sum(result.header_ok for result in results) < len(results)
+        flags = [ok for result in results for ok in result.subpacket_ok]
+        assert any(flags) and not all(flags)
+
+    def test_table_overflow_drops_owed_counts(self, monkeypatch):
+        # The documented overflow contract: a link's entry goes with the
+        # table, so a link that never built its generator reads the
+        # positions it owed, from its first draw.
+        frames = [make_frame(n_sub=4) for _ in range(40)]
+
+        def draws(cap, owe):
+            monkeypatch.setattr(WirelessChannel, "LINK_FADES_MAX", cap)
+            _, channel, radios, _ = build([(0, 0), (100, 0), (200, 0)], ber=1e-4, seed=4)
+            if owe:
+                channel.owe_bit_errors(frames[0], radios[1], radios[0])
+                channel.owe_bit_errors(frames[0], radios[2], radios[0])  # a second link
+            return [channel.apply_bit_errors(frame, radios[1], radios[0]) for frame in frames]
+
+        overflowed = draws(1, owe=True)
+        assert overflowed == draws(1 << 16, owe=False)
+        assert overflowed != draws(1 << 16, owe=True)
+
+    def test_only_links_a_mac_acted_on_build_a_bit_error_generator(self, monkeypatch):
+        # On Roofnet most links carry only frames no MAC acts on.
+        built, acted, owed = set(), set(), set()
+        stream_for = RandomStreams.stream_for
+        apply_bit_errors = WirelessChannel.apply_bit_errors
+        owe_bit_errors = WirelessChannel.owe_bit_errors
+
+        def recording_stream_for(streams, name, *keys):
+            if name == "biterror":
+                built.add(keys)
+            return stream_for(streams, name, *keys)
+
+        def recording_apply(channel, frame, receiver=None, sender=None):
+            acted.add((sender.node_id, receiver.node_id))
+            return apply_bit_errors(channel, frame, receiver, sender)
+
+        def recording_owe(channel, frame, receiver, sender):
+            owed.add((sender.node_id, receiver.node_id))
+            owe_bit_errors(channel, frame, receiver, sender)
+
+        monkeypatch.setattr(RandomStreams, "stream_for", recording_stream_for)
+        monkeypatch.setattr(WirelessChannel, "apply_bit_errors", recording_apply)
+        monkeypatch.setattr(WirelessChannel, "owe_bit_errors", recording_owe)
+        run_scenario(ScenarioConfig(
+            topology=roofnet_scenario(seed=7), phy=LOW_RATE_PHY, scheme_label="D",
+            duration_s=0.1, seed=5001,
+        ))
+        assert built == acted
+        assert len(owed - acted) > len(acted)
 
     def test_distance_helper(self):
         sim, channel, radios, macs = build([(0, 0), (3, 4)])

@@ -9,7 +9,11 @@ no-capture model in its most literal form:
 * :class:`ReferenceRadio` keeps a dict of those records with ``interfered``
   flags, and for every clean decodable frame draws the whole bit-error
   result and calls ``on_frame_received``, whether or not the MAC's
-  ``acts_on`` accepts the frame.
+  ``acts_on`` accepts the frame.  So every link's bit-error stream advances
+  by every frame decoded over it, where the radio under test draws only
+  for frames a MAC acts on.  Only its accounting follows the radio under
+  test: a frame the MAC does not act on counts in ``frames_decoded``
+  whatever its header's draw said.
 
 The channel's signal runs, the radio's counted carrier sense and its
 interest-filtered delivery must give every callback the same instant and
@@ -109,11 +113,13 @@ class ReferenceRadio(Radio):
         transmission = reception.transmission
         frame = transmission.frame
         result = self.channel.apply_bit_errors(frame, receiver=self, sender=transmission.sender)
-        if not result.header_ok:
+        # The radio under test never draws a frame nothing acts on, so
+        # such a frame counts as decoded whatever its draw said.
+        if not result.header_ok and self.mac is not None and self.mac.acts_on(frame):
             self.stats.frames_header_error += 1
             return
         self.stats.frames_decoded += 1
-        if self.mac is not None:
+        if result.header_ok and self.mac is not None:
             self.mac.on_frame_received(frame, result)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ class TestKeyedStreams:
         probe_culled = culled.stream_for("shadowing", 2, 3)
         probe_culled.random(3)  # only this link ever draws
         assert list(probe_culled.random(5)) == list(probe_full)
+
+    def test_forget_drops_one_name_and_its_streams_restart(self):
+        streams = RandomStreams(seed=11)
+        link = streams.stream_for("biterror", 0, 1)
+        first = link.random(3).tolist()
+        backoff = streams.stream_for("backoff", 0)
+        backoff.random(3)
+        streams.forget("biterror")
+        restarted = streams.stream_for("biterror", 0, 1)
+        assert restarted is not link
+        assert restarted.random(3).tolist() == first
+        # Other names keep their generators and their place.
+        assert streams.stream_for("backoff", 0) is backoff
 
     def test_keyed_stream_is_cached_and_stateful(self):
         streams = RandomStreams(seed=2)
@@ -219,12 +233,24 @@ class TestUniformStream:
         assert uniforms.next_float() == scalar.random()
 
     @pytest.mark.parametrize("offset", [0, 1, 100, 127, 128, 129, 255])
-    @pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
-    def test_first_of_equals_take_and_leaves_the_stream_where_take_does(self, offset, count):
+    @pytest.mark.parametrize("count", [1, 127, 128, 129, 300, 100_000])
+    def test_skip_leaves_the_stream_where_take_does(self, offset, count):
         uniforms = UniformStream(RandomStreams(seed=3).stream_for("biterror", 0, 1))
         reference = UniformStream(RandomStreams(seed=3).stream_for("biterror", 0, 1))
         assert uniforms.take(offset) == reference.take(offset)
-        assert uniforms.first_of(count) == reference.take(count)[0]
-        assert (uniforms._buffer, uniforms._index) == (reference._buffer, reference._index)
-        assert uniforms.take(5) == reference.take(5)
+        uniforms.skip(count)
+        reference.take(count)
+        assert uniforms.take(300) == reference.take(300)
         assert uniforms.next_float() == reference.next_float()
+
+    def test_a_long_skip_allocates_a_bounded_array(self):
+        uniforms = UniformStream(RandomStreams(seed=3).stream_for("biterror", 0, 1))
+        uniforms.take(5)
+        tracemalloc.start()
+        try:
+            uniforms.skip(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 100,000 float64s are 800 KB; a chunk is 8 KB.
+        assert peak < 16 * UniformStream.SKIP_CHUNK

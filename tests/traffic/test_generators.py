@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.experiments.mobility import mobility_voip_grid
+from repro.experiments.runner import run_scenario
+from repro.metrics.mos import WIRELESS_DELAY_BUDGET_MS, evaluate_voip
 from repro.sim.engine import Simulator
 from repro.sim.units import ms, seconds
 from repro.traffic.cbr import CbrSource, SaturatingSource
@@ -147,3 +150,34 @@ class TestCbrSources:
         sent = source.stats.packets_sent
         net.run_seconds(0.2)
         assert source.stats.packets_sent == sent
+
+
+class TestVoipDelayCounters:
+    def test_counters_give_what_the_delay_samples_gave(self, monkeypatch):
+        # The receiver keeps a delay sum and an on-time count instead of one
+        # sample per datagram.  Both summaries must equal the formulas over
+        # the samples, recorded here from the same run.  (The budget's edge
+        # is tested in tests/transport/test_udp.py.)
+        samples = {}
+        on_packet = UdpReceiver._on_packet
+
+        def recording_on_packet(receiver, packet):
+            received = receiver.stats.received
+            on_packet(receiver, packet)
+            if receiver.stats.received > received:
+                delay = receiver.sim.now - packet.created_ns
+                samples.setdefault(receiver.flow_id, []).append(delay)
+
+        monkeypatch.setattr(UdpReceiver, "_on_packet", recording_on_packet)
+        (config,), _ = mobility_voip_grid((10.0,), ("D",), 10, duration_s=1.0, seed=1)
+        result = run_scenario(config)
+        assert len(result.flows) == len(samples) == 10
+        for flow in result.flows:
+            delays = samples[flow.flow_id]
+            assert flow.mean_delay_ms == sum(delays) / len(delays) / 1e6
+            delays_ms = [delay / 1e6 for delay in delays]
+            on_time = [d for d in delays_ms if d <= WIRELESS_DELAY_BUDGET_MS]
+            assert result.voip_quality[flow.flow_id] == evaluate_voip(
+                len(on_time), packets_sent=flow.packets_sent
+            )
+        assert any(quality.loss_rate > 0 for quality in result.voip_quality.values())

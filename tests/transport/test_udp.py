@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.metrics.mos import WIRELESS_DELAY_BUDGET_MS
 from repro.packet import Packet
-from repro.transport.udp import UdpReceiver, UdpSender
+from repro.transport.udp import UdpDatagram, UdpReceiver, UdpSender
 from tests.conftest import build_chain_network
 
 
@@ -29,8 +30,23 @@ class TestUdp:
         sender, receiver = make_udp(net, 0, 1)
         sender.send(500)
         net.run_seconds(0.05)
-        assert len(receiver.stats.delays_ns) == 1
-        assert receiver.stats.delays_ns[0] > 0
+        assert receiver.stats.received == 1
+        assert receiver.stats.delay_sum_ns > 0
+        assert receiver.stats.on_time == 1
+
+    def test_on_time_counts_delays_within_the_wireless_budget(self):
+        net, _ = build_chain_network("dcf", n_nodes=2, ber=0.0, shadowing_deviation=0.0)
+        _, receiver = make_udp(net, 0, 1)
+        net.run_seconds(0.1)
+        budget_ns = int(WIRELESS_DELAY_BUDGET_MS * 1e6)
+        for seq, delay in enumerate([budget_ns, budget_ns + 1, 5]):
+            net.node(1).transport.receive(Packet(
+                src=0, dst=1, size_bytes=100, flow_id=9, seq=seq, kind="udp",
+                created_ns=net.sim.now - delay, payload=UdpDatagram(flow_id=9, seq=seq),
+            ))
+        assert receiver.stats.received == 3
+        assert receiver.stats.delay_sum_ns == 2 * budget_ns + 6
+        assert receiver.stats.on_time == 2
 
     def test_no_retransmission_on_loss(self):
         net, _ = build_chain_network("dcf", n_nodes=2, hop_m=320.0, seed=5)
