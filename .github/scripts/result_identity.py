@@ -7,7 +7,12 @@ Three steps, each run with ``PYTHONPATH`` naming the tree it reads:
     python .github/scripts/result_identity.py compare parent.json change.json
 
 ``documents`` writes the tree's ``golden_documents()``, the panel that
-covers every registered component.  ``run`` parses each document with the
+covers every registered component, plus one document per fading model
+(``phy.propagation=rayleigh`` and ``=rician``) that also carries the
+``mobility=random_waypoint`` document's mobility block, so dispatch plans
+invalidated by moves meet each model's fade draws.  Those two are labelled
+``cross:<propagation label>+<mobility label>``, which no golden label can
+take.  ``run`` parses each document with the
 tree's ``ScenarioConfig.from_dict``, runs it through ``run_scenario`` and
 records its canonical ``ScenarioResult.to_dict()`` and the tree's
 ``CACHE_SCHEMA_VERSION``; a document the tree cannot parse is recorded
@@ -20,11 +25,21 @@ import json
 import sys
 
 
+#: The golden labels whose documents are crossed: fading models with mobility.
+CROSSED_PROPAGATION = ("phy.propagation=rayleigh", "phy.propagation=rician")
+CROSSED_MOBILITY = "mobility=random_waypoint"
+
+
 def write_documents(out_path):
     from repro.corpus.golden import golden_documents
 
+    documents = golden_documents()
+    mobility = documents[CROSSED_MOBILITY]["mobility"]
+    for label in CROSSED_PROPAGATION:
+        crossed = dict(documents[label], mobility=mobility)
+        documents[f"cross:{label}+{CROSSED_MOBILITY}"] = crossed
     with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(golden_documents(), handle, indent=1, sort_keys=True)
+        json.dump(documents, handle, indent=1, sort_keys=True)
 
 
 def run_documents(documents_path, out_path):

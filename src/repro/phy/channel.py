@@ -16,9 +16,9 @@ Roofnet scenarios.
 
 Bit errors (the i.i.d. BER model) are applied at reception completion by
 the receiving radio via :meth:`WirelessChannel.apply_bit_errors`, for a
-frame its MAC acts on.  A frame no MAC acts on draws nothing; its link
-owes the draws instead (:meth:`WirelessChannel.owe_bit_errors`, and
-"Owed bit-error draws" below).
+frame its MAC acts on.  A frame no MAC acts on draws nothing; the
+receiving radio counts the draws it owes the link instead ("Owed
+bit-error draws" below).
 
 Hot-path design
 ---------------
@@ -33,14 +33,20 @@ draws fading and bit errors from its *own* keyed RNG stream
 shared stream, culling one receiver would have shifted every other
 link's sample path.
 
-Fade draws are **batched across the whole candidate list**: the plan
-fills a ``(BLOCK, k)`` matrix column-by-column from the per-link fade
-buffers (each column is one link's own keyed stream, so per-link sample
-paths stay independent and registration-order-free), adds the
-precomputed mean powers in one vectorised operation, and serves one
-ready-made row of received powers per transmission.  Per frame the
-dispatch loop is then pure Python-float compares — no numpy scalar
-dispatch at all.
+Fade draws are **batched across the whole candidate list**: each plan
+owns one Fortran-order matrix of raw draws, ``BATCH`` (64) fades deep
+with a column per candidate, and once per 64 frames fills every column
+in place from that link's own keyed generator (the propagation model's
+:meth:`~repro.phy.propagation.PathLossModel.fill_raw`), so per-link
+sample paths stay independent and registration-order-free.  Every
+``BLOCK`` (16) frames one vectorised transform
+(:meth:`~repro.phy.propagation.PathLossModel.fades_from_raw`) turns the
+next 16 rows of all columns into fades, adds the precomputed mean powers
+and compares each power with both thresholds, giving one row of sensing
+codes per transmission: 0 not sensed, 1 sensed, 2 decodable.  The
+powers and compares are those of a per-receiver loop, ``mean + fade`` in
+float64 against each threshold.  Per frame the dispatch loop then tests
+small Python ints — no numpy call and no float compare at all.
 
 Each plan is sorted by propagation delay once, when it is built, and
 carries each receiver's ``(delay, signal_start, signal_end)`` entry with
@@ -56,17 +62,23 @@ the signals it senses plus the one clean frame among them (see
 :mod:`repro.phy.radio`).  Plans are invalidated whenever any radio moves
 or registers; runs already in flight keep the entries they were given.
 The per-link fade streams survive invalidation, so a rebuilt plan
-continues each link's draws instead of restarting them.  But the rows
-of the dropped plan's current block that no frame was served yet are
-lost with it, so under mobility the fades a link's frames get depend on
-when stations moved (deterministically: the same seed gives the same
-run).
+continues each link's draws instead of restarting them: before a plan is
+dropped it hands each link its raw draws beyond the current block (one
+copy per plan), and a rebuilt plan's first fill serves each link's carry
+first, topping columns up from their generators only to the longest
+carry among its links, so it draws no fade a whole-batch fill would not.
+The rows of the dropped plan's current block that no frame was served
+yet are lost with it, so under mobility the fades a link's frames get
+depend on when stations moved (deterministically: the same seed gives
+the same run).  A link that leaves every plan keeps its carry until one
+takes it again.
 
 A finished network is cyclic garbage (radio and channel, radio and MAC,
 and the radio callbacks in the plans refer to each other), so only a full
-collection would free those buffers.  :meth:`WirelessChannel.release`
-frees them, and the per-link generators the stream registry keeps, as
-soon as a run is summarised; the counters stay.
+collection would free the plans' matrices and the links' streams.
+:meth:`WirelessChannel.release` drops them, without handing draws back,
+and the per-link generators the stream registry keeps, as soon as a run
+is summarised; the counters stay.
 
 Owed bit-error draws
 --------------------
@@ -74,14 +86,18 @@ A link's bit-error uniforms come from its own keyed stream, read in the
 order frames end at the receiver, ``1 + len(subpackets)`` per frame.  On
 a mesh most frames a radio decodes are ones its MAC ignores, and their
 draws would only choose between two :class:`~repro.phy.radio.RadioStats`
-counters.  So such a frame draws nothing: its link adds the uniforms the
-frame would have consumed to an owed count.  The link builds its
-:class:`~repro.sim.rng.UniformStream`, and the Philox generator behind
-it, only when a MAC first acts on a frame over it, and every read skips
-what is owed first (:meth:`~repro.sim.rng.UniformStream.skip`).  So each
-frame a MAC acts on reads the same positions of its link's sequence as if
-every frame had drawn, and a link that only ever carries ignored frames
-never builds a generator.
+counters.  So such a frame draws nothing: the receiving radio adds the
+uniforms the frame would have consumed to ``Radio.owed``, its owed count
+per sender, in ``_signal_end`` itself, with no call into the channel.  A
+link builds its :class:`~repro.sim.rng.UniformStream`, and the Philox
+generator behind it, only when a MAC first acts on a frame over it, and
+every read first pops what the receiver owes that sender and skips it
+(:meth:`~repro.sim.rng.UniformStream.skip`).  So each frame a MAC acts on
+reads the same positions of its link's sequence as if every frame had
+drawn, and a link that only ever carries ignored frames never builds a
+generator.  The owed counts are bounded by the senders a radio decodes,
+and survive a :data:`WirelessChannel.LINK_FADES_MAX` overflow, which
+drops only built streams.
 """
 
 from __future__ import annotations
@@ -103,57 +119,22 @@ from repro.sim.rng import RandomStreams, UniformStream
 
 
 class _LinkFadeStream:
-    """Buffered, bounded fade draws for one (sender, receiver) link.
+    """One directed link's fade generator, plus what a dropped plan handed back.
 
-    Scalar generator calls cost ~1.5 us each in numpy call overhead;
-    drawing a batch through the propagation model's ``fade_batch_db`` and
-    serving it block-wise produces the *identical* value sequence (models
-    fill vectorised draws from the same bit stream in order — the
-    hot-path contract in :mod:`repro.phy.propagation`) at a fraction of
-    the cost.  The buffer belongs to the link's keyed RNG stream, not to
-    the dispatch-plan cache: geometry invalidation rebuilds plans but
-    keeps these objects, so a rebuilt plan continues the link's draws.
-    Draws a dropped plan had taken into its block but not served are
-    skipped (see the module notes).
+    The generator is the link's own keyed stream, and only the one plan
+    that holds the link reads it, into the link's column.  ``carry`` is
+    None or the raw draws an invalidated plan had drawn beyond its current
+    block (a contiguous vector, the link's next draws in order); the next
+    plan that holds the link serves them first.  These objects are keyed
+    by link, not by plan: geometry invalidation rebuilds plans but keeps
+    them, so a rebuilt plan continues each link's draws.
     """
 
-    #: Draws pulled from the generator per refill; must be a multiple of
-    #: :attr:`_DispatchPlan.BLOCK` so block serving never straddles a refill.
-    BATCH = 64
+    __slots__ = ("generator", "carry")
 
-    __slots__ = ("generator", "propagation", "_buffer", "_index")
-
-    def __init__(self, generator: np.random.Generator, propagation) -> None:
+    def __init__(self, generator: np.random.Generator) -> None:
         self.generator = generator
-        self.propagation = propagation
-        self._buffer: Optional[np.ndarray] = None
-        self._index = 0
-
-    def take_block(self, count: int) -> np.ndarray:
-        """The link's next ``count`` bounded fades, in dB (an ndarray view)."""
-        index = self._index
-        buffer = self._buffer
-        if buffer is None or index >= len(buffer):
-            buffer = self.propagation.fade_batch_db(self.generator, self.BATCH)
-            self._buffer = buffer
-            index = 0
-        self._index = index + count
-        return buffer[index : index + count]
-
-
-class _LinkNoise:
-    """One directed link's bit-error uniforms, built on first read (module notes).
-
-    ``owed`` counts the uniforms of the frames decoded over the link that
-    no MAC acted on since the last read.  ``uniforms`` stays None, and no
-    generator exists, until a MAC first acts on a frame over the link.
-    """
-
-    __slots__ = ("uniforms", "owed")
-
-    def __init__(self) -> None:
-        self.uniforms: Optional[UniformStream] = None
-        self.owed = 0
+        self.carry: Optional[np.ndarray] = None
 
 
 class _DispatchPlan:
@@ -162,43 +143,111 @@ class _DispatchPlan:
     Candidates are in delay order.  ``entries`` holds per-candidate
     ``(delay_ns, signal_start, signal_end)`` tuples — the bound radio
     callbacks are created once here instead of twice per frame in the
-    dispatch loop.  ``refill`` assembles the next ``BLOCK``
-    transmissions' received-power rows in one vectorised pass: column
-    ``j`` of the fade matrix comes from candidate ``j``'s own link
-    stream, so batching across the candidate list never couples links.
+    dispatch loop.  The plan owns one Fortran-order matrix of raw fade
+    draws with a column per candidate: :meth:`refill` fills every column
+    from its own link's generator once per :attr:`BATCH` frames and turns
+    the next :attr:`BLOCK` rows of all columns into sensing codes at once,
+    so batching across the candidate list never couples links.
     """
 
-    #: Transmissions' worth of power rows produced per vectorised refill.
+    #: Transmissions' worth of sensing codes produced per vectorised refill.
     BLOCK = 16
+    #: Fades drawn per column per fill; a multiple of :attr:`BLOCK`, so a
+    #: block never straddles two fills.
+    BATCH = 64
 
-    __slots__ = ("radios", "entries", "fade_streams", "means", "end_own", "rows", "row_index", "_matrix")
+    __slots__ = (
+        "radios", "entries", "links", "means", "end_own", "rows", "row_index",
+        "_propagation", "_sensed_dbm", "_decoded_dbm", "_raw", "_next", "_end",
+    )
 
     def __init__(
         self,
         radios: List[Radio],
         entries: List[Tuple[int, object, object]],
-        fade_streams: List[_LinkFadeStream],
+        links: List[_LinkFadeStream],
         means: np.ndarray,
         end_own,
+        propagation: PathLossModel,
+        params: PhyParams,
     ) -> None:
         self.radios = radios
         self.entries = entries
-        self.fade_streams = fade_streams
+        self.links = links
         self.means = means
         self.end_own = end_own
-        self.rows: List[List[float]] = []
+        #: The current block's sensing codes, one row per transmission.
+        self.rows: List[List[int]] = []
         self.row_index = 0
-        self._matrix = np.empty((self.BLOCK, len(fade_streams))) if fade_streams else None
+        self._propagation = propagation
+        self._sensed_dbm = params.cs_threshold_dbm
+        # A power that reaches both thresholds is decodable: the larger one.
+        self._decoded_dbm = max(params.cs_threshold_dbm, params.rx_threshold_dbm)
+        depth = self.BATCH * propagation.raw_per_fade
+        self._raw = np.empty((depth, len(links)), order="F")
+        #: Raw rows of the next block, and raw rows filled.  ``_end`` is 0
+        #: until the first fill, which takes the links' carries.
+        self._next = 0
+        self._end = 0
 
-    def refill(self) -> List[List[float]]:
-        """Produce the next ``BLOCK`` rows of per-candidate received powers."""
-        matrix = self._matrix
-        block = self.BLOCK
-        for column, fades in enumerate(self.fade_streams):
-            matrix[:, column] = fades.take_block(block)
-        rows = (matrix + self.means).tolist()
+    def refill(self) -> List[List[int]]:
+        """The next ``BLOCK`` rows of per-candidate sensing codes.
+
+        Code 0: the power misses the carrier-sense threshold; 1: it is
+        sensed; 2: it is also decodable.  The power is ``mean + fade`` in
+        float64, compared with each threshold as the per-receiver loop
+        compared it.
+        """
+        start = self._next
+        if start >= self._end:
+            self._fill()
+            start = 0
+        stop = self._next = start + self.BLOCK * self._propagation.raw_per_fade
+        powers = self.means + self._propagation.fades_from_raw(self._raw[start:stop])
+        codes = (powers >= self._sensed_dbm).view(np.int8)
+        codes += powers >= self._decoded_dbm
+        rows = codes.tolist()
         self.rows = rows
         return rows
+
+    def _fill(self) -> None:
+        """Refill every column from its first row.
+
+        The first fill puts each link's carry first and tops every column
+        up only to the longest carry, so it draws no fade a whole-batch
+        fill would not; without carries, and at every later fill, each
+        column draws a whole batch.
+        """
+        fill = self._propagation.fill_raw
+        raw = self._raw
+        end = len(raw)
+        if not self._end:
+            carried = [len(link.carry) for link in self.links if link.carry is not None]
+            end = max(carried, default=0) or end
+        for index, link in enumerate(self.links):
+            column = raw[:, index]
+            kept = 0
+            if link.carry is not None:
+                kept = len(link.carry)
+                column[:kept] = link.carry
+                link.carry = None
+            if kept < end:
+                fill(link.generator, column[kept:end])
+        self._end = end
+
+    def hand_back(self) -> None:
+        """Give every link the raw draws beyond the current block, as this plan is dropped.
+
+        One copy for the whole plan; each link's carry is its column of
+        it.  The current block's unserved rows are lost (module notes).  A
+        plan that never filled took no carries, so it has nothing to give.
+        """
+        start, end = self._next, self._end
+        if start >= end:
+            return
+        tail = np.array(self._raw[start:end], order="F")
+        for column, link in enumerate(self.links):
+            link.carry = tail[:, column]
 
 
 @dataclass(slots=True)
@@ -240,7 +289,7 @@ class WirelessChannel:
         "_distance_cache",
         "_plans",
         "_link_fades",
-        "_link_noise",
+        "_link_uniforms",
         "_prob_cache",
     )
 
@@ -248,15 +297,15 @@ class WirelessChannel:
     #: thousands of stations, where a rare full drop is cheaper than growth.
     DISTANCE_CACHE_MAX = 1 << 16
 
-    #: Hard cap on per-link stream buffers (fades and bit-error uniforms,
-    #: each ~1 KB: a Generator plus a batch).  Overflow drops the whole
-    #: table, owed bit-error counts included: the keyed stream registry
-    #: retains every generator's state, so surviving links resume their
-    #: sample paths minus any unserved buffered draws, and a link's next
-    #: frames read the positions it owed instead of skipping them (a link
-    #: that never built its generator reads them from its first draw) — a
-    #: deterministic (same-seed-same-everything) but real perturbation,
-    #: which is why the cap is far above any current workload's link count.
+    #: Hard cap on each per-link stream table (fade streams and bit-error
+    #: uniforms, each ~1 KB: a Generator plus its draws).  Overflow drops
+    #: that whole table.  The keyed stream registry retains every
+    #: generator's state, so surviving links resume their sample paths
+    #: minus any drawn but unserved draws (a fade carry, a uniform
+    #: buffer); the owed bit-error counts live on the radios and survive,
+    #: so a rebuilt uniform stream still skips them — a deterministic
+    #: (same-seed-same-everything) but real perturbation, which is why the
+    #: cap is far above any current workload's link count.
     LINK_FADES_MAX = 1 << 16
 
     def __init__(
@@ -285,12 +334,12 @@ class WirelessChannel:
         self._distance_cache: Dict[Tuple[int, int], float] = {}
         #: Per-sender dispatch plans (see module docstring).
         self._plans: Dict[int, _DispatchPlan] = {}
-        #: Per-link fade buffers; keyed by (sender, receiver) node ids and
+        #: Per-link fade streams; keyed by (sender, receiver) node ids and
         #: deliberately *not* geometry-invalidated (fades are i.i.d. per
         #: frame, so they stay valid when stations move).
         self._link_fades: Dict[Tuple[int, int], _LinkFadeStream] = {}
-        #: Per-link bit-error uniforms and owed counts, same lifecycle as fades.
-        self._link_noise: Dict[Tuple[int, int], _LinkNoise] = {}
+        #: Per-link bit-error uniforms, built on first use (module notes).
+        self._link_uniforms: Dict[Tuple[int, int], UniformStream] = {}
         #: Memoised block success probabilities (few distinct bit counts).
         self._prob_cache: Dict[int, float] = {}
 
@@ -345,20 +394,16 @@ class WirelessChannel:
             if row_index >= len(rows):
                 rows = plan.refill()
                 row_index = 0
-            powers = rows[row_index]
+            codes = rows[row_index]
             plan.row_index = row_index + 1
-            params = self.params
-            cs_threshold = params.cs_threshold_dbm
-            rx_threshold = params.rx_threshold_dbm
             sensed: List[Tuple[int, object, object]] = []
             payloads: List[Optional[Transmission]] = []
             add_sensed = sensed.append
             add_payload = payloads.append
-            for entry, power in zip(entries, powers):
-                if power < cs_threshold:
-                    continue  # too weak even to sense: no carrier, no interference
-                add_sensed(entry)
-                add_payload(transmission if power >= rx_threshold else None)
+            for entry, code in zip(entries, codes):
+                if code:  # 0: too weak even to sense, no carrier, no interference
+                    add_sensed(entry)
+                    add_payload(transmission if code == 2 else None)
             if sensed:
                 self.stats.deliveries_attempted += len(sensed)
                 sim.schedule_runs(now, now + duration_ns, sensed, payloads)
@@ -385,10 +430,10 @@ class WirelessChannel:
         still misses the carrier-sense threshold — a *sound* cull, not a
         heuristic one.  Each entry carries the link's deterministic power
         and propagation delay (both pure functions of the frozen geometry)
-        so per-frame dispatch is one buffered fade row and a compare per
-        candidate.  The per-link fade streams outlive the plan, so
-        rebuilding it after a move continues each link's draws instead of
-        restarting them, minus the rows the old plan drew and never served.
+        so per-frame dispatch is one precomputed code per candidate.  The
+        per-link fade streams outlive the plan, so rebuilding it after a
+        move continues each link's draws instead of restarting them, minus
+        the rows of the old plan's current block that it never served.
         """
         propagation = self.propagation
         params = self.params
@@ -421,17 +466,16 @@ class WirelessChannel:
             [candidate[2] for candidate in candidates],
             np.array([candidate[3] for candidate in candidates]),
             sender._end_own_transmission,
+            propagation,
+            params,
         )
 
     def _fades_for(self, sender_id: int, receiver_id: int) -> _LinkFadeStream:
-        """The (cached) buffered fade stream of one directed link."""
+        """The (cached) fade stream of one directed link."""
         key = (sender_id, receiver_id)
         fades = self._link_fades.get(key)
         if fades is None:
-            fades = _LinkFadeStream(
-                self.rng.stream_for("shadowing", sender_id, receiver_id),
-                self.propagation,
-            )
+            fades = _LinkFadeStream(self.rng.stream_for("shadowing", sender_id, receiver_id))
             if len(self._link_fades) >= self.LINK_FADES_MAX:
                 self._link_fades.clear()
             self._link_fades[key] = fades
@@ -449,21 +493,28 @@ class WirelessChannel:
         return list(self._plan_for(sender).radios)
 
     def _invalidate_geometry(self) -> None:
-        """Drop every geometry-derived cache (distances, dispatch plans)."""
+        """Drop every geometry-derived cache (distances, dispatch plans).
+
+        Each dropped plan first hands its links the draws beyond its
+        current block, so the next plans continue them (module notes).
+        """
         self._distance_cache.clear()
+        for plan in self._plans.values():
+            plan.hand_back()
         self._plans.clear()
 
     def release(self) -> None:
-        """Free the plans, per-link streams and owed counts of a finished run.
+        """Free the plans and per-link streams of a finished run.
 
-        The stream registry forgets the per-link generators too.
-        :attr:`stats` and every radio's and MAC's counters stay readable.
-        The channel must not transmit afterwards: its links would restart
-        their sample paths.
+        Plans go without handing anything back, and the stream registry
+        forgets the per-link generators too.  :attr:`stats` and every
+        radio's and MAC's counters stay readable.  The channel must not
+        transmit afterwards: its links would restart their sample paths.
         """
-        self._invalidate_geometry()
+        self._distance_cache.clear()
+        self._plans.clear()
         self._link_fades.clear()
-        self._link_noise.clear()
+        self._link_uniforms.clear()
         self.rng.forget("shadowing")
         self.rng.forget("biterror")
 
@@ -478,22 +529,23 @@ class WirelessChannel:
         draws come from the link's keyed stream — buffered through a
         :class:`~repro.sim.rng.UniformStream`, which serves the identical
         uniform sequence as scalar draws — keeping bit-error sample paths
-        independent across forwarders.  What the link owes
-        (:meth:`owe_bit_errors`) is skipped first.  Anonymous callers fall
-        back to the shared ``biterror`` stream.
+        independent across forwarders.  What the receiver owes the link
+        (``receiver.owed``, module notes) is skipped first.  Anonymous
+        callers fall back to the shared ``biterror`` stream.
         """
         if receiver is None or sender is None:
             rng = self.rng.stream("biterror")
             subpacket_bits = [subpacket.bits for subpacket in frame.subpackets]
             return self.error_model.evaluate_frame(frame.header_bits, subpacket_bits, rng)
         subpackets = frame.subpackets
-        key = (sender.node_id, receiver.node_id)
-        link = self._link_noise.get(key)
-        if link is None:
-            link = self._new_link_noise(key)
-        uniforms = link.uniforms
-        if uniforms is None or link.owed:
-            uniforms = self._settle(link, key)
+        sender_id = sender.node_id
+        key = (sender_id, receiver.node_id)
+        uniforms = self._link_uniforms.get(key)
+        if uniforms is None:
+            uniforms = self._new_uniforms(key)
+        skipped = receiver.owed.pop(sender_id, 0)
+        if skipped:
+            uniforms.skip(skipped)
         draws = uniforms.take(1 + len(subpackets))
         # Block success probabilities are memoised in a plain dict:
         # ``BitErrorModel.success_probability`` is already lru_cache-backed,
@@ -520,33 +572,11 @@ class WirelessChannel:
             append(draws[index] < probability)
         return FrameErrorResult(header_ok=header_ok, subpacket_ok=subpacket_ok)
 
-    def owe_bit_errors(self, frame, receiver: Radio, sender: Radio) -> None:
-        """Record that ``receiver`` decoded ``frame`` from ``sender`` and nothing acts on it.
-
-        No draw is made: the link owes the ``1 + len(frame.subpackets)``
-        uniforms :meth:`apply_bit_errors` would have consumed, and its next
-        evaluation skips them (module notes).
-        """
-        key = (sender.node_id, receiver.node_id)
-        link = self._link_noise.get(key)
-        if link is None:
-            link = self._new_link_noise(key)
-        link.owed += 1 + len(frame.subpackets)
-
-    def _new_link_noise(self, key: Tuple[int, int]) -> _LinkNoise:
-        """A fresh entry for the directed link ``key``, owing nothing."""
-        if len(self._link_noise) >= self.LINK_FADES_MAX:
-            self._link_noise.clear()
-        link = self._link_noise[key] = _LinkNoise()
-        return link
-
-    def _settle(self, link: _LinkNoise, key: Tuple[int, int]) -> UniformStream:
-        """``link``'s uniforms, built on first use, with what it owes skipped."""
-        uniforms = link.uniforms
-        if uniforms is None:
-            uniforms = link.uniforms = UniformStream(self.rng.stream_for("biterror", *key))
-        uniforms.skip(link.owed)
-        link.owed = 0
+    def _new_uniforms(self, key: Tuple[int, int]) -> UniformStream:
+        """The bit-error uniforms of the directed link ``key``, built on its first read."""
+        if len(self._link_uniforms) >= self.LINK_FADES_MAX:
+            self._link_uniforms.clear()
+        uniforms = self._link_uniforms[key] = UniformStream(self.rng.stream_for("biterror", *key))
         return uniforms
 
     def distance(self, a: Radio, b: Radio) -> float:

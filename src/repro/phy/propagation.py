@@ -30,10 +30,17 @@ the simulation.  (For the Gaussian model the default 6-sigma truncation
 has a clip probability of ~2e-9 per draw — statistically invisible at any
 simulated duration this repository runs.)
 
-**The hot-path contract.**  The channel buffers fades per link through
-:meth:`fade_batch_db`; a model's batched draws must consume its generator
-exactly like repeated scalar draws would, so buffering never changes a
-link's sample path.
+**The hot-path contract.**  A model's fades come in two steps, which
+:meth:`~PathLossModel.fade_batch_db` composes.  :meth:`fill_raw` fills a
+contiguous array in place from a link's generator, ``raw_per_fade`` raw
+draws per fade, and must consume the generator exactly like repeated
+scalar draws would; :meth:`fades_from_raw` turns raw draws into bounded
+fades elementwise, and must work on a whole 2-D block (rows in draw
+order, one column per link) as it does on one link's vector.  The
+channel's dispatch plans fill each link's column once per 64 frames and
+transform 16 frames of every column at once, so neither how many draws a
+fill takes nor how many columns a transform spans changes a link's
+sample path.
 
 Whether a given frame is *decodable* (received power above the reception
 threshold) or merely *sensed* (above the carrier-sense threshold) is
@@ -57,11 +64,22 @@ class PathLossModel:
 
     Subclasses are frozen dataclasses providing ``path_loss_exponent``,
     ``reference_distance_m`` and ``frequency_hz`` fields plus the random
-    half of the interface: :meth:`fade_batch_db` (bounded per-frame fades,
-    consumed by the channel's per-link buffers), :meth:`max_shadowing_db`
-    (the largest possible positive fade — the culling margin) and
-    :meth:`reception_probability` (the closed-form outage used by ETX).
+    half of the interface: ``raw_per_fade``, :meth:`fill_raw` and
+    :meth:`fades_from_raw` (bounded per-frame fades, in the two steps the
+    channel's dispatch plans take; see the hot-path contract),
+    :meth:`max_shadowing_db` (the largest possible positive fade — the
+    culling margin) and :meth:`reception_probability` (the closed-form
+    outage used by ETX).
     """
+
+    #: Raw generator draws one fade consumes (a class constant, not a field).
+    raw_per_fade = 1
+
+    def fade_batch_db(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` independent bounded fades, in dB: :meth:`fill_raw`, then :meth:`fades_from_raw`."""
+        raw = np.empty(count * self.raw_per_fade)
+        self.fill_raw(rng, raw)
+        return self.fades_from_raw(raw)
 
     def reference_loss_db(self) -> float:
         """Free-space path loss at the reference distance (Friis)."""
@@ -102,17 +120,22 @@ class ShadowingPropagation(PathLossModel):
         """Largest fade (in dB, either sign) a single draw can produce."""
         return self.shadowing_deviation_db * self.max_deviation_sigmas
 
-    def fade_batch_db(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` independent bounded shadowing draws, in dB.
+    def fill_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with standard normals, one per fade."""
+        rng.standard_normal(out=out)
 
-        Must match :meth:`shadowing_db` draw for draw: numpy fills the
-        vectorised ``normal`` from the same bit stream as repeated scalar
-        calls, so the channel's per-link buffering is invisible.
+    def fades_from_raw(self, raw: np.ndarray) -> np.ndarray:
+        """Bounded shadowing fades, in dB: ``sigma * z``, clipped.
+
+        Matches :meth:`shadowing_db` draw for draw: ``normal(0, sigma)``
+        computes ``0.0 + sigma * z`` from the same standard normal, which
+        differs from ``sigma * z`` only in the sign of a zero fade, and a
+        mean power plus either zero is the same power.
         """
-        draws = rng.normal(0.0, self.shadowing_deviation_db, count)
+        fades = self.shadowing_deviation_db * raw
         bound = self.max_shadowing_db()
-        np.clip(draws, -bound, bound, out=draws)
-        return draws
+        np.clip(fades, -bound, bound, out=fades)
+        return fades
 
     def shadowing_db(self, rng: np.random.Generator) -> float:
         """One independent, bounded shadowing draw in dB.
@@ -226,20 +249,25 @@ class RicianFading(PathLossModel):
     def _gain_bounds(self) -> tuple:
         return (10.0 ** (self.min_fade_db / 10.0), 10.0 ** (self.max_fade_db / 10.0))
 
-    def fade_batch_db(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` independent bounded Rician fades, in dB.
+    #: The in-phase and quadrature normals of one fade.
+    raw_per_fade = 2
 
-        One standard-normal batch of ``2*count``, de-interleaved into the
-        in-phase/quadrature pair per fade — so fade ``i`` always consumes
-        normals ``2i`` and ``2i+1`` and the sample path is invariant to
-        the caller's buffer size (the hot-path contract).
+    def fill_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with standard normals, two per fade.
+
+        Fade ``i`` always consumes normals ``2i`` and ``2i+1``, so the
+        sample path is invariant to the caller's buffer size (the hot-path
+        contract).
         """
+        rng.standard_normal(out=out)
+
+    def fades_from_raw(self, raw: np.ndarray) -> np.ndarray:
+        """Bounded Rician fades, in dB, de-interleaving each in-phase/quadrature pair of rows."""
         k = self.k_factor
         los = math.sqrt(k / (k + 1.0))
         sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-        normals = rng.standard_normal(2 * count)
-        in_phase = sigma * normals[0::2] + los
-        quadrature = sigma * normals[1::2]
+        in_phase = sigma * raw[0::2] + los
+        quadrature = sigma * raw[1::2]
         gains = in_phase * in_phase + quadrature * quadrature
         np.clip(gains, *self._gain_bounds(), out=gains)
         return 10.0 * np.log10(gains)
@@ -304,10 +332,15 @@ class RayleighFading(RicianFading):
                 "(use RicianFading for K > 0)"
             )
 
-    def fade_batch_db(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` independent bounded Rayleigh fades, in dB."""
-        gains = rng.standard_exponential(count)
-        np.clip(gains, *self._gain_bounds(), out=gains)
+    raw_per_fade = 1
+
+    def fill_raw(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with unit-mean exponential power gains, one per fade."""
+        rng.standard_exponential(out=out)
+
+    def fades_from_raw(self, raw: np.ndarray) -> np.ndarray:
+        """Bounded Rayleigh fades, in dB: the gains clipped, then ``10*log10``."""
+        gains = np.clip(raw, *self._gain_bounds())
         return 10.0 * np.log10(gains)
 
     def gain_tail_probability(self, gain: float) -> float:

@@ -21,9 +21,12 @@ other decodable signal counts as a collision.
 A clean frame goes to the MAC only if :meth:`~repro.mac.base.MacLayer.acts_on`
 accepts it: by default, if this station is the frame's receiver or final
 destination or is on its forwarder list.  Any other clean frame the radio
-counts as decoded without drawing its header's fate, and its link owes
-the bit-error draws instead (see :mod:`repro.phy.channel`), so each frame
-the MAC does get reads the draws it would if every frame drew.
+counts as decoded without drawing its header's fate, and adds the
+bit-error uniforms the frame would have drawn to :attr:`Radio.owed`, its
+count per sender of what it owes that link's stream.  The channel skips
+them before the next frame the MAC acts on over the link (see
+:mod:`repro.phy.channel`), so each frame the MAC does get reads the draws
+it would if every frame drew.
 
 The radio reports three things to the MAC attached to it:
 
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.phy.channel import Transmission, WirelessChannel
@@ -98,6 +101,7 @@ class Radio:
         "_idle_since",
         "mac_active",
         "_mac_holds",
+        "owed",
     )
 
     def __init__(self, node_id: int, position: tuple[float, float], channel: "WirelessChannel") -> None:
@@ -115,6 +119,9 @@ class Radio:
         self._sensing = 0
         self._clean: Optional["Transmission"] = None
         self._idle_since: int = 0
+        #: Bit-error uniforms owed per sender node id (module notes); one
+        #: entry per sender whose frames this radio decodes, so no cap.
+        self.owed: Dict[int, int] = {}
         #: Carrier-sense state as a plain attribute: maintained at every
         #: state transition below so the MAC's hottest query (one or more
         #: reads per slot timer) is a single attribute load instead of a
@@ -285,9 +292,11 @@ class Radio:
                 self.stats.frames_header_error += 1
         else:
             # Its header's fate would decide nothing: count it decoded, and
-            # let the link owe the draws.
+            # owe the link the draws.
             self.stats.frames_decoded += 1
-            self.channel.owe_bit_errors(frame, self, transmission.sender)
+            owed = self.owed
+            sender_id = transmission.sender.node_id
+            owed[sender_id] = owed.get(sender_id, 0) + 1 + len(frame.subpackets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Radio(node={self.node_id}, state={self.state.value})"

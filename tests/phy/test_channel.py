@@ -2,11 +2,12 @@
 
 import pytest
 
+import repro.experiments.runner as runner
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.mac.frames import FrameKind, MacFrame, SubPacket
 from repro.mac.timing import DEFAULT_TIMING
 from repro.packet import Packet
-from repro.phy.channel import WirelessChannel
+from repro.phy.channel import Transmission, WirelessChannel
 from repro.phy.error_models import BitErrorModel
 from repro.phy.params import LOW_RATE_PHY, PhyParams
 from repro.phy.propagation import ShadowingPropagation
@@ -40,6 +41,20 @@ class RecordingMac:
 
     def on_transmission_complete(self, frame):
         self.tx_complete.append(frame)
+
+
+class IgnoringMac(RecordingMac):
+    """A MAC that acts on no frame, so every clean frame it hears owes its draws."""
+
+    def acts_on(self, frame):
+        return False
+
+
+def decode_ignored(receiver, frame, sender):
+    """Hand ``receiver`` ``frame`` from ``sender`` as a clean, decodable signal."""
+    transmission = Transmission(0, frame, sender, receiver._sim.now, 1)
+    receiver._signal_start(transmission)
+    receiver._signal_end(transmission)
 
 
 def make_frame(origin=0, transmitter=0, receiver=1, n_sub=1, size=1000):
@@ -295,45 +310,63 @@ class TestBitErrors:
         # takes more uniforms than one buffered block.
         _, mixed, mixed_radios, _ = build([(0, 0), (100, 0)], ber=1e-4, seed=4)
         _, full, full_radios, _ = build([(0, 0), (100, 0)], ber=1e-4, seed=4)
+        mixed_radios[1].attach_mac(IgnoringMac())
         frames = [make_frame(n_sub=k % 5) for k in range(60)] + [make_frame(n_sub=130)] * 3
         frames.append(make_frame(n_sub=2))
         results = []
+        ignored = 0
         for k, frame in enumerate(frames):
             expected = full.apply_bit_errors(frame, full_radios[1], full_radios[0])
             results.append(expected)
             if k % 3 != 2 and k != len(frames) - 1:
-                mixed.owe_bit_errors(frame, mixed_radios[1], mixed_radios[0])
+                decode_ignored(mixed_radios[1], frame, mixed_radios[0])
+                ignored += 1
             else:
                 assert mixed.apply_bit_errors(frame, mixed_radios[1], mixed_radios[0]) == expected
+                assert not mixed_radios[1].owed  # the evaluation settled what the link owed
+        assert mixed_radios[1].stats.frames_decoded == ignored
         # The draws exercised both outcomes of the header and sub-packet checks.
         assert 0 < sum(result.header_ok for result in results) < len(results)
         flags = [ok for result in results for ok in result.subpacket_ok]
         assert any(flags) and not all(flags)
 
-    def test_table_overflow_drops_owed_counts(self, monkeypatch):
-        # The documented overflow contract: a link's entry goes with the
-        # table, so a link that never built its generator reads the
-        # positions it owed, from its first draw.
-        frames = [make_frame(n_sub=4) for _ in range(40)]
+    def test_table_overflow_drops_built_streams_and_keeps_owed_counts(self, monkeypatch):
+        # The documented overflow contract: a full table of built uniform
+        # streams is dropped, so a rebuilt stream loses the uniforms its
+        # predecessor had buffered; what a link owes lives on the receiving
+        # radio and survives, so the rebuilt stream still skips it.
+        frames = [make_frame(n_sub=4) for _ in range(20)]
 
         def draws(cap, owe):
             monkeypatch.setattr(WirelessChannel, "LINK_FADES_MAX", cap)
             _, channel, radios, _ = build([(0, 0), (100, 0), (200, 0)], ber=1e-4, seed=4)
+            radios[1].attach_mac(IgnoringMac())
             if owe:
-                channel.owe_bit_errors(frames[0], radios[1], radios[0])
-                channel.owe_bit_errors(frames[0], radios[2], radios[0])  # a second link
-            return [channel.apply_bit_errors(frame, radios[1], radios[0]) for frame in frames]
+                decode_ignored(radios[1], frames[0], radios[0])
 
-        overflowed = draws(1, owe=True)
-        assert overflowed == draws(1 << 16, owe=False)
-        assert overflowed != draws(1 << 16, owe=True)
+            def on_0_to_1(batch):
+                return [channel.apply_bit_errors(frame, radios[1], radios[0]) for frame in batch]
+
+            def on_0_to_2():
+                channel.apply_bit_errors(frames[0], radios[2], radios[0])
+
+            on_0_to_2()  # builds link 0->2's stream: a cap of 1 is now reached
+            before = on_0_to_1(frames[:10])  # overflows, then builds link 0->1's
+            on_0_to_2()  # overflows: link 0->1's stream goes, its buffer part-served
+            return before, on_0_to_1(frames[10:])
+
+        before, after = draws(1, owe=True)
+        uncapped_before, uncapped_after = draws(1 << 16, owe=True)
+        assert before == uncapped_before
+        assert before != draws(1 << 16, owe=False)[0]
+        assert after != uncapped_after
 
     def test_only_links_a_mac_acted_on_build_a_bit_error_generator(self, monkeypatch):
         # On Roofnet most links carry only frames no MAC acts on.
-        built, acted, owed = set(), set(), set()
+        built, acted, networks = set(), set(), []
         stream_for = RandomStreams.stream_for
         apply_bit_errors = WirelessChannel.apply_bit_errors
-        owe_bit_errors = WirelessChannel.owe_bit_errors
+        build_network = runner.build_network
 
         def recording_stream_for(streams, name, *keys):
             if name == "biterror":
@@ -344,17 +377,25 @@ class TestBitErrors:
             acted.add((sender.node_id, receiver.node_id))
             return apply_bit_errors(channel, frame, receiver, sender)
 
-        def recording_owe(channel, frame, receiver, sender):
-            owed.add((sender.node_id, receiver.node_id))
-            owe_bit_errors(channel, frame, receiver, sender)
+        def capturing_build(config):
+            network, routing = build_network(config)
+            networks.append(network)
+            return network, routing
 
         monkeypatch.setattr(RandomStreams, "stream_for", recording_stream_for)
         monkeypatch.setattr(WirelessChannel, "apply_bit_errors", recording_apply)
-        monkeypatch.setattr(WirelessChannel, "owe_bit_errors", recording_owe)
+        monkeypatch.setattr(runner, "build_network", capturing_build)
         run_scenario(ScenarioConfig(
             topology=roofnet_scenario(seed=7), phy=LOW_RATE_PHY, scheme_label="D",
             duration_s=0.1, seed=5001,
         ))
+        # What each radio still owes at the end: a link never acted on
+        # keeps every draw it owed, so every such link shows up here.
+        owed = {
+            (sender, node.radio.node_id)
+            for node in networks[0].nodes.values()
+            for sender in node.radio.owed
+        }
         assert built == acted
         assert len(owed - acted) > len(acted)
 

@@ -107,6 +107,30 @@ class TestDeterminism:
         rng = np.random.default_rng(3)
         split = np.concatenate([model.fade_batch_db(rng, 16) for _ in range(4)])
         assert (whole == split).all()
+        assert (whole == _pre_split_fades(model, np.random.default_rng(3), 64)).all()
+        per_fade = model.raw_per_fade
+        for size in (1, 16, 64):
+            # One link's vector, filled and transformed ``size`` fades at a time.
+            rng = np.random.default_rng(3)
+            raw = np.empty(64 * per_fade)
+            for start in range(0, len(raw), size * per_fade):
+                model.fill_raw(rng, raw[start : start + size * per_fade])
+            fades = np.concatenate([
+                model.fades_from_raw(raw[start : start + size * per_fade])
+                for start in range(0, len(raw), size * per_fade)
+            ])
+            assert (fades == whole).all()
+            # Three links' columns of one Fortran-order block, as a dispatch plan holds them.
+            columns = [np.random.default_rng(seed) for seed in (3, 4, 5)]
+            block = np.empty((64 * per_fade, 3), order="F")
+            for index, column_rng in enumerate(columns):
+                model.fill_raw(column_rng, block[:, index])
+            fades = np.concatenate([
+                model.fades_from_raw(block[start : start + size * per_fade])
+                for start in range(0, len(block), size * per_fade)
+            ])
+            for index, seed in enumerate((3, 4, 5)):
+                assert (fades[:, index] == model.fade_batch_db(np.random.default_rng(seed), 64)).all()
 
     def test_shadowing_batch_matches_pre_pack_computation(self):
         """The default model's draws are bit-identical to the pre-registry code."""
@@ -116,6 +140,26 @@ class TestDeterminism:
         theirs = rng.normal(0.0, model.shadowing_deviation_db, 64)
         np.clip(theirs, -model.max_shadowing_db(), model.max_shadowing_db(), out=theirs)
         assert (ours == theirs).all()
+
+
+def _pre_split_fades(model, rng, count):
+    """Each model's ``fade_batch_db`` as written before it was split into two steps."""
+    if isinstance(model, ShadowingPropagation):
+        draws = rng.normal(0.0, model.shadowing_deviation_db, count)
+        np.clip(draws, -model.max_shadowing_db(), model.max_shadowing_db(), out=draws)
+        return draws
+    if isinstance(model, RayleighFading):
+        gains = rng.standard_exponential(count)
+    else:
+        k = model.k_factor
+        los = math.sqrt(k / (k + 1.0))
+        sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
+        normals = rng.standard_normal(2 * count)
+        in_phase = sigma * normals[0::2] + los
+        quadrature = sigma * normals[1::2]
+        gains = in_phase * in_phase + quadrature * quadrature
+    np.clip(gains, *model._gain_bounds(), out=gains)
+    return 10.0 * np.log10(gains)
 
 
 class TestStatistics:

@@ -3,8 +3,11 @@
 The reference below dispatches frames one reception at a time and keeps the
 no-capture model in its most literal form:
 
-* :class:`ReferenceChannel` keeps each plan in registration order and puts
-  two entries on the heap per sensed reception, its start and its end, each
+* :class:`ReferenceChannel` keeps each plan in registration order, draws
+  each link's fades into a buffer of its own, 64 at a time, takes 16 of them
+  per plan refill and compares float powers with the thresholds; a plan
+  dropped when stations move loses the rest of its 16 rows.  It puts two
+  entries on the heap per sensed reception, its start and its end, each
   carrying a :class:`Reception` record;
 * :class:`ReferenceRadio` keeps a dict of those records with ``interfered``
   flags, and for every clean decodable frame draws the whole bit-error
@@ -15,10 +18,10 @@ no-capture model in its most literal form:
   test: a frame the MAC does not act on counts in ``frames_decoded``
   whatever its header's draw said.
 
-The channel's signal runs, the radio's counted carrier sense and its
-interest-filtered delivery must give every callback the same instant and
-order and every counter the same value, so whole scenarios stay
-byte-identical, ``events_processed`` included.
+The channel's per-plan fade blocks and sensing codes, its signal runs, the
+radio's counted carrier sense and its interest-filtered delivery must give
+every callback the same instant and order and every counter the same value,
+so whole scenarios stay byte-identical, ``events_processed`` included.
 """
 
 import itertools
@@ -32,10 +35,10 @@ import repro.experiments.runner as runner
 import repro.topology.network as network
 from repro.experiments.mobility import mobility_spec
 from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.phy.channel import Transmission, WirelessChannel, _DispatchPlan
+from repro.phy.channel import Transmission, WirelessChannel
 from repro.phy.error_models import BitErrorModel
 from repro.phy.params import LOW_RATE_PHY, PhyParams
-from repro.phy.propagation import ShadowingPropagation
+from repro.phy.propagation import ShadowingPropagation, propagation_delay_ns
 from repro.phy.radio import Radio
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -123,32 +126,97 @@ class ReferenceRadio(Radio):
             self.mac.on_frame_received(frame, result)
 
 
-class ReferenceChannel(WirelessChannel):
-    """Plans in registration order, two heap entries per sensed reception."""
+class ReferenceLinkFades:
+    """One link's fades, drawn into a buffer of its own 64 at a time."""
 
-    def _build_plan(self, sender):
-        plan = super()._build_plan(sender)
-        order = sorted(range(len(plan.radios)), key=lambda j: self._radios.index(plan.radios[j]))
-        return _DispatchPlan(
-            [plan.radios[j] for j in order],
-            [plan.entries[j] for j in order],
-            [plan.fade_streams[j] for j in order],
-            plan.means[order],
-            plan.end_own,
-        )
+    BATCH = 64
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.buffer = []
+        self.index = 0
+
+    def take(self, propagation, count):
+        if self.index >= len(self.buffer):
+            self.buffer = propagation.fade_batch_db(self.generator, self.BATCH).tolist()
+            self.index = 0
+        self.index += count
+        return self.buffer[self.index - count : self.index]
+
+
+class ReferencePlan:
+    """A sender's candidates in registration order, and its current 16 rows of powers."""
+
+    BLOCK = 16
+
+    def __init__(self, entries, links, means, end_own):
+        self.entries = entries
+        self.links = links
+        self.means = means
+        self.end_own = end_own
+        self.rows = []
+        self.row_index = 0
+
+    def next_powers(self, propagation):
+        if self.row_index >= len(self.rows):
+            blocks = [link.take(propagation, self.BLOCK) for link in self.links]
+            self.rows = [
+                [block[row] + mean for block, mean in zip(blocks, self.means)]
+                for row in range(self.BLOCK)
+            ]
+            self.row_index = 0
+        self.row_index += 1
+        return self.rows[self.row_index - 1]
+
+
+class ReferenceChannel(WirelessChannel):
+    """Plans in registration order, per-link fade buffers, two heap entries per sensed reception."""
+
+    def __init__(self, *args, **kwargs):
+        self.reference_plans = {}
+        self.reference_links = {}
+        super().__init__(*args, **kwargs)
+
+    def _invalidate_geometry(self):
+        super()._invalidate_geometry()
+        self.reference_plans.clear()
+
+    def _reference_plan(self, sender):
+        plan = self.reference_plans.get(sender.node_id)
+        if plan is not None:
+            return plan
+        params, propagation = self.params, self.propagation
+        floor = params.cs_threshold_dbm - propagation.max_shadowing_db()
+        entries, links, means = [], [], []
+        for radio in self._radios:
+            if radio is sender:
+                continue
+            distance = self.distance(sender, radio)
+            mean = propagation.mean_received_power_dbm(params.tx_power_dbm, distance)
+            if mean < floor:
+                continue
+            delay = propagation_delay_ns(distance) if self.model_propagation_delay else 0
+            key = (sender.node_id, radio.node_id)
+            link = self.reference_links.get(key)
+            if link is None:
+                link = self.reference_links[key] = ReferenceLinkFades(
+                    self.rng.stream_for("shadowing", *key)
+                )
+            entries.append((delay, radio._signal_start, radio._signal_end))
+            links.append(link)
+            means.append(mean)
+        plan = ReferencePlan(entries, links, means, sender._end_own_transmission)
+        self.reference_plans[sender.node_id] = plan
+        return plan
 
     def start_transmission(self, sender, frame, duration_ns):
         sim = self.sim
         now = sim.now
         transmission = Transmission(next(self._ids), frame, sender, now, duration_ns)
         self.stats.transmissions += 1
-        plan = self._plan_for(sender)
+        plan = self._reference_plan(sender)
         if plan.entries:
-            if plan.row_index >= len(plan.rows):
-                plan.refill()
-                plan.row_index = 0
-            powers = plan.rows[plan.row_index]
-            plan.row_index += 1
+            powers = plan.next_powers(self.propagation)
             for (delay, signal_start, signal_end), power in zip(plan.entries, powers):
                 if power < self.params.cs_threshold_dbm:
                     continue
