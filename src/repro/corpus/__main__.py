@@ -9,10 +9,8 @@
     python -m repro.corpus --list                   # check catalogue (one line each)
     python -m repro.corpus --write-golden PATH      # regenerate the digest pins
 
-Exit status: 0 = clean, 1 = findings, 2 = usage error — the same
-contract as ``python -m repro.analysis``, so CI treats both gates
-identically.  The full catalogue, ``docs/CORPUS.md``, is written by
-``python -m repro.docs``.
+Exit status: 0 = clean, 1 = findings, 2 = usage error.  The full
+catalogue, ``docs/CORPUS.md``, is written by ``python -m repro.docs``.
 """
 
 from __future__ import annotations

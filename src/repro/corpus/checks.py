@@ -2,8 +2,7 @@
 
 Each check is a registered, individually-selectable entry of
 :data:`CORPUS_CHECKS` (a plain :class:`repro.registry.Registry`, the
-same machinery behind every component registry — and covered by the
-``registry-hygiene`` static-analysis rule like the rest).  A check takes
+same machinery behind every component registry).  A check takes
 a :class:`CheckContext` for one sampled spec document and returns None
 when the invariant holds, or a failure message.
 

@@ -34,7 +34,7 @@ stream, and runs every sampled spec through the platform's invariant
 checks at short duration — digest stability, run determinism,
 parallel==serial, cache round-trips.  Any failure is delta-debugged
 down to a **minimal failing spec** naming the offending component(s),
-and the CLI exits 1 (same ergonomics as `python -m repro.analysis`).
+and the CLI exits 1.
 
 ```
 python -m repro.corpus --sample 64 --seed 0          # the CI smoke sample
@@ -94,8 +94,9 @@ def _constraint_section() -> List[str]:
 
 def _check_section(check_id: str) -> List[str]:
     check = CORPUS_CHECKS.lookup(check_id)
-    doc = inspect.getdoc(type(check))
-    if not doc or not doc.strip():
+    # The class's own docstring: inspect.getdoc would inherit InvariantCheck's.
+    doc = inspect.cleandoc(type(check).__doc__ or "")
+    if not doc.strip():
         raise CorpusDocsError(
             f"corpus check {check_id!r}: check class has no docstring; the "
             "generated catalogue needs the contract a failure reader sees"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.mobility.spec import MobilitySpec
 from repro.phy.params import PhyParams
@@ -356,13 +356,6 @@ class SpecSpace:
             if not constraint.allows(combo):
                 return constraint
         return None
-
-    def iter_admissible(self) -> Iterator[Dict[str, Choice]]:
-        """Every admissible combination, in index order (exhaustive walks)."""
-        for index in range(self.size()):
-            combo = self.combo_at(index)
-            if self.violated(combo) is None:
-                yield combo
 
     def document_for(self, combo: Dict[str, Choice]) -> Dict[str, object]:
         """The combination as a runnable (short-duration) scenario document."""

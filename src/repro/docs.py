@@ -1,6 +1,6 @@
-"""Generated reference documents: one command writes or checks all three.
+"""Generated reference documents: one command writes or checks both.
 
-Three reference documents are generated from the live registries instead
+Two reference documents are generated from the live registries instead
 of being hand-maintained.  Each generator lives next to its registry;
 :data:`GENERATED_DOCS` maps each document to its generator::
 
@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.docs import generate_analysis_markdown
-from repro.analysis.driver import repo_root
 from repro.corpus.docs import generate_corpus_markdown
 
 HEADER = """\
@@ -264,10 +262,14 @@ def generate_components_markdown() -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+def repo_root() -> Path:
+    """The repository root, derived from this file's location in ``src``."""
+    return Path(__file__).resolve().parents[2]
+
+
 #: Each generated document's repository-relative path, and its generator.
 GENERATED_DOCS: Dict[str, Callable[[], str]] = {
     "docs/COMPONENTS.md": generate_components_markdown,
-    "docs/ANALYSIS.md": generate_analysis_markdown,
     "docs/CORPUS.md": generate_corpus_markdown,
 }
 

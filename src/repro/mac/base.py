@@ -229,7 +229,6 @@ class MacLayer(abc.ABC):
         self.rng = rng
         self.stats = MacStats()
         self._upper_layer: Optional[Callable[[Packet], None]] = None
-        self._drop_handler: Optional[Callable[[Packet], None]] = None
         #: Per origin, the MAC sequence numbers recently passed upward.
         self._delivered: Dict[int, Dict[int, None]] = {}
         radio.attach_mac(self)
@@ -240,10 +239,6 @@ class MacLayer(abc.ABC):
     def set_upper_layer(self, callback: Callable[[Packet], None]) -> None:
         """Register the network-layer receive callback."""
         self._upper_layer = callback
-
-    def set_drop_handler(self, callback: Callable[[Packet], None]) -> None:
-        """Register a callback fired when the MAC permanently drops a packet."""
-        self._drop_handler = callback
 
     # ------------------------------------------------------------------
     # Upper-layer interface
@@ -281,10 +276,8 @@ class MacLayer(abc.ABC):
             self._upper_layer(packet)
 
     def report_drop(self, packet: Packet) -> None:
-        """Record a permanent MAC-level drop and notify the registered handler."""
+        """Count a packet the MAC dropped after its last retry."""
         self.stats.packets_dropped_retry += 1
-        if self._drop_handler is not None:
-            self._drop_handler(packet)
 
     # ------------------------------------------------------------------
     # Radio callbacks

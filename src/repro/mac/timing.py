@@ -41,7 +41,6 @@ class MacTiming:
     cw_max: int = 1024
     retry_limit: int = 7
     queue_capacity: int = 50
-    max_aggregation: int = 16
 
     @property
     def difs_ns(self) -> int:

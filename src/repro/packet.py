@@ -54,10 +54,6 @@ class Packet:
     payload: Any = None
     uid: int = field(default_factory=lambda: next(_packet_ids))
 
-    @property
-    def size_bits(self) -> int:
-        return self.size_bytes * 8
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet({self.kind} flow={self.flow_id} seq={self.seq} "

@@ -172,10 +172,6 @@ class Registry:
         """Aliases resolving to canonical ``name``, sorted (for docs/help)."""
         return sorted(alias for alias, target in self._aliases.items() if target == name)
 
-    def alias_items(self):
-        """``(alias, canonical target)`` pairs in registration order."""
-        return self._aliases.items()
-
     def prefix_items(self):
         return self._prefixes.items()
 

@@ -1,18 +1,19 @@
 """The service layer's *only* window onto the host clock.
 
 The simulation proper is forbidden from reading wall-clock time (the
-``no-wall-clock`` analysis rule enforces it): simulated behaviour must
-derive every timestamp from ``Simulator.now`` so replays stay
-bit-identical.  The service layer is different — job leases, heartbeat
-expiry, retry backoff and client poll timeouts are *operational* time,
-invisible to simulation results and cache digests.
+``no-wall-clock`` source rule in ``tests/analysis/test_source_rules.py``
+enforces it): simulated behaviour must derive every timestamp from
+``Simulator.now`` so replays stay bit-identical.  The service layer is
+different — job leases, heartbeat expiry, retry backoff and client poll
+timeouts are *operational* time, invisible to simulation results and
+cache digests.
 
-Rather than sprinkling pragmas over every ``time.time()`` call in the
-service package, all host-clock reads are funnelled through this one
-module, which the ``no-wall-clock`` rule allowlists by scope.  Nothing
-returned from here may flow into a :class:`ScenarioResult` or a cache
-digest; the separation is what keeps the service wall-clocked and the
-simulation deterministic at the same time.
+All of the service package's host-clock reads are funnelled through
+this one module, the only one the ``no-wall-clock`` rule allows, and
+only for the two reads below.  Nothing returned from here may flow into
+a :class:`ScenarioResult` or a cache digest; the separation is what
+keeps the service wall-clocked and the simulation deterministic at the
+same time.
 
 Two clocks are exposed, used for different jobs:
 

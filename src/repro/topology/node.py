@@ -33,11 +33,5 @@ class Node:
         if self.radio is not None:
             self.radio.move_to(self.position)
 
-    def distance_to(self, other: "Node") -> float:
-        """Euclidean distance to another node in metres."""
-        dx = self.position[0] - other.position[0]
-        dy = self.position[1] - other.position[1]
-        return (dx * dx + dy * dy) ** 0.5
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.node_id} @ {self.position})"

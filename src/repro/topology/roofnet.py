@@ -54,7 +54,8 @@ def roofnet_topology(seed: int = 7) -> TopologySpec:
     # the sweep cache hashes).  Routing it through a scenario's RandomStreams
     # would change every committed Roofnet layout and couple the placement to
     # the *simulation* seed, which must stay free to vary per replication.
-    # repro: allow[no-unkeyed-rng] seed-scoped layout generation, not simulation randomness
+    # The source rules' ALLOWED table (tests/analysis/test_source_rules.py) counts
+    # this one generator.
     rng = np.random.default_rng(seed)
     positions: Dict[int, Tuple[float, float]] = {}
     node_id = 0

@@ -56,12 +56,6 @@ class DropScript:
             self._rules.setdefault((kind, seq), []).append([DROP, times])
         return self
 
-    def drop_range(self, start: int, stop: int, kind: str = "tcp-data", times: int = 1) -> "DropScript":
-        """Drop sequences ``start`` (inclusive) through ``stop`` (exclusive)."""
-        for seq in range(start, stop):
-            self.drop(seq, kind=kind, times=times)
-        return self
-
     def delay(self, seq: int, delay_ns: int, kind: str = "tcp-data", times: int = 1) -> "DropScript":
         """Hold the next ``times`` packets of ``kind``/``seq`` for ``delay_ns``."""
         if delay_ns <= 0:

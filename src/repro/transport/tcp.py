@@ -236,11 +236,6 @@ class TcpSender:
     # ------------------------------------------------------------------
     # Sending machinery
     # ------------------------------------------------------------------
-    def _segments_available(self) -> int:
-        if self._infinite_source:
-            return 1 << 30
-        return -(-self._app_bytes_available // self.mss_bytes) if self._app_bytes_available else 0
-
     def _try_send(self) -> None:
         limit = self.highest_acked + max(self.window, 1)
         # Post-timeout go-back-N: re-send the outstanding window in order

@@ -1,5 +1,5 @@
 # fixture-module: repro/experiments/fixture.py
-"""Good (by scope): the rule only covers sim/, phy/, mac/ and routing/."""
+"""Bad: the rule covers the whole package, not only the event-loop layers."""
 
 
 def summarize(tags):

@@ -1,5 +1,5 @@
 # fixture-module: repro/experiments/parallel.py
-"""Good: the sweep runner is exempt, so it may time the work it fans out."""
+"""Bad: the sweep runner reads no clock, so it carries no allowance either."""
 
 import time
 

@@ -10,7 +10,6 @@ import sys
 import pytest
 
 import repro.docs
-from repro.analysis.driver import repo_root
 from repro.docs import (
     GENERATED_DOCS,
     DocsError,
@@ -18,6 +17,7 @@ from repro.docs import (
     generate_components_markdown,
     main,
     registry_sections,
+    repo_root,
 )
 from repro.registry import Registry
 
@@ -76,6 +76,21 @@ class TestGeneration:
 
         with pytest.raises(DocsError, match="demo widget 'undocumented'"):
             _plain_rows(registry, skip=0)
+
+    def test_undocumented_corpus_check_fails_the_build(self, monkeypatch):
+        """The base class's docstring does not stand in for a check's own."""
+        from repro.corpus import docs as corpus_docs
+        from repro.corpus.checks import InvariantCheck
+
+        class Undocumented(InvariantCheck):
+            id = "undocumented"
+            title = "no docstring on purpose"
+
+        registry = Registry("corpus check")
+        registry.add(Undocumented.id, Undocumented())
+        monkeypatch.setattr(corpus_docs, "CORPUS_CHECKS", registry)
+        with pytest.raises(corpus_docs.CorpusDocsError, match="corpus check 'undocumented'"):
+            corpus_docs._check_section("undocumented")
 
     @pytest.mark.parametrize("path", list(GENERATED_DOCS))
     def test_header_names_the_one_command(self, path):

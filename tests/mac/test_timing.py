@@ -30,9 +30,6 @@ class TestTable1Parameters:
     def test_queue_capacity(self):
         assert DEFAULT_TIMING.queue_capacity == 50
 
-    def test_max_aggregation(self):
-        assert DEFAULT_TIMING.max_aggregation == 16
-
 
 class TestAirtimes:
     def test_single_packet_frame_airtime(self):

@@ -31,7 +31,6 @@ import sys
 import tempfile
 
 import repro
-import repro.analysis
 import repro.corpus
 import repro.experiments
 import repro.experiments.__main__
