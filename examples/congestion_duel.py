@@ -15,34 +15,33 @@ Run with:  python examples/congestion_duel.py [duration_seconds]
 import os
 import sys
 
-from repro.experiments.congestion import run_congestion
+from repro.experiments import SweepRunner
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_panel
 
 
 def main() -> None:
     default = float(os.environ.get("REPRO_EXAMPLE_DURATION", "1.0"))
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else default
-    result = run_congestion(
-        topology="line",
-        transports=("reno", "cubic"),
-        schemes=("D", "R16"),
-        duration_s=duration,
-        seed=1,
-    )
+    # The congestion entry's line panel: {transport: {scheme: value}} twice.
+    throughput, retransmissions = FIGURES["congestion"].blocks(
+        SweepRunner(), 1, duration,
+        panels=("line",), transports=("reno", "cubic"), schemes=("D", "R16"),
+    ).values()
     print(
         render_panel(
             f"Congestion duel — flow-1 Mb/s, 3-hop line, {duration} s simulated\n"
             "columns: MAC scheme (D = 802.11 DCF, R16 = RIPPLE)",
-            result.throughput_mbps,
+            throughput,
             ["D", "R16"],
         )
     )
     print()
-    reno = result.throughput_mbps["reno"]["R16"]
-    cubic = result.throughput_mbps["cubic"]["R16"]
+    reno = throughput["reno"]["R16"]
+    cubic = throughput["cubic"]["R16"]
     print(f"cubic vs reno over RIPPLE: {cubic / reno:.2f}x "
-          f"({result.retransmissions['cubic']['R16']} vs "
-          f"{result.retransmissions['reno']['R16']} retransmitted segments)")
+          f"({int(retransmissions['cubic']['R16'])} vs "
+          f"{int(retransmissions['reno']['R16'])} retransmitted segments)")
 
 
 if __name__ == "__main__":

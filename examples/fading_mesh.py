@@ -25,7 +25,8 @@ import tempfile
 import textwrap
 
 from repro.experiments import ResultCache, ScenarioConfig, SweepRunner
-from repro.experiments.fading import FADING_MODELS, run_fading
+from repro.experiments.fading import FADING_MODELS
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_panel
 from repro.phy.params import PhyParams
 from repro.spec import MacSpec, TrafficSpec
@@ -52,11 +53,11 @@ def main() -> None:
     cache = ResultCache()  # .repro-cache/ unless $REPRO_CACHE_DIR says otherwise
     runner = SweepRunner(jobs=2, cache=cache)
 
-    result = run_fading(duration_s=DURATION_S, runner=runner)
+    (table,) = FIGURES["fading"].blocks(runner, 1, DURATION_S).values()
     print(
         render_panel(
             "Flow-1 Mb/s per propagation model (4-hop line)",
-            result.throughput_mbps,
+            table,
             list(FADING_MODELS),
         )
     )

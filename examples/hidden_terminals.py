@@ -19,7 +19,8 @@ Run with:  python examples/hidden_terminals.py [duration_seconds]
 import os
 import sys
 
-from repro.experiments.collisions import run_hidden_collisions
+from repro.experiments import SweepRunner
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_panel
 
 
@@ -27,12 +28,14 @@ def main() -> None:
     default = float(os.environ.get("REPRO_EXAMPLE_DURATION", "0.5"))
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else default
     hidden_counts = (0, 2, 4, 6)
-    result = run_hidden_collisions(hidden_counts=hidden_counts, duration_s=duration, seed=1)
+    (table,) = FIGURES["fig6b"].blocks(
+        SweepRunner(), 1, duration, hidden_counts=hidden_counts
+    ).values()
     print(
         render_panel(
             f"Fig. 6(b) — flow 1 throughput (Mb/s) vs number of hidden flows "
             f"({duration} s simulated)",
-            result.throughput_mbps,
+            table,
             list(hidden_counts),
         )
     )

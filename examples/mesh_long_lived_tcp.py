@@ -20,25 +20,27 @@ Run with:  python examples/mesh_long_lived_tcp.py [duration_seconds]
 import os
 import sys
 
-from repro.experiments.longlived import run_longlived_panel
+from repro.experiments import SweepRunner
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_panel
 
 
 def main() -> None:
     default = float(os.environ.get("REPRO_EXAMPLE_DURATION", "0.5"))
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else default
-    panel = run_longlived_panel("ROUTE0", bit_error_rate=1e-6, duration_s=duration, seed=1)
+    # Fig. 3's table entry, narrowed to its ROUTE0 panel: {scheme: {flows: Mb/s}}.
+    (panel,) = FIGURES["fig3"].blocks(SweepRunner(), 1, duration, panels=("ROUTE0",)).values()
     print(
         render_panel(
             f"Fig. 3(a) — total TCP throughput (Mb/s), ROUTE0, BER 1e-6, {duration} s simulated\n"
             "columns: number of simultaneously active flows",
-            panel.throughput_mbps,
+            panel,
             [1, 2, 3],
         )
     )
     print()
-    r16 = panel.throughput_mbps["R16"][3]
-    dcf = panel.throughput_mbps["D"][3]
+    r16 = panel["R16"][3]
+    dcf = panel["D"][3]
     print(f"RIPPLE vs DCF with all three flows active: {r16 / dcf:.1f}x")
 
 

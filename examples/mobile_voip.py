@@ -26,7 +26,7 @@ import os
 import time
 
 from repro.experiments import ResultCache, SweepRunner
-from repro.experiments.mobility import run_mobility_voip
+from repro.experiments.mobility import mobility_voip_grid
 from repro.experiments.report import render_panel
 
 SPEEDS_MPS = (0.0, 1.0, 5.0, 10.0)
@@ -35,23 +35,29 @@ DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "1.0"))
 CALLS = 10
 
 
+def mean(values) -> float:
+    """The mean over a run's calls; a run that scored none counts as the worst, 1.0."""
+    return sum(values) / len(values) if values else 1.0
+
+
 def main() -> None:
     cache = ResultCache()  # .repro-cache/ unless $REPRO_CACHE_DIR says otherwise
     runner = SweepRunner(jobs=4, cache=cache)
     start = time.perf_counter()
-    result = run_mobility_voip(
-        speeds=SPEEDS_MPS,
-        schemes=SCHEMES,
-        n_flows=CALLS,
-        duration_s=DURATION_S,
-        runner=runner,
-    )
+    configs, keys = mobility_voip_grid(SPEEDS_MPS, SCHEMES, CALLS, DURATION_S)
+    results = runner.run(configs)
     elapsed = time.perf_counter() - start
+
+    mos, loss = {}, {}
+    for (label, speed), result in zip(keys, results):
+        qualities = result.voip_quality.values()
+        mos.setdefault(label, {})[speed] = mean([quality.mos for quality in qualities])
+        loss.setdefault(label, {})[speed] = mean([quality.loss_rate for quality in qualities])
 
     print(
         render_panel(
             f"Mean MoS, {CALLS} calls, vs node speed (m/s, random waypoint)",
-            result.mos,
+            mos,
             list(SPEEDS_MPS),
         )
     )
@@ -59,7 +65,7 @@ def main() -> None:
     print(
         render_panel(
             "Effective loss rate (late + lost)",
-            result.loss,
+            loss,
             list(SPEEDS_MPS),
         )
     )

@@ -20,30 +20,37 @@ Run with:  python examples/voip_wlan.py [duration_seconds]
 import os
 import sys
 
+from repro.experiments import SweepRunner
 from repro.experiments.report import render_panel
-from repro.experiments.voip import run_voip
+from repro.experiments.voip import voip_grid
+
+
+def mean(values) -> float:
+    """The mean over a run's calls; a run that scored none counts as the worst, 1.0."""
+    return sum(values) / len(values) if values else 1.0
 
 
 def main() -> None:
     default = float(os.environ.get("REPRO_EXAMPLE_DURATION", "1.5"))
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else default
     groups = (10, 20)
-    result = run_voip(bit_error_rate=1e-6, flow_groups=groups, duration_s=duration, seed=1)
+    configs, keys = voip_grid(1e-6, flow_groups=groups, duration_s=duration, seed=1)
+    mos, loss = {}, {}
+    for (label, calls), result in zip(keys, SweepRunner().run(configs)):
+        qualities = result.voip_quality.values()
+        mos.setdefault(label, {})[calls] = mean([quality.mos for quality in qualities])
+        loss.setdefault(label, {})[calls] = mean([quality.loss_rate for quality in qualities])
     print(
         render_panel(
             f"Table III (BER 1e-6, 6 Mb/s PHY, {duration} s simulated) — mean MoS\n"
             "columns: number of active VoIP calls",
-            result.mos,
+            mos,
             list(groups),
         )
     )
     print()
     print("Effective loss rate (late + lost packets):")
-    print(
-        render_panel(
-            "", result.loss, list(groups)
-        )
-    )
+    print(render_panel("", loss, list(groups)))
     print("\nMoS scale: 1 impossible, 2 very annoying, 3 annoying, 4 fair, 4.5 perfect")
 
 

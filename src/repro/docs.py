@@ -116,13 +116,12 @@ def _plain_rows(registry, skip: int) -> List[ComponentRow]:
 def _mac_rows(registry) -> List[ComponentRow]:
     rows = []
     for name, info in registry.items():
-        params = tuple(info.params) + ("max_aggregation",)
         description = _first_doc_line(registry.kind, name, info.factory)
         rows.append(
             ComponentRow(
                 name=name,
                 aliases=tuple(registry.aliases_of(name)),
-                params=params,
+                params=tuple(info.params),
                 description=f"{description} [{info.label}]",
             )
         )
@@ -169,8 +168,8 @@ def registry_sections() -> List[RegistrySection]:
             rows=_mac_rows(MAC_SCHEMES),
             note=(
                 "Bracketed suffixes are the paper's figure labels. "
-                "`max_aggregation` is accepted by every scheme. "
-                "`rate_adapt` wraps the scheme named by its `inner` parameter."
+                "`rate_adapt` wraps the scheme named by its `inner` parameter, "
+                "which must read the `max_aggregation` it passes on."
             ),
         ),
         RegistrySection(

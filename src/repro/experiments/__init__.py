@@ -1,29 +1,33 @@
-"""Experiment harness: one module per table/figure of the paper's evaluation.
+"""Experiment harness: the paper's figures and tables as one table of data.
 
-==========  ==========================================  ==============================
-Paper item  Module / entry point                        What it reports
-==========  ==========================================  ==============================
-Section II  :func:`repro.experiments.motivation.run_motivation`    SPR vs preExOR vs MCExOR throughput + re-ordering
-Fig. 3      :func:`repro.experiments.longlived.run_fig3`           long-lived TCP, BER 1e-6, ROUTE0/1/2
-Fig. 4      :func:`repro.experiments.longlived.run_fig4`           long-lived TCP, BER 1e-5
-Fig. 6(a)   :func:`repro.experiments.collisions.run_regular_collisions`  regular collisions
-Fig. 6(b)   :func:`repro.experiments.collisions.run_hidden_collisions`   hidden collisions
-Fig. 7      :func:`repro.experiments.hops.run_hops`                 2-7 hop line, +/- cross traffic
-Fig. 8      :func:`repro.experiments.web.run_web_traffic`           short web transfers
-Table III   :func:`repro.experiments.voip.run_table3`               VoIP MoS
-Fig. 10     :func:`repro.experiments.wigle.run_wigle`               Wigle topology
-Fig. 12     :func:`repro.experiments.roofnet.run_roofnet`           Roofnet topology
-(extra)     :mod:`repro.experiments.ablation`                       aggregation / forwarder ablations
-(extra)     :mod:`repro.experiments.mobility`                       scheme x node-speed sweeps (TCP, VoIP MoS)
-==========  ==========================================  ==============================
+:data:`repro.experiments.figures.FIGURES` holds every runnable figure:
+its grid of scenario configs, one reduction of the results to titled
+tables, a title and the claims it supports.  Each entry's grid comes
+from the module of its paper item:
 
-Each experiment expresses its work as a declarative grid of
-:class:`ScenarioConfig` objects and routes it through
-:class:`~repro.experiments.parallel.SweepRunner` (multiprocessing fan-out
-plus an on-disk result cache keyed by a content hash of the config; see
-:mod:`repro.experiments.parallel`).  ``python -m repro.experiments`` lists
-and runs any figure/table from the command line with ``--jobs``,
-``--seeds`` and ``--no-cache`` flags.
+============  ========================  ============================================
+Paper item    ``FIGURES`` entries       Grid module: what it sweeps
+============  ========================  ============================================
+Section II    ``motivation``            ``motivation``: SPR vs preExOR vs MCExOR
+Fig. 3, 4     ``fig3``, ``fig4``        ``longlived``: long-lived TCP, ROUTE0/1/2
+Fig. 6        ``fig6a``, ``fig6b``      ``collisions``: regular / hidden collisions
+Fig. 7        ``fig7a``, ``fig7b``      ``hops``: 2-7 hop line, -/+ cross traffic
+Fig. 8        ``fig8``                  ``web``: short web transfers
+Table III     ``table3``                ``voip``: VoIP MoS, both BER points
+Fig. 10       ``fig10``                 ``wigle``: Wigle topology pairs
+Fig. 12       ``fig12``                 ``roofnet``: Roofnet topology pairs
+(extra)       ``ablation-*``            ``ablation``: aggregation / forwarder caps
+(extra)       ``mobility-*``            ``mobility``: scheme x node speed (TCP, VoIP)
+(extra)       ``fading``                ``fading``: scheme x propagation model
+(extra)       ``congestion``            ``congestion``: transport x MAC
+(extra)       ``corpus``                ``corpus``: a seeded corpus sample
+============  ========================  ============================================
+
+Every grid routes through :class:`~repro.experiments.parallel.SweepRunner`
+(multiprocessing fan-out plus an on-disk result cache keyed by a content
+hash of the config; see :mod:`repro.experiments.parallel`).  ``python -m
+repro.experiments`` lists, runs and re-renders any entry from the command
+line with ``--jobs``, ``--seeds`` and ``--no-cache`` flags.
 """
 
 from repro.experiments.grids import Axis, scenario_grid, topology_axis

@@ -50,296 +50,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
+from repro.experiments.figures import FIGURES, Figure
 from repro.experiments.parallel import (
     CacheMissError,
     CacheOnlySweepRunner,
     ResultCache,
     SweepRunner,
 )
-from repro.experiments.report import format_table, render_panel
+from repro.experiments.report import render_blocks
 from repro.serialization import SpecError
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One runnable figure/table: a renderer plus its bookkeeping."""
-
-    name: str
-    description: str
-    #: (runner, duration_s or None for the experiment's default, seed) -> text
-    render: Callable[[SweepRunner, Optional[float], int], str]
-    #: Heading the 'list' command files this experiment under.
-    group: str = "paper figures"
-    #: Never simulates: serves purely from the result cache, even under 'run'.
-    cache_only: bool = False
-    #: Sweep axes shown in 'list' (empty = a fixed scenario set).
-    axes: str = ""
-
-
-def _duration_kwargs(duration_s: Optional[float]) -> dict:
-    return {} if duration_s is None else {"duration_s": duration_s}
-
-
-def _render_motivation(runner, duration_s, seed):
-    from repro.experiments.motivation import run_motivation
-
-    results = run_motivation(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    rows = {
-        name: [res.throughput_mbps, 100.0 * res.reordering_ratio]
-        for name, res in results.items()
-    }
-    return format_table("Section II motivation", ["Mb/s", "reorder %"], rows)
-
-
-def _render_longlived(bit_error_rate):
-    def render(runner, duration_s, seed):
-        from repro.experiments.longlived import run_longlived_panel
-
-        blocks = []
-        for route_set in ("ROUTE0", "ROUTE1", "ROUTE2"):
-            panel = run_longlived_panel(
-                route_set,
-                bit_error_rate,
-                seed=seed,
-                runner=runner,
-                **_duration_kwargs(duration_s),
-            )
-            blocks.append(
-                render_panel(
-                    f"{route_set} (BER {bit_error_rate:g}) — total Mb/s vs active flows",
-                    panel.throughput_mbps,
-                    [1, 2, 3],
-                )
-            )
-        return "\n\n".join(blocks)
-
-    return render
-
-
-def _render_regular_collisions(runner, duration_s, seed):
-    from repro.experiments.collisions import run_regular_collisions
-
-    result = run_regular_collisions(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    columns = sorted(next(iter(result.throughput_mbps.values())))
-    return render_panel("Fig. 6(a) — total Mb/s vs parallel flows", result.throughput_mbps, columns)
-
-
-def _render_hidden_collisions(runner, duration_s, seed):
-    from repro.experiments.collisions import run_hidden_collisions
-
-    result = run_hidden_collisions(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    columns = sorted(next(iter(result.throughput_mbps.values())))
-    return render_panel("Fig. 6(b) — flow-1 Mb/s vs hidden flows", result.throughput_mbps, columns)
-
-
-def _render_hops(cross_traffic):
-    def render(runner, duration_s, seed):
-        from repro.experiments.hops import run_hops
-
-        result = run_hops(
-            cross_traffic=cross_traffic,
-            seed=seed,
-            runner=runner,
-            **_duration_kwargs(duration_s),
-        )
-        columns = sorted(next(iter(result.throughput_mbps.values())))
-        suffix = "with cross traffic" if cross_traffic else "no cross traffic"
-        return render_panel(
-            f"Fig. 7 — flow-1 Mb/s vs hops ({suffix})", result.throughput_mbps, columns
-        )
-
-    return render
-
-
-def _render_web(runner, duration_s, seed):
-    from repro.experiments.web import run_web_traffic
-
-    result = run_web_traffic(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    rows = {
-        label: [result.total_mbps[label], float(result.transfers_completed[label])]
-        for label in result.total_mbps
-    }
-    return format_table("Fig. 8 — web traffic", ["Mb/s", "segments"], rows)
-
-
-def _render_table3(runner, duration_s, seed):
-    from repro.experiments.voip import run_table3
-
-    results = run_table3(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    blocks = []
-    for ber, result in sorted(results.items()):
-        columns = sorted(next(iter(result.mos.values())))
-        blocks.append(
-            render_panel(f"Table III — mean MoS (BER {ber:g})", result.mos, columns)
-        )
-    return "\n\n".join(blocks)
-
-
-def _render_wigle(runner, duration_s, seed):
-    from repro.experiments.wigle import run_wigle
-
-    result = run_wigle(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    columns = list(next(iter(result.throughput_mbps.values())))
-    return render_panel("Fig. 10 — Wigle per-pair Mb/s", result.throughput_mbps, columns)
-
-
-def _render_roofnet(runner, duration_s, seed):
-    from repro.experiments.roofnet import run_roofnet
-
-    result = run_roofnet(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    columns = list(next(iter(result.throughput_mbps.values())))
-    return render_panel("Fig. 12 — Roofnet per-pair Mb/s", result.throughput_mbps, columns)
-
-
-def _render_aggregation(runner, duration_s, seed):
-    from repro.experiments.ablation import run_aggregation_ablation
-
-    result = run_aggregation_ablation(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    rows = {"R": [result.throughput_mbps[level] for level in sorted(result.throughput_mbps)]}
-    return format_table(
-        "Ablation — Mb/s vs max aggregation",
-        [str(level) for level in sorted(result.throughput_mbps)],
-        rows,
-    )
-
-
-def _render_mobility_tcp(runner, duration_s, seed):
-    from repro.experiments.mobility import run_mobility_tcp
-
-    result = run_mobility_tcp(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    columns = sorted(next(iter(result.throughput_mbps.values())))
-    return render_panel(
-        "Mobility — TCP Mb/s vs node speed (m/s, random waypoint)",
-        result.throughput_mbps,
-        columns,
-    )
-
-
-def _render_mobility_voip(runner, duration_s, seed):
-    from repro.experiments.mobility import run_mobility_voip
-
-    result = run_mobility_voip(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    columns = sorted(next(iter(result.mos.values())))
-    return render_panel(
-        "Mobility — mean VoIP MoS vs node speed (m/s, random waypoint)",
-        result.mos,
-        columns,
-    )
-
-
-def _render_fading(runner, duration_s, seed):
-    from repro.experiments.fading import FADING_MODELS, run_fading
-
-    result = run_fading(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    return render_panel(
-        "Fading — flow-1 Mb/s per propagation model (4-hop line)",
-        result.throughput_mbps,
-        list(FADING_MODELS),
-    )
-
-
-def _render_congestion(runner, duration_s, seed):
-    from repro.experiments.congestion import run_congestion
-
-    blocks = []
-    for topology in ("line", "roofnet"):
-        result = run_congestion(
-            topology=topology, seed=seed, runner=runner, **_duration_kwargs(duration_s)
-        )
-        throughput = render_panel(
-            f"Congestion — flow-1 Mb/s per transport ({topology})",
-            result.throughput_mbps,
-            list(next(iter(result.throughput_mbps.values()))),
-        )
-        rexmit = render_panel(
-            f"Congestion — flow-1 retransmitted segments ({topology})",
-            {t: {k: float(v) for k, v in row.items()} for t, row in result.retransmissions.items()},
-            list(next(iter(result.retransmissions.values()))),
-        )
-        blocks.extend([throughput, rexmit])
-    return "\n\n".join(blocks)
-
-
-def _render_corpus(runner, duration_s, seed):
-    from repro.experiments.corpus import CORPUS_DURATION_S, run_corpus
-
-    result = run_corpus(
-        seed=seed,
-        duration_s=CORPUS_DURATION_S if duration_s is None else duration_s,
-        runner=runner,
-    )
-    rows = {
-        label: [result.throughput_mbps[label], float(result.events[label])]
-        for label in result.labels
-    }
-    return format_table(
-        f"Corpus — sampled registry cross-product (sample seed {seed})",
-        ["Mb/s", "events"],
-        rows,
-    )
-
-
-def _render_corpus_report(runner, duration_s, seed):
-    # Cache-only by design: re-render the corpus sweep without ever
-    # simulating, whichever runner the command line built.
-    cache = getattr(runner, "cache", None)
-    if cache is None:
-        raise CacheMissError(
-            "corpus-report never simulates and needs a result cache "
-            "(drop --no-cache)"
-        )
-    return _render_corpus(CacheOnlySweepRunner(cache), duration_s, seed)
-
-
-def _render_forwarders(runner, duration_s, seed):
-    from repro.experiments.ablation import run_forwarder_ablation
-
-    result = run_forwarder_ablation(seed=seed, runner=runner, **_duration_kwargs(duration_s))
-    rows = {"R16": [result.throughput_mbps[count] for count in sorted(result.throughput_mbps)]}
-    return format_table(
-        "Ablation — Mb/s vs max forwarders",
-        [str(count) for count in sorted(result.throughput_mbps)],
-        rows,
-    )
-
-
-EXPERIMENTS: Dict[str, Experiment] = {
-    exp.name: exp
-    for exp in [
-        Experiment("motivation", "Section II: SPR vs preExOR vs MCExOR", _render_motivation),
-        Experiment("fig3", "Long-lived TCP, BER 1e-6, ROUTE0/1/2", _render_longlived(1e-6)),
-        Experiment("fig4", "Long-lived TCP, BER 1e-5, ROUTE0/1/2", _render_longlived(1e-5)),
-        Experiment("fig6a", "Regular collisions (parallel flows)", _render_regular_collisions),
-        Experiment("fig6b", "Hidden collisions (hidden UDP load)", _render_hidden_collisions),
-        Experiment("fig7a", "2-7 hop line, no cross traffic", _render_hops(False)),
-        Experiment("fig7b", "2-7 hop line, with cross traffic", _render_hops(True)),
-        Experiment("fig8", "Short web transfers", _render_web),
-        Experiment("table3", "VoIP MoS, both BER points", _render_table3),
-        Experiment("fig10", "Wigle topology per-pair throughput", _render_wigle),
-        Experiment("fig12", "Roofnet topology per-pair throughput", _render_roofnet),
-        Experiment("ablation-aggregation", "RIPPLE max-aggregation sweep", _render_aggregation,
-                   group="ablations"),
-        Experiment("ablation-forwarders", "RIPPLE forwarder-cap sweep", _render_forwarders,
-                   group="ablations"),
-        Experiment("mobility-tcp", "TCP throughput vs node speed (random waypoint)", _render_mobility_tcp,
-                   group="mobility"),
-        Experiment("mobility-voip", "VoIP MoS vs node speed (random waypoint)", _render_mobility_voip,
-                   group="mobility"),
-        Experiment("fading", "D/R16 line throughput per propagation model", _render_fading,
-                   group="components"),
-        Experiment("congestion", "Transport x MAC grid (reno/tahoe/newreno/cubic)", _render_congestion,
-                   group="components"),
-        Experiment("corpus", "Seeded sample of the registry cross-product", _render_corpus,
-                   group="corpus",
-                   axes="topology x mac x routing x traffic x transport x phy x mobility"),
-        Experiment("corpus-report", "Corpus sweep re-rendered from the cache", _render_corpus_report,
-                   group="corpus", cache_only=True,
-                   axes="topology x mac x routing x traffic x transport x phy x mobility"),
-    ]
-}
 
 
 # ----------------------------------------------------------------------
@@ -659,20 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_experiment_groups() -> None:
-    """The 'list' catalogue: experiments filed under their group headings."""
-    width = max(len(name) for name in EXPERIMENTS)
-    groups: Dict[str, List[Experiment]] = {}
-    for exp in EXPERIMENTS.values():
-        groups.setdefault(exp.group, []).append(exp)
+    """The 'list' catalogue: figures filed under their group headings."""
+    width = max(len(name) for name in FIGURES)
+    groups: Dict[str, Dict[str, Figure]] = {}
+    for name, figure in FIGURES.items():
+        groups.setdefault(figure.group, {})[name] = figure
     for position, (group, members) in enumerate(groups.items()):
         if position:
             print()
         print(f"{group}:")
-        for exp in members:
-            suffix = "  [cache-only]" if exp.cache_only else ""
-            if exp.axes:
-                suffix += f"  (axes: {exp.axes})"
-            print(f"  {exp.name:<{width}}  {exp.description}{suffix}")
+        for name, figure in members.items():
+            print(f"  {name:<{width}}  {figure.title}")
 
 
 def _print_component_registries() -> None:
@@ -713,11 +431,11 @@ def main(argv: Optional[list] = None) -> int:
         print("nothing to run: give experiment names or --spec/--set", file=sys.stderr)
         return 2
 
-    names = [] if spec_mode else (list(EXPERIMENTS) if "all" in args.names else args.names)
-    unknown = [name for name in names if name not in EXPERIMENTS]
+    names = [] if spec_mode else (list(FIGURES) if "all" in args.names else args.names)
+    unknown = [name for name in names if name not in FIGURES]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        print(f"known: {', '.join(FIGURES)}", file=sys.stderr)
         return 2
 
     if args.command == "report":
@@ -739,12 +457,10 @@ def main(argv: Optional[list] = None) -> int:
             _print_cache_summary(cache, sys.stderr if args.json else sys.stdout)
         return status
     for name in names:
-        exp = EXPERIMENTS[name]
         for seed in range(1, args.seeds + 1):
-            header = f"=== {name} (seed {seed}) ==="
-            print(header)
+            print(f"=== {name} (seed {seed}) ===")
             try:
-                print(exp.render(runner, args.duration, seed))
+                print(render_blocks(FIGURES[name].blocks(runner, seed, args.duration)))
             except CacheMissError as exc:
                 print(
                     f"{name} (seed {seed}): {exc}.\n"

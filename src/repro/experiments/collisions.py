@@ -14,32 +14,14 @@ longer mTXOPs suffer more from hidden collisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import scenario_grid, topology_axis
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
 from repro.topology.standard import fig5a_topology, fig5b_topology
 
 #: The three schemes Fig. 6 compares.
 COLLISION_SCHEMES: tuple[str, ...] = ("D", "A", "R16")
-
-
-@dataclass
-class RegularCollisionResult:
-    """Fig. 6(a): total throughput versus number of in-range flows."""
-
-    #: throughput_mbps[scheme_label][n_flows] = total TCP throughput
-    throughput_mbps: Dict[str, Dict[int, float]] = field(default_factory=dict)
-
-
-@dataclass
-class HiddenCollisionResult:
-    """Fig. 6(b): flow-1 throughput versus number of hidden saturating flows."""
-
-    #: throughput_mbps[scheme_label][n_hidden] = flow 1 TCP throughput
-    throughput_mbps: Dict[str, Dict[int, float]] = field(default_factory=dict)
 
 
 def regular_collisions_grid(
@@ -72,23 +54,6 @@ def regular_collisions_grid(
     )
 
 
-def run_regular_collisions(
-    flow_counts: Sequence[int] = (1, 3, 5, 7, 9),
-    schemes: Sequence[str] = COLLISION_SCHEMES,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> RegularCollisionResult:
-    """Reproduce Fig. 6(a)."""
-    configs, keys = regular_collisions_grid(flow_counts, schemes, bit_error_rate, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = RegularCollisionResult()
-    for (label, n_flows), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[n_flows] = outcome.total_throughput_mbps
-    return result
-
-
 def hidden_collisions_grid(
     hidden_counts: Sequence[int] = (0, 1, 3, 5, 7, 9),
     schemes: Sequence[str] = COLLISION_SCHEMES,
@@ -117,20 +82,3 @@ def hidden_collisions_grid(
             ),
         },
     )
-
-
-def run_hidden_collisions(
-    hidden_counts: Sequence[int] = (0, 1, 3, 5, 7, 9),
-    schemes: Sequence[str] = COLLISION_SCHEMES,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> HiddenCollisionResult:
-    """Reproduce Fig. 6(b)."""
-    configs, keys = hidden_collisions_grid(hidden_counts, schemes, bit_error_rate, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = HiddenCollisionResult()
-    for (label, n_hidden), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[n_hidden] = outcome.flow_throughput(1)
-    return result

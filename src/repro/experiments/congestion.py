@@ -12,11 +12,10 @@ a clean 3-hop line (``topology="line"``) and a 3-hop Roofnet pair
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
 from repro.spec import TransportSpec
 from repro.topology.standard import line_topology
@@ -26,17 +25,6 @@ CONGESTION_TRANSPORTS: Tuple[str, ...] = ("reno", "tahoe", "newreno", "cubic")
 
 #: MAC schemes compared per transport (the paper's baseline and RIPPLE).
 CONGESTION_SCHEMES: Tuple[str, ...] = ("D", "R16")
-
-
-@dataclass
-class CongestionResult:
-    """One panel: per-transport, per-MAC throughput and loss-recovery work."""
-
-    topology: str
-    #: throughput_mbps[transport][scheme_label] = flow-1 throughput in Mb/s
-    throughput_mbps: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: retransmissions[transport][scheme_label] = flow-1 retransmitted segments
-    retransmissions: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
 
 def transport_axis(names: Sequence[str]) -> Axis:
@@ -87,26 +75,3 @@ def congestion_grid(
             "scheme_label": schemes,
         },
     )
-
-
-def run_congestion(
-    topology: str = "line",
-    transports: Sequence[str] = CONGESTION_TRANSPORTS,
-    schemes: Sequence[str] = CONGESTION_SCHEMES,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> CongestionResult:
-    """Run one transport × MAC panel and collect flow-1 metrics."""
-    configs, keys = congestion_grid(
-        topology, transports, schemes, bit_error_rate, duration_s, seed
-    )
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = CongestionResult(topology=topology)
-    flow_id = configs[0].active_flows[0]
-    for (transport, label), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(transport, {})[label] = outcome.flow_throughput(flow_id)
-        flow = next(f for f in outcome.flows if f.flow_id == flow_id)
-        result.retransmissions.setdefault(transport, {})[label] = flow.retransmissions
-    return result

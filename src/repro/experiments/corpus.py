@@ -17,10 +17,8 @@ the experiment pipeline agree on what a scenario *is*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Tuple
 
-from repro.experiments.parallel import SweepRunner
 from repro.spec import ScenarioConfig
 
 #: Default sample size of the experiment family (smaller than the CLI
@@ -31,35 +29,13 @@ CORPUS_SAMPLE = 12
 CORPUS_DURATION_S = 0.05
 
 
-@dataclass(frozen=True)
-class CorpusSweepResult:
-    """Per-scenario headline numbers of one corpus sweep."""
-
-    #: Stable one-line scenario labels, in sample order.
-    labels: List[str]
-    throughput_mbps: Dict[str, float]
-    events: Dict[str, int]
-
-
-def run_corpus(
-    seed: int = 0,
-    sample: int = CORPUS_SAMPLE,
-    duration_s: float = CORPUS_DURATION_S,
-    runner: Optional[SweepRunner] = None,
-) -> CorpusSweepResult:
-    """Run ``sample`` seed-determined corpus scenarios through ``runner``."""
+def corpus_grid(
+    seed: int = 0, sample: int = CORPUS_SAMPLE, duration_s: float = CORPUS_DURATION_S
+) -> Tuple[List[ScenarioConfig], List[str]]:
+    """``sample`` seed-determined corpus scenarios, keyed by their one-line labels."""
     from repro.corpus.space import default_space
 
-    if runner is None:
-        runner = SweepRunner()
     space = default_space(duration_s=duration_s)
     combos = space.sample(sample, sample_seed=seed)
-    labels = [space.describe(combo) for combo in combos]
     configs = [ScenarioConfig.from_dict(space.document_for(combo)) for combo in combos]
-    results = runner.run(configs)
-    throughput = {}
-    events = {}
-    for label, result in zip(labels, results):
-        throughput[label] = result.total_throughput_mbps
-        events[label] = result.events_processed
-    return CorpusSweepResult(labels=labels, throughput_mbps=throughput, events=events)
+    return configs, [space.describe(combo) for combo in combos]

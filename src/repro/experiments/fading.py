@@ -15,11 +15,9 @@ repro.experiments run fading`` is the CLI face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.experiments.grids import propagation_axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
 from repro.topology.standard import line_topology
 
@@ -32,14 +30,6 @@ FADING_SCHEMES: Tuple[str, ...] = ("D", "R16")
 #: Model-specific builder parameters used by the family (the Rician point
 #: uses a moderate K so it sits visibly between Rayleigh and shadowing).
 FADING_PARAMS: Mapping[str, Dict[str, object]] = {"rician": {"k_factor": 4.0}}
-
-
-@dataclass
-class FadingResult:
-    """Flow-1 throughput per (scheme, propagation model)."""
-
-    #: throughput_mbps[scheme_label][model_name] = flow 1 throughput in Mb/s
-    throughput_mbps: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
 def fading_grid(
@@ -65,21 +55,3 @@ def fading_grid(
             "propagation": propagation_axis(models, params=FADING_PARAMS),
         },
     )
-
-
-def run_fading(
-    models: Sequence[str] = FADING_MODELS,
-    schemes: Sequence[str] = FADING_SCHEMES,
-    n_hops: int = 4,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> FadingResult:
-    """Run the scheme × propagation grid and collect flow-1 throughput."""
-    configs, keys = fading_grid(models, schemes, n_hops, bit_error_rate, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = FadingResult()
-    for (label, model), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[model] = outcome.flow_throughput(1)
-    return result

@@ -25,7 +25,8 @@ flow lists, ...) and a custom ``key`` (the label the result tables use —
 e.g. the *length* of an active-flow tuple).
 
 ``keys`` come back as one tuple per config (scalars for one-axis grids),
-which is what the family modules zip against the sweep results.
+which is what the figure reductions of :mod:`repro.experiments.figures`
+zip against the sweep results.
 """
 
 from __future__ import annotations

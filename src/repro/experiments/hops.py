@@ -10,25 +10,14 @@ performance "depends entirely on the forwarders' help".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import scenario_grid, topology_axis
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
 from repro.topology.standard import line_topology
 
 #: Schemes plotted in Fig. 7.
 HOPS_SCHEMES: tuple[str, ...] = ("D", "A", "R16")
-
-
-@dataclass
-class HopsResult:
-    """Fig. 7: flow-1 throughput versus hop count, with/without cross traffic."""
-
-    cross_traffic: bool
-    #: throughput_mbps[scheme_label][n_hops] = flow 1 throughput in Mb/s
-    throughput_mbps: Dict[str, Dict[int, float]] = field(default_factory=dict)
 
 
 def hops_grid(
@@ -60,21 +49,3 @@ def hops_grid(
             ),
         },
     )
-
-
-def run_hops(
-    hop_counts: Sequence[int] = (2, 3, 4, 5, 6, 7),
-    cross_traffic: bool = False,
-    schemes: Sequence[str] = HOPS_SCHEMES,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> HopsResult:
-    """Reproduce Fig. 7(a) (``cross_traffic=False``) or Fig. 7(b) (``True``)."""
-    configs, keys = hops_grid(hop_counts, cross_traffic, schemes, bit_error_rate, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = HopsResult(cross_traffic=cross_traffic)
-    for (label, hops), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[hops] = outcome.flow_throughput(1)
-    return result

@@ -8,11 +8,10 @@ S / D / R1 / A / R16.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import (
     DEFAULT_SCHEME_LABELS,
     ScenarioConfig,
@@ -21,18 +20,6 @@ from repro.topology.standard import fig1_topology
 
 #: Flow activation sets used by the figures: flow 1, flows 1+2, flows 1+2+3.
 FLOW_SETS: Tuple[Tuple[int, ...], ...] = ((1,), (1, 2), (1, 2, 3))
-
-
-@dataclass
-class LongLivedPanel:
-    """One panel of Fig. 3 / Fig. 4: total throughput per scheme per flow count."""
-
-    route_set: str
-    bit_error_rate: float
-    #: throughput_mbps[scheme_label][n_flows] = total TCP throughput in Mb/s
-    throughput_mbps: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    #: per_flow_mbps[scheme_label][n_flows] = list of per-flow throughputs
-    per_flow_mbps: Dict[str, Dict[int, List[float]]] = field(default_factory=dict)
 
 
 def longlived_panel_grid(
@@ -66,50 +53,3 @@ def longlived_panel_grid(
             ),
         },
     )
-
-
-def run_longlived_panel(
-    route_set: str = "ROUTE0",
-    bit_error_rate: float = 1e-6,
-    scheme_labels: Sequence[str] = DEFAULT_SCHEME_LABELS,
-    flow_sets: Sequence[Tuple[int, ...]] = FLOW_SETS,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> LongLivedPanel:
-    """Reproduce one panel of Fig. 3 (BER 1e-6) or Fig. 4 (BER 1e-5)."""
-    configs, keys = longlived_panel_grid(
-        route_set, bit_error_rate, scheme_labels, flow_sets, duration_s, seed
-    )
-    results = (runner or SweepRunner()).run(configs)
-    panel = LongLivedPanel(route_set=route_set, bit_error_rate=bit_error_rate)
-    for (label, n_flows), result in zip(keys, results):
-        panel.throughput_mbps.setdefault(label, {})[n_flows] = result.total_throughput_mbps
-        panel.per_flow_mbps.setdefault(label, {})[n_flows] = [
-            flow.throughput_mbps for flow in result.flows
-        ]
-    return panel
-
-
-def run_fig3(
-    duration_s: float = 1.0, seed: int = 1, runner: Optional[SweepRunner] = None
-) -> Dict[str, LongLivedPanel]:
-    """All three panels of Fig. 3 (clear channel, BER 1e-6)."""
-    return {
-        route_set: run_longlived_panel(
-            route_set, 1e-6, duration_s=duration_s, seed=seed, runner=runner
-        )
-        for route_set in ("ROUTE0", "ROUTE1", "ROUTE2")
-    }
-
-
-def run_fig4(
-    duration_s: float = 1.0, seed: int = 1, runner: Optional[SweepRunner] = None
-) -> Dict[str, LongLivedPanel]:
-    """All three panels of Fig. 4 (noisy channel, BER 1e-5)."""
-    return {
-        route_set: run_longlived_panel(
-            route_set, 1e-5, duration_s=duration_s, seed=seed, runner=runner
-        )
-        for route_set in ("ROUTE0", "ROUTE1", "ROUTE2")
-    }

@@ -25,16 +25,14 @@ links churn).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
-from repro.experiments.voip import voip_topology
 from repro.mobility.spec import MobilitySpec
 from repro.phy.params import LOW_RATE_PHY
-from repro.topology.standard import fig1_topology
+from repro.topology.standard import fig1_topology, voip_topology
 
 #: Node speeds (m/s) the panels sweep: pedestrian through vehicular.
 MOBILITY_SPEEDS_MPS: Tuple[float, ...] = (0.0, 1.0, 2.5, 5.0, 10.0)
@@ -54,26 +52,6 @@ def mobility_spec(speed_mps: float, pause_s: float = 0.5) -> MobilitySpec:
         update_interval_s=UPDATE_INTERVAL_S,
         reestimate_interval_s=REESTIMATE_INTERVAL_S,
     )
-
-
-@dataclass
-class MobilityTcpResult:
-    """TCP panel: total throughput per scheme per node speed."""
-
-    #: throughput_mbps[scheme_label][speed_mps] = total TCP Mb/s
-    throughput_mbps: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    #: reordering[scheme_label][speed_mps] = fraction of TCP packets re-ordered
-    reordering: Dict[str, Dict[float, float]] = field(default_factory=dict)
-
-
-@dataclass
-class MobilityVoipResult:
-    """VoIP panel: mean MoS per scheme per node speed."""
-
-    #: mos[scheme_label][speed_mps] = mean MoS over the active calls
-    mos: Dict[str, Dict[float, float]] = field(default_factory=dict)
-    #: loss[scheme_label][speed_mps] = mean effective loss rate (late + lost)
-    loss: Dict[str, Dict[float, float]] = field(default_factory=dict)
 
 
 def mobility_tcp_grid(
@@ -103,23 +81,6 @@ def mobility_tcp_grid(
     )
 
 
-def run_mobility_tcp(
-    speeds: Sequence[float] = MOBILITY_SPEEDS_MPS,
-    schemes: Sequence[str] = MOBILITY_SCHEMES,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> MobilityTcpResult:
-    """TCP throughput vs node speed (D/A/R1/R16 bars per speed group)."""
-    configs, keys = mobility_tcp_grid(speeds, schemes, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = MobilityTcpResult()
-    for (label, speed), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[speed] = outcome.total_throughput_mbps
-        result.reordering.setdefault(label, {})[speed] = outcome.reordering_ratio
-    return result
-
-
 def mobility_voip_grid(
     speeds: Sequence[float] = MOBILITY_SPEEDS_MPS,
     schemes: Sequence[str] = MOBILITY_SCHEMES,
@@ -147,28 +108,3 @@ def mobility_voip_grid(
             ),
         },
     )
-
-
-def run_mobility_voip(
-    speeds: Sequence[float] = MOBILITY_SPEEDS_MPS,
-    schemes: Sequence[str] = MOBILITY_SCHEMES,
-    n_flows: int = 10,
-    duration_s: float = 2.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> MobilityVoipResult:
-    """Mean VoIP MoS vs node speed (D/A/R1/R16 bars per speed group)."""
-    configs, keys = mobility_voip_grid(speeds, schemes, n_flows, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = MobilityVoipResult()
-    for (label, speed), outcome in zip(keys, outcomes):
-        qualities = list(outcome.voip_quality.values())
-        if qualities:
-            mos = sum(q.mos for q in qualities) / len(qualities)
-            loss = sum(q.loss_rate for q in qualities) / len(qualities)
-        else:
-            mos = 1.0
-            loss = 1.0
-        result.mos.setdefault(label, {})[speed] = mos
-        result.loss.setdefault(label, {})[speed] = loss
-    return result

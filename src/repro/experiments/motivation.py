@@ -16,11 +16,9 @@ path routing selects once the direct link is excluded by its quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Sequence, Tuple
 
-from repro.experiments.grids import scenario_grid
-from repro.experiments.parallel import SweepRunner
+from repro.experiments.grids import Axis, scenario_grid
 from repro.experiments.runner import ScenarioConfig
 from repro.topology.standard import fig1_topology
 
@@ -28,51 +26,26 @@ from repro.topology.standard import fig1_topology
 MOTIVATION_SCHEMES: tuple[str, ...] = ("D", "preExOR", "MCExOR")
 
 
-@dataclass
-class MotivationResult:
-    """Throughput and re-ordering for one forwarding scheme."""
-
-    scheme: str
-    throughput_mbps: float
-    reordering_ratio: float
-    segments_received: int
-    reordered_segments: int
-
-
 def motivation_grid(
-    duration_s: float = 1.0, bit_error_rate: float = 1e-6, seed: int = 1
-) -> List[ScenarioConfig]:
-    """The declarative config grid: one run per Section II scheme."""
+    duration_s: float = 1.0,
+    bit_error_rate: float = 1e-6,
+    seed: int = 1,
+    schemes: Sequence[str] = MOTIVATION_SCHEMES,
+    active_flows: Sequence[int] = (1,),
+) -> Tuple[List[ScenarioConfig], List[str]]:
+    """The declarative config grid: one run per scheme, keyed by its Section II name.
+
+    D is the paper's SPR; other labels name themselves.
+    """
     base = ScenarioConfig(
         topology=fig1_topology(),
         route_set="ROUTE0",
-        active_flows=[1],
+        active_flows=list(active_flows),
         bit_error_rate=bit_error_rate,
         duration_s=duration_s,
         seed=seed,
     )
-    configs, _keys = scenario_grid(base, {"scheme_label": MOTIVATION_SCHEMES})
-    return configs
-
-
-def run_motivation(
-    duration_s: float = 1.0,
-    bit_error_rate: float = 1e-6,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, MotivationResult]:
-    """Run the Section II comparison (single flow 0 -> 3 on the Fig. 1 topology)."""
-    configs = motivation_grid(duration_s, bit_error_rate, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    results: Dict[str, MotivationResult] = {}
-    for label, outcome in zip(MOTIVATION_SCHEMES, outcomes):
-        flow = outcome.flows[0]
-        name = {"D": "SPR", "preExOR": "preExOR", "MCExOR": "MCExOR"}[label]
-        results[name] = MotivationResult(
-            scheme=name,
-            throughput_mbps=flow.throughput_mbps,
-            reordering_ratio=flow.reordering_ratio,
-            segments_received=flow.packets_received,
-            reordered_segments=flow.reordered,
-        )
-    return results
+    return scenario_grid(
+        base,
+        {"scheme_label": Axis(schemes, key=lambda label: "SPR" if label == "D" else label)},
+    )

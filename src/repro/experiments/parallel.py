@@ -4,8 +4,8 @@ Every figure and table of the paper is an embarrassingly parallel sweep:
 the same :func:`~repro.experiments.runner.run_scenario` evaluated over a
 grid of scheme labels, seeds, BER points and topology parameters, each
 point fully determined by its :class:`~repro.experiments.runner.ScenarioConfig`.
-This module is the execution subsystem the experiment modules route that
-work through:
+This module is the execution subsystem the figure grids route that work
+through:
 
 * :func:`expand_grid` — turn a base config plus per-field value lists into
   the Cartesian product of configs (the declarative grid).

@@ -47,3 +47,11 @@ def render_panel(
     """Convenience wrapper: title + table for a {scheme: {x: throughput}} panel."""
     rows = nested_to_rows(nested, column_keys)
     return format_table(title, [str(key) for key in column_keys], rows)
+
+
+def render_blocks(blocks: Mapping[str, Mapping[object, Mapping[object, float]]]) -> str:
+    """Each ``{title: {row: {column: value}}}`` block as a table, columns in first-row order."""
+    return "\n\n".join(
+        render_panel(title, table, list(next(iter(table.values()))))
+        for title, table in blocks.items()
+    )

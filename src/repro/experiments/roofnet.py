@@ -8,11 +8,10 @@ with and without nearby hidden terminals, under DCF, AFR and RIPPLE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
 from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY, PhyParams
 from repro.topology.roofnet import roofnet_scenario
@@ -21,17 +20,8 @@ from repro.topology.roofnet import roofnet_scenario
 ROOFNET_SCHEMES: tuple[str, ...] = ("D", "A", "R16")
 
 
-@dataclass
-class RoofnetResult:
-    """One panel of Fig. 12: per-pair throughput for each scheme."""
-
-    data_rate_mbps: float
-    hidden_terminals: bool
-    #: throughput_mbps[scheme_label][pair_label] = measured flow throughput
-    throughput_mbps: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-def _phy_for_rate(data_rate_mbps: float) -> PhyParams:
+def phy_for_rate(data_rate_mbps: float) -> PhyParams:
+    """The PHY profile of a Fig. 10 / Fig. 12 panel's data rate."""
     if data_rate_mbps >= 100:
         return HIGH_RATE_PHY
     return LOW_RATE_PHY
@@ -46,14 +36,13 @@ def roofnet_grid(
     duration_s: float = 1.0,
     seed: int = 7,
     max_flows: int | None = None,
-) -> Tuple[List[ScenarioConfig], List[Tuple[str, int, str]]]:
+) -> Tuple[List[ScenarioConfig], List[Tuple[str, str]]]:
     """The declarative config grid for one Fig. 12 panel.
 
     Returns ``(configs, keys)`` where each key is the ``(scheme label,
-    measured flow id, pair label)`` the same-index config measures.
+    pair label)`` the same-index config measures; the measured flow is its
+    first active flow.
     """
-    from dataclasses import replace
-
     topology = roofnet_scenario(hop_counts=hop_counts, include_hidden=hidden_terminals, seed=seed)
     measured = [flow for flow in topology.flows if flow.kind == "tcp"]
     if max_flows is not None:
@@ -75,46 +64,16 @@ def roofnet_grid(
         bit_error_rate=bit_error_rate,
         duration_s=duration_s,
         seed=seed,
-        phy=_phy_for_rate(data_rate_mbps),
+        phy=phy_for_rate(data_rate_mbps),
     )
-    configs, keys = scenario_grid(
+    return scenario_grid(
         base,
         {
             "scheme_label": schemes,
             "pair": Axis(
                 list(enumerate(measured)),
                 bind=activate,
-                key=lambda indexed: (indexed[1].flow_id, indexed[1].label),
+                key=lambda indexed: indexed[1].label,
             ),
         },
     )
-    return configs, [(label, flow_id, flow_label) for label, (flow_id, flow_label) in keys]
-
-
-def run_roofnet(
-    data_rate_mbps: float = 6.0,
-    hidden_terminals: bool = False,
-    schemes: Sequence[str] = ROOFNET_SCHEMES,
-    hop_counts: Tuple[int, ...] = (3, 3, 4, 4, 5, 5),
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 7,
-    max_flows: int | None = None,
-    runner: Optional[SweepRunner] = None,
-) -> RoofnetResult:
-    """Reproduce one panel of Fig. 12."""
-    configs, keys = roofnet_grid(
-        data_rate_mbps,
-        hidden_terminals,
-        schemes,
-        hop_counts,
-        bit_error_rate,
-        duration_s,
-        seed,
-        max_flows,
-    )
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = RoofnetResult(data_rate_mbps=data_rate_mbps, hidden_terminals=hidden_terminals)
-    for (label, flow_id, pair_label), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[pair_label] = outcome.flow_throughput(flow_id)
-    return result

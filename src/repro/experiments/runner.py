@@ -1,7 +1,7 @@
 """Scenario assembly and execution shared by every experiment.
 
-An experiment module (one per paper table/figure) describes *what* to run
-— a topology spec, a route set, which flows are active, which components
+A figure's grid (see :mod:`repro.experiments.figures`) describes *what* to
+run — a topology spec, a route set, which flows are active, which components
 each layer installs — and this module turns that into a wired-up
 :class:`~repro.topology.network.WirelessNetwork`, runs it, and collects
 per-flow results.

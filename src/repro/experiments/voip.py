@@ -9,43 +9,18 @@ and 1e-6, under DCF/ROUTE0, AFR/ROUTE0 and RIPPLE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
 from repro.phy.params import LOW_RATE_PHY
-from repro.topology.spec import TopologySpec
-from repro.topology.standard import voip_topology as _voip_topology
+from repro.topology.standard import voip_topology
 
 #: Schemes reported in Table III.
 VOIP_SCHEMES: tuple[str, ...] = ("D", "A", "R16")
-#: Number of VoIP streams per source/destination pair.
-VOIP_FLOWS_PER_PAIR = 10
 #: Flow-count groups reported in Table III ("1..10", "1..20", "1..30").
 VOIP_FLOW_GROUPS: Tuple[int, ...] = (10, 20, 30)
-
-
-def voip_topology(flows_per_pair: int = VOIP_FLOWS_PER_PAIR) -> TopologySpec:
-    """The Fig. 1 topology carrying VoIP streams instead of TCP flows.
-
-    Now lives in :mod:`repro.topology.standard` (registered as
-    ``fig1-voip``/``voip`` in the topology registry); re-exported here for
-    backward compatibility.
-    """
-    return _voip_topology(flows_per_pair=flows_per_pair)
-
-
-@dataclass
-class VoipResult:
-    """Table III: mean MoS per scheme per number of active flows."""
-
-    bit_error_rate: float
-    #: mos[scheme_label][n_flows] = average MoS over the active flows
-    mos: Dict[str, Dict[int, float]] = field(default_factory=dict)
-    #: loss[scheme_label][n_flows] = average effective loss rate (late + lost)
-    loss: Dict[str, Dict[int, float]] = field(default_factory=dict)
 
 
 def voip_grid(
@@ -78,38 +53,3 @@ def voip_grid(
             ),
         },
     )
-
-
-def run_voip(
-    bit_error_rate: float = 1e-6,
-    schemes: Sequence[str] = VOIP_SCHEMES,
-    flow_groups: Sequence[int] = VOIP_FLOW_GROUPS,
-    duration_s: float = 2.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> VoipResult:
-    """Reproduce one BER column group of Table III."""
-    configs, keys = voip_grid(bit_error_rate, schemes, flow_groups, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = VoipResult(bit_error_rate=bit_error_rate)
-    for (label, n_flows), outcome in zip(keys, outcomes):
-        qualities = list(outcome.voip_quality.values())
-        if qualities:
-            mos = sum(q.mos for q in qualities) / len(qualities)
-            loss = sum(q.loss_rate for q in qualities) / len(qualities)
-        else:
-            mos = 1.0
-            loss = 1.0
-        result.mos.setdefault(label, {})[n_flows] = mos
-        result.loss.setdefault(label, {})[n_flows] = loss
-    return result
-
-
-def run_table3(
-    duration_s: float = 2.0, seed: int = 1, runner: Optional[SweepRunner] = None
-) -> Dict[float, VoipResult]:
-    """Both BER operating points of Table III."""
-    return {
-        1e-5: run_voip(1e-5, duration_s=duration_s, seed=seed, runner=runner),
-        1e-6: run_voip(1e-6, duration_s=duration_s, seed=seed, runner=runner),
-    }

@@ -9,39 +9,16 @@ all active flows for DCF, AFR and RIPPLE on ROUTE0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import scenario_grid
-from repro.experiments.parallel import SweepRunner
 from repro.experiments.runner import ScenarioConfig
-from repro.topology.spec import TopologySpec
-from repro.topology.standard import web_topology as _web_topology
+from repro.topology.standard import web_topology
 
 #: Schemes plotted in Fig. 8.
 WEB_SCHEMES: tuple[str, ...] = ("D", "A", "R16")
 #: Number of web users per source/destination pair (Section IV-D).
 WEB_FLOWS_PER_PAIR = 10
-
-
-def web_topology(flows_per_pair: int = WEB_FLOWS_PER_PAIR) -> TopologySpec:
-    """The Fig. 1 topology re-flavoured with ``flows_per_pair`` web flows per pair.
-
-    Now lives in :mod:`repro.topology.standard` (registered as
-    ``fig1-web``/``web`` in the topology registry); re-exported here for
-    backward compatibility.
-    """
-    return _web_topology(flows_per_pair=flows_per_pair)
-
-
-@dataclass
-class WebResult:
-    """Fig. 8: sum throughput of all active web flows per scheme."""
-
-    #: total_mbps[scheme_label] = sum throughput of the 30 web flows
-    total_mbps: Dict[str, float] = field(default_factory=dict)
-    #: transfers_completed[scheme_label] = completed web objects across flows
-    transfers_completed: Dict[str, int] = field(default_factory=dict)
 
 
 def web_grid(
@@ -50,8 +27,8 @@ def web_grid(
     bit_error_rate: float = 1e-6,
     duration_s: float = 2.0,
     seed: int = 1,
-) -> List[ScenarioConfig]:
-    """The declarative config grid for Fig. 8: one run per scheme."""
+) -> Tuple[List[ScenarioConfig], List[str]]:
+    """The declarative config grid for Fig. 8: one run per scheme, keyed by its label."""
     base = ScenarioConfig(
         topology=web_topology(flows_per_pair),
         route_set="ROUTE0",
@@ -59,25 +36,4 @@ def web_grid(
         duration_s=duration_s,
         seed=seed,
     )
-    configs, _keys = scenario_grid(base, {"scheme_label": schemes})
-    return configs
-
-
-def run_web_traffic(
-    schemes: Sequence[str] = WEB_SCHEMES,
-    flows_per_pair: int = WEB_FLOWS_PER_PAIR,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 2.0,
-    seed: int = 1,
-    runner: Optional[SweepRunner] = None,
-) -> WebResult:
-    """Reproduce Fig. 8 (sum throughput of the short-transfer mix)."""
-    configs = web_grid(schemes, flows_per_pair, bit_error_rate, duration_s, seed)
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = WebResult()
-    for label, outcome in zip(schemes, outcomes):
-        result.total_mbps[label] = outcome.total_throughput_mbps
-        result.transfers_completed[label] = sum(
-            flow.packets_received for flow in outcome.flows
-        )
-    return result
+    return scenario_grid(base, {"scheme_label": schemes})

@@ -8,33 +8,16 @@ same predetermined relay path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.parallel import SweepRunner
+from repro.experiments.roofnet import phy_for_rate
 from repro.experiments.runner import ScenarioConfig
-from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY, PhyParams
 from repro.topology.wigle import wigle_topology
 
 #: Schemes plotted in Fig. 10.
 WIGLE_SCHEMES: tuple[str, ...] = ("D", "A", "R16")
-
-
-@dataclass
-class WigleResult:
-    """One panel of Fig. 10: per-flow throughput for each scheme."""
-
-    data_rate_mbps: float
-    hidden_traffic: bool
-    #: throughput_mbps[scheme_label][flow_label] = measured flow throughput
-    throughput_mbps: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-
-def _phy_for_rate(data_rate_mbps: float) -> PhyParams:
-    if data_rate_mbps >= 100:
-        return HIGH_RATE_PHY
-    return LOW_RATE_PHY
 
 
 def wigle_grid(
@@ -45,14 +28,14 @@ def wigle_grid(
     duration_s: float = 1.0,
     seed: int = 1,
     max_flows: int | None = None,
-) -> Tuple[List[ScenarioConfig], List[Tuple[str, int, str]]]:
+) -> Tuple[List[ScenarioConfig], List[Tuple[str, str]]]:
     """The declarative config grid for one Fig. 10 panel.
 
     Returns ``(configs, keys)`` where each key is the ``(scheme label,
-    measured flow id, flow label)`` the same-index config measures.
+    flow label)`` the same-index config measures; the measured flow is its
+    first active flow.  ``max_flows`` limits how many of the eight measured
+    pairs are run; ``None`` runs all eight.
     """
-    from dataclasses import replace
-
     topology = wigle_topology(include_hidden=True)
     measured = [flow for flow in topology.flows if flow.flow_id < 100]
     if max_flows is not None:
@@ -69,40 +52,12 @@ def wigle_grid(
         bit_error_rate=bit_error_rate,
         duration_s=duration_s,
         seed=seed,
-        phy=_phy_for_rate(data_rate_mbps),
+        phy=phy_for_rate(data_rate_mbps),
     )
-    configs, keys = scenario_grid(
+    return scenario_grid(
         base,
         {
             "scheme_label": schemes,
-            "pair": Axis(
-                measured, bind=activate, key=lambda flow: (flow.flow_id, flow.label)
-            ),
+            "pair": Axis(measured, bind=activate, key=lambda flow: flow.label),
         },
     )
-    return configs, [(label, flow_id, flow_label) for label, (flow_id, flow_label) in keys]
-
-
-def run_wigle(
-    data_rate_mbps: float = 6.0,
-    hidden_traffic: bool = False,
-    schemes: Sequence[str] = WIGLE_SCHEMES,
-    bit_error_rate: float = 1e-6,
-    duration_s: float = 1.0,
-    seed: int = 1,
-    max_flows: int | None = None,
-    runner: Optional[SweepRunner] = None,
-) -> WigleResult:
-    """Reproduce one panel of Fig. 10.
-
-    ``max_flows`` limits how many of the eight measured pairs are run
-    (useful for quick benchmark configurations); ``None`` runs all eight.
-    """
-    configs, keys = wigle_grid(
-        data_rate_mbps, hidden_traffic, schemes, bit_error_rate, duration_s, seed, max_flows
-    )
-    outcomes = (runner or SweepRunner()).run(configs)
-    result = WigleResult(data_rate_mbps=data_rate_mbps, hidden_traffic=hidden_traffic)
-    for (label, flow_id, flow_label), outcome in zip(keys, outcomes):
-        result.throughput_mbps.setdefault(label, {})[flow_label] = outcome.flow_throughput(flow_id)
-    return result

@@ -36,9 +36,7 @@ class SchemeInfo:
     label: str
     factory: Callable
     opportunistic: bool
-    #: Keyword arguments the factory understands (beyond ``max_aggregation``,
-    #: which every scheme accepts — and may deliberately ignore — so label
-    #: sweeps with a config-level aggregation override stay valid).
+    #: Keyword arguments the factory understands.
     params: tuple = ()
 
     def validate_kwargs(self, kwargs) -> None:
@@ -48,12 +46,11 @@ class SchemeInfo:
         check a typo'd spec parameter (``max_agregation=8``) would silently
         fall back to the default and corrupt a sweep.
         """
-        accepted = set(self.params) | {"max_aggregation"}
-        unknown = sorted(set(kwargs) - accepted)
+        unknown = sorted(set(kwargs) - set(self.params))
         if unknown:
             raise ValueError(
                 f"unknown parameter(s) {unknown} for MAC scheme {self.name!r}; "
-                f"accepted: {sorted(accepted)}"
+                f"accepted: {sorted(self.params)}"
             )
 
 
@@ -72,7 +69,7 @@ def register_mac_scheme(name: str, label: str, opportunistic: bool, params: tupl
     return decorate
 
 
-@register_mac_scheme("dcf", label="D (802.11 DCF)", opportunistic=False)
+@register_mac_scheme("dcf", label="D (802.11 DCF)", opportunistic=False, params=("max_aggregation",))
 def _make_dcf(network, node, **kwargs):
     """Plain IEEE 802.11 DCF over predetermined next hops (the paper's D bars)."""
     from repro.mac.dcf import DcfMac
@@ -88,7 +85,9 @@ def _make_dcf(network, node, **kwargs):
     )
 
 
-@register_mac_scheme("afr", label="A (AFR aggregation)", opportunistic=False)
+@register_mac_scheme(
+    "afr", label="A (AFR aggregation)", opportunistic=False, params=("max_aggregation",)
+)
 def _make_afr(network, node, **kwargs):
     """DCF with aggregated frames and partial block-ACK retransmission (AFR, the A bars)."""
     from repro.mac.afr import AfrMac
@@ -104,7 +103,7 @@ def _make_afr(network, node, **kwargs):
     )
 
 
-@register_mac_scheme("ripple", label="R16 (RIPPLE)", opportunistic=True)
+@register_mac_scheme("ripple", label="R16 (RIPPLE)", opportunistic=True, params=("max_aggregation",))
 def _make_ripple(network, node, **kwargs):
     """RIPPLE: opportunistic mTXOP relaying with two-way aggregation (the R16 bars)."""
     from repro.core.ripple import RippleMac
@@ -123,9 +122,7 @@ def _make_ripple(network, node, **kwargs):
 @register_mac_scheme("ripple1", label="R1 (RIPPLE, no aggregation)", opportunistic=True)
 def _make_ripple1(network, node, **kwargs):
     """RIPPLE with aggregation disabled — one packet per mTXOP frame (the R1 bars)."""
-    kwargs = dict(kwargs)
-    kwargs["max_aggregation"] = 1
-    return _make_ripple(network, node, **kwargs)
+    return _make_ripple(network, node, max_aggregation=1)
 
 
 @register_mac_scheme("preexor", label="preExOR", opportunistic=True)
@@ -162,7 +159,7 @@ def _make_mcexor(network, node, **kwargs):
     "rate_adapt",
     label="ARF rate adaptation (wraps another scheme)",
     opportunistic=False,
-    params=("inner", "rates", "up_after", "down_after"),
+    params=("inner", "rates", "up_after", "down_after", "max_aggregation"),
 )
 def _make_rate_adapt(network, node, **kwargs):
     """ARF rate adaptation wrapped around another registered scheme (``inner``, default dcf)."""
@@ -176,7 +173,8 @@ def _make_rate_adapt(network, node, **kwargs):
     inner = MAC_SCHEMES.lookup(inner_name)
     if inner.factory is _make_rate_adapt:
         raise ValueError("rate_adapt cannot wrap itself")
-    # install_stack validated kwargs against params: only max_aggregation is left.
+    # What is left (max_aggregation) goes to the inner scheme, which must read it.
+    inner.validate_kwargs(kwargs)
     mac = inner.factory(network, node, **kwargs)
     mac.rate_controller = ArfRateController(mac, rates=rates, up_after=up_after, down_after=down_after)
     # The NetworkAgent must feed the *inner* scheme what it expects

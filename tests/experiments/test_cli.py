@@ -1,8 +1,18 @@
 """The ``python -m repro.experiments`` CLI: list, run, and cache-only report."""
 
-import pytest
+import dataclasses
+import functools
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments.__main__ import main
+from repro.experiments.figures import FIGURES
+from repro.experiments.parallel import SweepRunner
+
+
+def shrink(monkeypatch, name, **cells):
+    """Narrow FIGURES[name]'s grid to ``cells`` for the rest of the test."""
+    figure = FIGURES[name]
+    grid = functools.partial(figure.grid, **cells)
+    monkeypatch.setitem(FIGURES, name, dataclasses.replace(figure, grid=grid))
 
 
 class TestList:
@@ -13,7 +23,7 @@ class TestList:
 
     def test_registry_covers_paper_and_extras(self):
         for name in ("fig3", "table3", "mobility-tcp", "mobility-voip", "corpus"):
-            assert name in EXPERIMENTS
+            assert name in FIGURES
 
     def test_list_groups_families_under_headings(self, capsys):
         assert main(["list"]) == 0
@@ -24,20 +34,12 @@ class TestList:
         # Headings appear in registration order; figures come first.
         assert out.index("paper figures:") < out.index("ablations:") < out.index("corpus:")
 
-    def test_list_marks_cache_only_families_and_axes(self, capsys):
+    def test_list_shows_the_corpus_axes(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        report_line = next(
-            line for line in out.splitlines() if line.strip().startswith("corpus-report")
-        )
-        assert "[cache-only]" in report_line
-        corpus_line = next(
-            line for line in out.splitlines()
-            if line.strip().startswith("corpus ") or line.strip().startswith("corpus  ")
-        )
+        corpus_line = next(line for line in out.splitlines() if line.strip().startswith("corpus "))
         assert "axes: topology x mac" in corpus_line
-        # The simulating family is not marked cache-only.
-        assert "[cache-only]" not in corpus_line
+        assert "corpus-report" not in out
 
     def test_list_prints_registry_summaries(self, capsys):
         assert main(["list"]) == 0
@@ -52,38 +54,34 @@ class TestRun:
 
 
 class TestCorpusFamily:
-    def test_run_corpus_returns_seeded_sample_rows(self):
-        from repro.experiments.corpus import run_corpus
+    def test_corpus_blocks_hold_the_seeded_sample_rows(self):
+        figure = FIGURES["corpus"]
+        blocks = figure.blocks(SweepRunner(), 0, 0.005, sample=2)
+        again = figure.blocks(SweepRunner(), 0, 0.005, sample=2)
+        ((title, rows),) = blocks.items()
+        assert title.endswith("(sample seed 0)")
+        assert len(rows) == 2
+        assert blocks == again
+        for columns in rows.values():
+            assert set(columns) == {"Mb/s", "events"}
 
-        result = run_corpus(seed=0, sample=2, duration_s=0.005)
-        again = run_corpus(seed=0, sample=2, duration_s=0.005)
-        assert len(result.labels) == 2
-        assert result.labels == again.labels
-        assert result.throughput_mbps == again.throughput_mbps
-        for label in result.labels:
-            assert label in result.throughput_mbps and label in result.events
-
-    def test_corpus_report_refuses_to_simulate_without_cache(self, capsys):
-        assert main(["run", "corpus-report", "--no-cache"]) == 3
-        assert "never simulates" in capsys.readouterr().err
-
-    def test_corpus_report_serves_a_populated_cache(self, tmp_path, capsys, monkeypatch):
+    def test_report_corpus_refuses_to_simulate_on_a_cold_cache(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        import repro.experiments.corpus as corpus
+        assert main(["report", "corpus"]) == 3
+        assert "not in the result cache" in capsys.readouterr().err
+        assert not any(tmp_path.rglob("*.json"))
 
-        # run_corpus binds its defaults at def time; wrap it to shrink the
-        # sample (the renderer re-imports the symbol on each call).
-        full_run = corpus.run_corpus
-        monkeypatch.setattr(
-            corpus, "run_corpus", lambda **kwargs: full_run(**{**kwargs, "sample": 2})
-        )
-        monkeypatch.setattr(corpus, "CORPUS_DURATION_S", 0.005)
-        assert main(["run", "corpus"]) == 0
+    def test_report_corpus_serves_a_populated_cache(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        shrink(monkeypatch, "corpus", sample=2)
+        assert main(["run", "corpus", "--duration", "0.005"]) == 0
         run_out = capsys.readouterr().out
         assert "Corpus" in run_out
-        assert main(["run", "corpus-report"]) == 0
+        assert main(["report", "corpus", "--duration", "0.005"]) == 0
         report_out = capsys.readouterr().out
         assert "0 simulated" in report_out
+        # The same tables: only the cache summary differs.
+        assert report_out.split("cache:")[0] == run_out.split("cache:")[0]
 
 
 class TestReport:
@@ -98,17 +96,7 @@ class TestReport:
 
     def test_report_renders_after_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        # Tiny grid: wrap the entry point so the CLI sweeps a single cell
-        # (default arguments were bound at def time, so patching the
-        # module-level constants would not shrink anything).
-        import repro.experiments.mobility as mobility
-
-        full_run = mobility.run_mobility_tcp
-        monkeypatch.setattr(
-            mobility,
-            "run_mobility_tcp",
-            lambda **kwargs: full_run(speeds=(0.0,), schemes=("D",), **kwargs),
-        )
+        shrink(monkeypatch, "mobility-tcp", speeds=(0.0,), schemes=("D",))
         assert main(["run", "mobility-tcp", "--duration", "0.05"]) == 0
         run_out = capsys.readouterr().out
         assert "Mobility — TCP" in run_out

@@ -15,8 +15,8 @@ from repro.experiments.congestion import (
     CONGESTION_SCHEMES,
     CONGESTION_TRANSPORTS,
     congestion_grid,
-    run_congestion,
 )
+from repro.experiments.figures import FIGURES
 from repro.experiments.parallel import ResultCache, SweepRunner, config_digest
 from repro.experiments.runner import (
     PAPER_SCHEMES,
@@ -108,19 +108,15 @@ class TestCongestionFamily:
         }
 
     def test_run_fills_every_cell(self):
-        result = run_congestion(
-            topology="line",
-            transports=("reno", "cubic"),
-            schemes=("D",),
-            duration_s=0.05,
+        blocks = FIGURES["congestion"].blocks(
+            SweepRunner(), 1, 0.05, panels=("line",), transports=("reno", "cubic"), schemes=("D",)
         )
-        assert set(result.throughput_mbps) == {"reno", "cubic"}
+        throughput, retransmissions = blocks.values()
+        assert set(throughput) == set(retransmissions) == {"reno", "cubic"}
         for transport in ("reno", "cubic"):
-            assert set(result.throughput_mbps[transport]) == {"D"}
-            assert result.throughput_mbps[transport]["D"] > 0
-            assert result.retransmissions[transport]["D"] >= 0
+            assert set(throughput[transport]) == {"D"}
+            assert throughput[transport]["D"] > 0
+            assert retransmissions[transport]["D"] >= 0
 
     def test_listed_in_the_cli(self):
-        from repro.experiments.__main__ import EXPERIMENTS
-
-        assert "congestion" in EXPERIMENTS
+        assert "congestion" in FIGURES

@@ -91,7 +91,7 @@ class TestSerializationRoundTrip:
         assert rebuilt.events_processed == result.events_processed
 
     def test_voip_quality_roundtrip(self):
-        from repro.experiments.voip import voip_topology
+        from repro.topology.standard import voip_topology
 
         config = ScenarioConfig(
             topology=voip_topology(1),

@@ -258,6 +258,27 @@ class TestComponentParamValidation:
         with pytest.raises(ValueError, match="max_agregation.*ripple"):
             run_scenario(config)
 
+    @pytest.mark.parametrize(
+        "fields, scheme",
+        [
+            (dict(mac=MacSpec("preexor", {"max_aggregation": 8})), "preexor"),
+            (dict(mac=MacSpec("mcexor", {"max_aggregation": 8})), "mcexor"),
+            (dict(mac=MacSpec("ripple1", {"max_aggregation": 8})), "ripple1"),
+            (dict(mac=MacSpec("rate_adapt", {"inner": "preexor", "max_aggregation": 8})),
+             "preexor"),
+            (dict(scheme_label="MCExOR", max_aggregation=8), "mcexor"),
+        ],
+        ids=["preexor", "mcexor", "ripple1", "rate_adapt(preexor)", "config-level"],
+    )
+    def test_max_aggregation_only_where_a_mac_reads_it(self, fields, scheme):
+        """preExOR, MCExOR and R1 never read it, so it would only change the digest."""
+        config = ScenarioConfig(topology=fig1_topology(), duration_s=0.02, **fields)
+        with pytest.raises(
+            ValueError,
+            match=rf"\['max_aggregation'\] for MAC scheme '{scheme}'; accepted: \[\]",
+        ):
+            run_scenario(config)
+
     def test_valid_mac_params_still_accepted(self):
         for mac in (
             MacSpec("ripple", {"max_aggregation": 2}),
