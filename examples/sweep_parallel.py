@@ -3,10 +3,10 @@
 
 Starts from a declarative `ScenarioConfig` — the topology is a registry
 reference (`TopologyRef("fig1")`, built at construction), not a
-hand-built object — expands it into a config grid (5 scheme labels x 3
-seeds), fans the grid out
-over worker processes, and caches every scenario result on disk so a
-second run of this script is served from cache in milliseconds.
+hand-built object — expands it with `scenario_grid` into a config grid
+(5 scheme labels x 3 seeds), fans the grid out over worker processes,
+and caches every scenario result on disk so a second run of this script
+is served from cache in milliseconds.
 
 The same scenario, straight from the shell:
 
@@ -27,7 +27,7 @@ from repro.experiments import (
     ScenarioConfig,
     SweepRunner,
     TopologyRef,
-    expand_grid,
+    scenario_grid,
 )
 
 DURATION_S = float(os.environ.get("REPRO_EXAMPLE_DURATION", "0.2"))
@@ -41,7 +41,7 @@ def main() -> None:
         active_flows=[1],
         duration_s=DURATION_S,
     )
-    grid = expand_grid(base, scheme_label=list(DEFAULT_SCHEME_LABELS), seed=list(SEEDS))
+    grid, keys = scenario_grid(base, {"scheme_label": DEFAULT_SCHEME_LABELS, "seed": SEEDS})
     print(f"{len(grid)} scenarios ({len(DEFAULT_SCHEME_LABELS)} schemes x {len(SEEDS)} seeds)")
 
     cache = ResultCache()  # .repro-cache/ unless $REPRO_CACHE_DIR says otherwise
@@ -51,10 +51,11 @@ def main() -> None:
     elapsed = time.perf_counter() - start
 
     print(f"\n{'scheme':<8} {'mean Mb/s':>10} {'stdev':>8}   (flow 1, {DURATION_S} s)")
-    for index, label in enumerate(DEFAULT_SCHEME_LABELS):
+    for label in DEFAULT_SCHEME_LABELS:
         per_seed = [
-            results[index * len(SEEDS) + seed_index].total_throughput_mbps
-            for seed_index in range(len(SEEDS))
+            result.total_throughput_mbps
+            for (scheme, _seed), result in zip(keys, results)
+            if scheme == label
         ]
         stdev = statistics.stdev(per_seed) if len(per_seed) > 1 else 0.0
         print(f"{label:<8} {statistics.mean(per_seed):>10.2f} {stdev:>8.2f}")

@@ -9,9 +9,11 @@ makes the whole cross-product addressable:
   straight off the live registry (a newly registered component is
   enumerated on the day it lands, with no corpus change);
 * a small declarative :data:`CONSTRAINTS` table states which
-  combinations are *not* meaningful (a ``rate_adapt`` MAC needs a
-  contention ``inner``; ``trace:`` topologies need their file; mobility
-  is excluded on the paper's fixed-layout figure topologies);
+  combinations are *not* meaningful (``trace:`` topologies need their
+  file; mobility is excluded on the paper's fixed-layout figure
+  topologies).  Combinations the layers never build need no rule: a
+  ``rate_adapt`` MAC is enumerated only over contention ``inner``
+  schemes, and ``trace`` mobility not at all;
 * :class:`SpecSpace` indexes the product mixed-radix, filters it through
   the constraints, and emits each admissible combination as a
   :class:`~repro.spec.ScenarioConfig` document — topology by ref, default
@@ -202,8 +204,8 @@ def phy_choices() -> List[Choice]:
 
 #: Corpus parameterisation per mobility model.  ``static`` is a no-op by
 #: definition and ``trace`` needs per-node samples the corpus cannot
-#: invent (see the ``mobility-trace-samples`` constraint); models not
-#: listed here are skipped from enumeration until given parameters.
+#: invent; models not listed here are skipped from enumeration until
+#: given parameters.
 _MOBILITY_CHOICES: Dict[str, Callable[[], MobilitySpec]] = {
     "random_waypoint": lambda: MobilitySpec.random_waypoint(4.0, **_MOBILITY_INTERVALS),
     "gauss_markov": lambda: MobilitySpec.gauss_markov(3.0, **_MOBILITY_INTERVALS),
@@ -243,16 +245,6 @@ def _mobility_allows_layout(combo: Dict[str, Choice]) -> bool:
     return _topology_name(combo) not in FIXED_LAYOUT_TOPOLOGIES
 
 
-def _wrapper_has_contention_inner(combo: Dict[str, Choice]) -> bool:
-    from repro.mac.registry import MAC_SCHEMES
-
-    mac = combo["mac"].value
-    if mac is None or not _is_wrapper(MAC_SCHEMES.lookup(mac.name)):
-        return True
-    inner = mac.params.get("inner")
-    return inner in contention_inner_names()
-
-
 def _trace_topology_file_exists(combo: Dict[str, Choice]) -> bool:
     from repro.topology.registry import TOPOLOGIES
 
@@ -262,21 +254,7 @@ def _trace_topology_file_exists(combo: Dict[str, Choice]) -> bool:
     return Path(prefixed[1]).is_file()
 
 
-def _trace_mobility_has_samples(combo: Dict[str, Choice]) -> bool:
-    mobility = combo["mobility"].value
-    if mobility is None or mobility.model != "trace":
-        return True
-    return bool(mobility.params.get("traces"))
-
-
 CONSTRAINTS: Tuple[Constraint, ...] = (
-    Constraint(
-        "rate-adapt-inner",
-        "a wrapper MAC (`rate_adapt`) must name a contention, non-wrapper "
-        "scheme as its `inner` — opportunistic schemes manage their own "
-        "rate/forwarder coupling and a wrapper cannot wrap itself",
-        _wrapper_has_contention_inner,
-    ),
     Constraint(
         "trace-topology-file",
         "a `trace:` topology is only admissible when its file exists — the "
@@ -291,13 +269,6 @@ CONSTRAINTS: Tuple[Constraint, ...] = (
         "experiment (hidden terminals, collision domains), so moving nodes "
         "changes what the scenario means",
         _mobility_allows_layout,
-    ),
-    Constraint(
-        "mobility-trace-samples",
-        "the `trace` mobility model needs per-node (t, x, y) samples; the "
-        "corpus cannot invent them, so trace mobility only enters the space "
-        "with explicit samples in its params",
-        _trace_mobility_has_samples,
     ),
 )
 

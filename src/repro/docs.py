@@ -197,8 +197,7 @@ def registry_sections() -> List[RegistrySection]:
             note=(
                 "Congestion control for TCP-backed flows. The default (no "
                 "`transport=`) is `reno`, bit-identical to pre-registry runs. "
-                "A `FlowSpec.transport` name overrides per flow; "
-                "`--set traffic.transport=<name>` overrides both."
+                "A `FlowSpec.transport` name overrides it per flow."
             ),
         ),
         RegistrySection(

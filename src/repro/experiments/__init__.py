@@ -23,9 +23,10 @@ Fig. 12       ``fig12``                 ``roofnet``: Roofnet topology pairs
 (extra)       ``corpus``                ``corpus``: a seeded corpus sample
 ============  ========================  ============================================
 
-Every grid routes through :class:`~repro.experiments.parallel.SweepRunner`
-(multiprocessing fan-out plus an on-disk result cache keyed by a content
-hash of the config; see :mod:`repro.experiments.parallel`).  ``python -m
+Every grid is expanded by :func:`~repro.experiments.grids.scenario_grid`
+and run by :class:`~repro.experiments.parallel.SweepRunner` (serial or a
+process pool, plus an on-disk result cache keyed by a content hash of the
+config; see :mod:`repro.experiments.parallel`).  ``python -m
 repro.experiments`` lists, runs and re-renders any entry from the command
 line with ``--jobs``, ``--seeds`` and ``--no-cache`` flags.
 """
@@ -38,9 +39,8 @@ from repro.experiments.parallel import (
     ResultCache,
     SweepRunner,
     config_digest,
-    expand_grid,
 )
-from repro.experiments.runner import ScenarioResult, build_network, run_scenario, sweep_schemes
+from repro.experiments.runner import ScenarioResult, build_network, run_scenario
 from repro.spec import (
     DEFAULT_SCHEME_LABELS,
     PAPER_SCHEMES,
@@ -69,10 +69,8 @@ __all__ = [
     "TrafficSpec",
     "build_network",
     "config_digest",
-    "expand_grid",
     "expand_scheme_label",
     "run_scenario",
     "scenario_grid",
-    "sweep_schemes",
     "topology_axis",
 ]

@@ -53,6 +53,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.experiments.figures import FIGURES, Figure
+from repro.experiments.grids import scenario_grid
 from repro.experiments.parallel import (
     CacheMissError,
     CacheOnlySweepRunner,
@@ -266,15 +267,14 @@ def _render_spec_result(result) -> str:
 
 
 def _run_specs(args, runner: SweepRunner) -> int:
-    from dataclasses import replace
-
-    configs = []
-    labels = []
-    for config in _configs_from_args(args):
-        for seed in range(1, args.seeds + 1):
-            seeded = replace(config, seed=seed) if args.seeds > 1 else config
-            configs.append(seeded)
-            labels.append(f"{_describe_config(seeded)} seed={seeded.seed}")
+    # One seed keeps each document's own; more sweep seeds 1..N.
+    axes = {"seed": range(1, args.seeds + 1)} if args.seeds > 1 else {}
+    configs = [
+        seeded
+        for config in _configs_from_args(args)
+        for seeded in scenario_grid(config, axes)[0]
+    ]
+    labels = [f"{_describe_config(config)} seed={config.seed}" for config in configs]
     results = runner.run(configs)
     if getattr(args, "json", False):
         # Machine-readable mode: one document per scenario, carrying the

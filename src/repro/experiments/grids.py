@@ -1,8 +1,10 @@
 """Declarative scenario grids: experiment families as data, not loops.
 
 Every figure/table of the paper is a Cartesian sweep over a handful of
-axes (scheme label × flow count, scheme × node speed, ...).  This module
-lets an experiment family state that grid declaratively:
+axes (scheme label × flow count, scheme × node speed, ...).
+:func:`scenario_grid` is the one grid expander: a figure, an example or a
+script states its grid declaratively and hands the configs to
+:class:`~repro.experiments.parallel.SweepRunner`:
 
 .. code-block:: python
 
@@ -16,17 +18,17 @@ lets an experiment family state that grid declaratively:
     )
 
 Axes are swept in declaration order with the last axis fastest (exactly
-like nested for-loops, and like
-:func:`~repro.experiments.parallel.expand_grid`).  A plain sequence axis
-whose name is a :class:`~repro.experiments.runner.ScenarioConfig` field
-binds with ``dataclasses.replace``; an :class:`Axis` can carry a custom
-``bind`` (for values that construct topologies, mobility specs, active
-flow lists, ...) and a custom ``key`` (the label the result tables use —
-e.g. the *length* of an active-flow tuple).
+like nested for-loops).  A plain sequence axis whose name is a
+:class:`~repro.experiments.runner.ScenarioConfig` field binds with
+``dataclasses.replace``; an :class:`Axis` can carry a custom ``bind``
+(for values that construct topologies, mobility specs, active flow
+lists, ...) and a custom ``key`` (the label the result tables use — e.g.
+the *length* of an active-flow tuple).
 
-``keys`` come back as one tuple per config (scalars for one-axis grids),
-which is what the figure reductions of :mod:`repro.experiments.figures`
-zip against the sweep results.
+``keys`` come back as one tuple per config (scalars for one-axis grids,
+``()`` for the lone config of a grid with no axes), which is what the
+figure reductions of :mod:`repro.experiments.figures` zip against the
+sweep results.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def scenario_grid(
 
     ``keys[i]`` is the tuple of per-axis labels for ``configs[i]``
     (unwrapped to a scalar when there is a single axis), in the same
-    declaration order as ``axes``.
+    declaration order as ``axes``.  No axes expand to ``([base], [()])``.
     """
     named: Dict[str, Axis] = {name: _as_axis(name, axis) for name, axis in axes.items()}
     names = list(named)
@@ -91,7 +93,7 @@ def scenario_grid(
                 config = dataclasses.replace(config, **{name: value})
             key_parts.append(axis.key(value) if axis.key is not None else value)
         configs.append(config)
-        keys.append(tuple(key_parts) if len(key_parts) > 1 else key_parts[0])
+        keys.append(key_parts[0] if len(key_parts) == 1 else tuple(key_parts))
     return configs, keys
 
 

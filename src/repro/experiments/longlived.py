@@ -12,10 +12,8 @@ from dataclasses import replace
 from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import Axis, scenario_grid
-from repro.experiments.runner import (
-    DEFAULT_SCHEME_LABELS,
-    ScenarioConfig,
-)
+from repro.experiments.runner import ScenarioConfig
+from repro.spec import DEFAULT_SCHEME_LABELS
 from repro.topology.standard import fig1_topology
 
 #: Flow activation sets used by the figures: flow 1, flows 1+2, flows 1+2+3.

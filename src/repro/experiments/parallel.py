@@ -1,20 +1,18 @@
-"""Parallel sweep execution with content-hashed result caching.
+"""Sweep execution with content-hashed result caching.
 
 Every figure and table of the paper is an embarrassingly parallel sweep:
 the same :func:`~repro.experiments.runner.run_scenario` evaluated over a
 grid of scheme labels, seeds, BER points and topology parameters, each
 point fully determined by its :class:`~repro.experiments.runner.ScenarioConfig`.
-This module is the execution subsystem the figure grids route that work
-through:
+:func:`~repro.experiments.grids.scenario_grid` expands such a grid, and
+this module runs it:
 
-* :func:`expand_grid` — turn a base config plus per-field value lists into
-  the Cartesian product of configs (the declarative grid).
-* :class:`SweepRunner` — evaluate a list of configs, optionally fanned out
-  over ``multiprocessing`` workers.  Results come back in input order and
-  are bit-identical to a serial run because every scenario is seeded and
-  self-contained (both the serial and the parallel path round-trip results
-  through the same ``to_dict``/``from_dict`` layer, so cached, local and
-  worker-produced results are interchangeable).
+* :class:`SweepRunner` — evaluate a list of configs, serially or fanned
+  out over ``multiprocessing`` workers.  Results come back in input order
+  and are bit-identical to a serial run because every scenario is seeded
+  and self-contained (both paths round-trip results through the same
+  ``to_dict``/``from_dict`` layer, so cached, local and worker-produced
+  results are interchangeable).
 * :class:`ResultCache` — an on-disk JSON cache keyed by a stable SHA-256
   digest of the config (:func:`config_digest`), making re-runs incremental:
   only configs never seen before are simulated.
@@ -35,26 +33,23 @@ the next ``store`` instead of staying a silent permanent miss.
 Typical use (see also ``python -m repro.experiments`` and
 ``examples/sweep_parallel.py``)::
 
-    from repro.experiments.parallel import ResultCache, SweepRunner, expand_grid
+    from repro.experiments import ResultCache, SweepRunner, scenario_grid
 
-    grid = expand_grid(base, scheme_label=["D", "A", "R16"], seed=[1, 2, 3])
+    grid, keys = scenario_grid(base, {"scheme_label": ["D", "A", "R16"], "seed": [1, 2, 3]})
     runner = SweepRunner(jobs=4, cache=ResultCache())
     results = runner.run(grid)      # List[ScenarioResult], input order
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import tempfile
-from itertools import product
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
-from repro.spec import SCENARIO_FIELDS
 
 #: Default cache root; override with the ``REPRO_CACHE_DIR`` environment variable.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -209,28 +204,6 @@ class ResultCache:
             raise
 
 
-def expand_grid(base: ScenarioConfig, **axes: Sequence) -> List[ScenarioConfig]:
-    """Cartesian product of ``base`` with per-field value lists.
-
-    Each keyword names a :class:`ScenarioConfig` field (or the
-    ``scheme_label`` shorthand) and supplies the values to sweep; the
-    product is enumerated in a deterministic order (last axis fastest,
-    like nested for loops)::
-
-        expand_grid(base, scheme_label=["D", "R16"], seed=[1, 2, 3])
-
-    yields six configs ordered D/1, D/2, D/3, R16/1, R16/2, R16/3.
-    """
-    unknown = set(axes) - set(SCENARIO_FIELDS)
-    if unknown:
-        raise TypeError(f"unknown ScenarioConfig fields: {sorted(unknown)}")
-    names = list(axes)
-    configs: List[ScenarioConfig] = []
-    for combo in product(*(axes[name] for name in names)):
-        configs.append(dataclasses.replace(base, **dict(zip(names, combo))))
-    return configs
-
-
 def _run_config_to_dict(config: ScenarioConfig) -> Dict[str, object]:
     """Worker entry point: run one scenario, return its serialized result.
 
@@ -257,34 +230,17 @@ class SweepRunner:
     cache:
         A :class:`ResultCache` for incremental re-runs, or None (default) to
         always simulate.  Hit/miss counts accumulate on the cache object.
-    executor:
-        Pluggable execution backend: a callable taking the cache-miss
-        configs and returning their serialized results
-        (``ScenarioResult.to_dict()`` dicts) in the same order.  None
-        (default) selects the built-in serial / ``multiprocessing``
-        backends according to ``jobs``.  The simulation service plugs in
-        :class:`repro.service.executor.JobStoreExecutor` here to drain
-        the same sweep through a shared job store instead — the run path
-        (cache check, run, store, order restoration) stays this class's
-        either way.
 
-    Results are returned in input order and are independent of ``jobs``
-    and of the executor: every scenario carries its own seed and builds
-    its own simulator, so a 4-way parallel or fully distributed run is
-    bit-identical to a serial one.
+    Results are returned in input order and are independent of ``jobs``:
+    every scenario carries its own seed and builds its own simulator, so a
+    4-way parallel run is bit-identical to a serial one.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        executor: Optional[Callable[[List[ScenarioConfig]], List[Dict[str, object]]]] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None) -> None:
         if jobs <= 0:
             jobs = os.cpu_count() or 1
         self.jobs = int(jobs)
         self.cache = cache
-        self.executor = executor
 
     def run(self, configs: Sequence[ScenarioConfig]) -> List[ScenarioResult]:
         """Run every config (or fetch it from the cache); preserves order."""
@@ -314,8 +270,6 @@ class SweepRunner:
     # Execution backends
     # ------------------------------------------------------------------
     def _execute(self, configs: List[ScenarioConfig]) -> List[Dict[str, object]]:
-        if self.executor is not None:
-            return self.executor(configs)
         if self.jobs > 1 and len(configs) > 1:
             return self._execute_parallel(configs)
         return [_run_config_to_dict(config) for config in configs]

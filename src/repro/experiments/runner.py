@@ -36,8 +36,8 @@ digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.metrics.flows import FlowResult, total_throughput_mbps
 from repro.metrics.mos import VoipQuality
@@ -45,17 +45,9 @@ from repro.phy.error_models import BitErrorModel
 from repro.routing.dynamic import AdaptiveEtxRouting
 from repro.serialization import Wire
 from repro.sim.units import seconds
-from repro.spec import DEFAULT_SCHEME_LABELS, PAPER_SCHEMES, ScenarioConfig
+from repro.spec import ScenarioConfig
 from repro.topology.network import WirelessNetwork
 from repro.topology.spec import FlowSpec
-
-
-def resolve_scheme(scheme_label: str, default_route_set: str) -> Tuple[str, str]:
-    """Map a paper scheme label onto (library scheme, route set)."""
-    if scheme_label not in PAPER_SCHEMES:
-        raise ValueError(f"unknown scheme label {scheme_label!r}; known: {sorted(PAPER_SCHEMES)}")
-    scheme, route_override = PAPER_SCHEMES[scheme_label]
-    return scheme, route_override or default_route_set
 
 
 @dataclass
@@ -179,21 +171,3 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         voip_quality={flow_id: quality for flow_id, quality in qualities if quality is not None},
         events_processed=events_processed,
     )
-
-
-def sweep_schemes(
-    base_config: ScenarioConfig,
-    scheme_labels: Sequence[str] = DEFAULT_SCHEME_LABELS,
-    runner: Optional["SweepRunner"] = None,
-) -> Dict[str, ScenarioResult]:
-    """Run the same scenario once per scheme label (the bars of one figure panel).
-
-    The grid of configs is routed through a
-    :class:`~repro.experiments.parallel.SweepRunner`, so passing ``runner``
-    enables multiprocessing fan-out and result caching.
-    """
-    from repro.experiments.parallel import SweepRunner
-
-    configs = [replace(base_config, scheme_label=label) for label in scheme_labels]
-    results = (runner or SweepRunner()).run(configs)
-    return dict(zip(scheme_labels, results))

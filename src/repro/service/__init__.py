@@ -7,7 +7,12 @@ layer (PR 4) gave those configs a validated JSON wire format.  This
 package is the consequence: point any number of workers — processes or
 machines sharing a filesystem — at one store directory, put a small HTTP
 server in front, and any client can submit a scenario document
-and fetch back a bit-reproducible, cached result.
+and fetch back a bit-reproducible, cached result.  The store is a queue
+of single scenarios: one ``POST /jobs`` carries one scenario document and
+creates one job.  A grid is expanded by
+:func:`~repro.experiments.grids.scenario_grid` and run by
+:class:`~repro.experiments.parallel.SweepRunner`, or submitted one
+scenario per request.
 
 Layers (see ``docs/SERVICE.md`` for the full architecture):
 
@@ -27,17 +32,13 @@ Layers (see ``docs/SERVICE.md`` for the full architecture):
   ``serve`` command binds.
 * :mod:`repro.service.client` — the tiny ``urllib`` client the tests,
   CLI and CI smoke job share.
-* :mod:`repro.service.executor` — ``JobStoreExecutor``, the
-  ``SweepRunner`` backend that turns any existing sweep into a
-  distributed one.
 * :mod:`repro.service.clock` — the one module allowed to read the host
   clock (leases and timeouts are operational time; simulation time
   never is).
 
-The package re-exports only the store, queue and worker.  The client,
-the executor and the server are imported from their modules, so a
-process that never talks HTTP loads neither ``urllib`` nor
-``http.server``.
+The package re-exports only the store, queue and worker.  The client
+and the server are imported from their modules, so a process that never
+talks HTTP loads neither ``urllib`` nor ``http.server``.
 
 Run it::
 

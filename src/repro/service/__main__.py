@@ -4,7 +4,7 @@
 
     python -m repro.service serve  --store DIR [--port 8642] [--workers 4]
     python -m repro.service worker --store DIR [--idle-exit 30] [--once]
-    python -m repro.service submit --url http://HOST:PORT spec.json [--seeds 3] [--wait]
+    python -m repro.service submit --url http://HOST:PORT spec.json [--wait]
     python -m repro.service status --url http://HOST:PORT JOB_ID
 
 ``serve`` optionally spawns local worker processes (``--workers N``)
@@ -12,9 +12,9 @@ that drain the same store the HTTP app enqueues into; additional
 ``worker`` processes may be started on any machine sharing the store's
 filesystem.  ``submit`` reads one scenario JSON document (the same
 format ``python -m repro.experiments run --spec`` takes, ``-`` for
-stdin) and prints the service's JSON responses; with ``--wait`` it polls
-to completion and prints the final job *and* its result payload, so
-scripts never scrape human-formatted output.
+stdin), submits it as one job and prints the service's JSON response;
+with ``--wait`` it polls to completion and prints the final job *and*
+its result payload, so scripts never scrape human-formatted output.
 
 Each command imports what only it needs (``serve`` the HTTP server,
 ``submit`` and ``status`` the HTTP client), so a ``worker`` process
@@ -125,11 +125,7 @@ def _cmd_submit(args) -> int:
             document = json.load(handle)
     client = ServiceClient(args.url)
     try:
-        response = client.submit(
-            document,
-            seeds=args.seeds,
-            max_attempts=args.max_attempts,
-        )
+        response = client.submit(document, max_attempts=args.max_attempts)
     except ServiceError as exc:
         print(f"submit rejected: {exc}", file=sys.stderr)
         return 2
@@ -147,8 +143,8 @@ def _cmd_submit(args) -> int:
     except TimeoutError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    digests = response.get("digests") or ([job["digest"]] if job.get("digest") else [])
-    document = {"job": job, "results": {d: client.result(str(d)) for d in digests}}
+    digest = str(job["digest"])
+    document = {"job": job, "results": {digest: client.result(digest)}}
     _print_json(document)
     return 0
 
@@ -230,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="POST one scenario JSON document", parents=[url_args]
     )
     submit.add_argument("spec", metavar="SPEC.json", help="scenario document file, or - for stdin")
-    submit.add_argument("--seeds", type=int, default=None, metavar="N", help="fan out seeds 1..N")
     submit.add_argument("--max-attempts", type=int, default=None, metavar="N")
     submit.add_argument("--wait", action="store_true", help="poll to completion, print results")
     submit.add_argument("--timeout", type=float, default=300.0, metavar="SECONDS")

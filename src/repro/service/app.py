@@ -2,8 +2,8 @@
 
 Endpoints::
 
-    POST /jobs              submit a scenario document (or a seeds/sweep grid)
-    GET  /jobs/{id}         job status + progress
+    POST /jobs              submit one scenario document as one job
+    GET  /jobs/{id}         job status
     GET  /results/{digest}  cached ScenarioResult payload (canonical JSON)
     GET  /healthz           liveness + store reachability
     GET  /metrics           queue depth, lease count, cache hit/miss, jobs/s
@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import string
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.serialization import SpecError
 from repro.service import clock
 from repro.service.schemas import SubmitRequest, error_payload, job_payload
 from repro.service.store import JobNotFound, JobStore, JobStoreError
+from repro.spec import ScenarioConfig
 
 #: Default cap on waiting (queued + leased) jobs before submits get 429.
 DEFAULT_MAX_QUEUE = 256
@@ -67,15 +68,16 @@ class SimulationService:
     # POST /jobs
     # ------------------------------------------------------------------
     def submit(self, body: bytes) -> Response:
+        from repro.experiments.parallel import config_digest
+
         try:
             document = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             return 400, error_payload("ParseError", f"request body is not valid JSON: {exc}")
         try:
             request = SubmitRequest.from_dict(document)
-            jobs: List[Tuple[Dict[str, object], str]] = [
-                (config.to_dict(), self._digest(config)) for config in request.expand()
-            ]
+            config = ScenarioConfig.from_dict(request.spec)
+            digest = config_digest(config)
         except SpecError as exc:
             return 400, error_payload("SpecError", str(exc))
         except (ValueError, KeyError, TypeError, OSError) as exc:
@@ -83,41 +85,23 @@ class SimulationService:
             # topology loads — all reachable from user-supplied documents.
             return 400, error_payload(type(exc).__name__, str(exc))
 
-        cached = [self.cache.load_raw(digest) is not None for _, digest in jobs]
-        fresh = cached.count(False)
-        if fresh and self.store.queue_depth() + fresh > self.max_queue:
-            self.requests_rejected += 1
-            return 429, error_payload(
-                "Backpressure",
-                f"queue holds {self.store.queue_depth()} job(s); admitting {fresh} "
-                f"more would exceed the limit of {self.max_queue} — retry later",
-            )
-
-        records = []
-        for (config_dict, digest), hit in zip(jobs, cached):
-            records.append(
-                self.store.submit(
-                    config_dict,
-                    digest=digest,
-                    state="done" if hit else "queued",
-                    max_attempts=request.max_attempts,
+        cached = self.cache.load_raw(digest) is not None
+        if not cached:
+            depth = self.store.queue_depth()
+            if depth >= self.max_queue:
+                self.requests_rejected += 1
+                return 429, error_payload(
+                    "Backpressure",
+                    f"queue holds {depth} job(s), the limit is {self.max_queue} — retry later",
                 )
-            )
-        self.jobs_submitted += len(records)
-        if len(records) == 1:
-            return 202, job_payload(self.store, records[0])
-        group = self.store.submit(
-            None, kind="group", children=[record.job_id for record in records]
+        record = self.store.submit(
+            config.to_dict(),
+            digest=digest,
+            state="done" if cached else "queued",
+            max_attempts=request.max_attempts,
         )
-        payload = job_payload(self.store, group)
-        payload["digests"] = [digest for _, digest in jobs]
-        return 202, payload
-
-    @staticmethod
-    def _digest(config) -> str:
-        from repro.experiments.parallel import config_digest
-
-        return config_digest(config)
+        self.jobs_submitted += 1
+        return 202, job_payload(record)
 
     # ------------------------------------------------------------------
     # GET /jobs/{id}, /results/{digest}
@@ -129,7 +113,7 @@ class SimulationService:
             return 404, error_payload("NotFound", f"no job {job_id!r}")
         except JobStoreError as exc:
             return 500, error_payload("StoreError", str(exc))
-        return 200, job_payload(self.store, record)
+        return 200, job_payload(record)
 
     def result(self, digest: str) -> Response:
         if not digest or any(ch not in _HEX for ch in digest.lower()):
@@ -156,8 +140,6 @@ class SimulationService:
         counts = self.store.counts()
         uptime = max(clock.monotonic_s() - self.started_monotonic_s, 1e-9)
         return 200, {
-            # Same definition as healthz and the 429 gate: waiting
-            # *scenario* jobs (group parents never occupy a worker).
             "queue_depth": self.store.queue_depth(),
             "jobs": {state: counts[state] for state in ("queued", "leased", "done", "failed")},
             "quarantined": counts["quarantined"],

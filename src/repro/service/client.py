@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.service import clock
 
@@ -67,25 +67,16 @@ class ServiceClient:
     # Endpoints
     # ------------------------------------------------------------------
     def submit(
-        self,
-        spec: Dict[str, object],
-        *,
-        seeds: Optional[object] = None,
-        sweep: Optional[Dict[str, List[object]]] = None,
-        max_attempts: Optional[int] = None,
+        self, spec: Dict[str, object], *, max_attempts: Optional[int] = None
     ) -> Dict[str, object]:
-        """``POST /jobs``: one scenario document, optionally fanned out."""
+        """``POST /jobs``: one scenario document, one job."""
         body: Dict[str, object] = {"spec": spec}
-        if seeds is not None:
-            body["seeds"] = seeds
-        if sweep:
-            body["sweep"] = sweep
         if max_attempts is not None:
             body["max_attempts"] = max_attempts
         return self._request("POST", "/jobs", body)
 
     def job(self, job_id: str) -> Dict[str, object]:
-        """``GET /jobs/{id}``: current status/progress of one job."""
+        """``GET /jobs/{id}``: current status of one job."""
         return self._request("GET", f"/jobs/{job_id}")
 
     def result(self, digest: str) -> Dict[str, object]:

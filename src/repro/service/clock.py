@@ -22,7 +22,7 @@ Two clocks are exposed, used for different jobs:
   machines** sharing one job store (assumes loosely synchronised
   clocks; lease TTLs should dwarf the expected skew).
 * :func:`monotonic_s` — monotonic seconds.  Used for single-process
-  deadlines (client ``wait`` timeouts, executor polling) where clock
+  deadlines (client ``wait`` timeouts, worker idle exits) where clock
   adjustments must not fire or starve a timeout.
 """
 

@@ -121,11 +121,10 @@ class WorkQueue:
     def claim(self, owner: Optional[str] = None) -> Optional[JobRecord]:
         """Claim the oldest runnable job for ``owner``; None when idle.
 
-        A runnable job is ``queued``, of kind ``scenario``, and past its
-        ``not_before`` backoff gate.  On success the returned record is
-        already in state ``leased`` with ``attempts`` incremented, and
-        the caller owns the lease until it completes, fails or stops
-        heartbeating.
+        A runnable job is ``queued`` and past its ``not_before`` backoff
+        gate.  On success the returned record is already in state
+        ``leased`` with ``attempts`` incremented, and the caller owns the
+        lease until it completes, fails or stops heartbeating.
         """
         owner = owner or f"worker-{uuid.uuid4().hex[:8]}"
         now = clock.wall_s()
@@ -134,9 +133,7 @@ class WorkQueue:
                 record = self.store.get(job_id)
             except (JobNotFound, JobStoreError):
                 continue
-            if record.state != "queued" or record.kind != "scenario":
-                continue
-            if record.not_before > now:
+            if record.state != "queued" or record.not_before > now:
                 continue
             if self._try_create_lease(job_id, owner) is None:
                 continue

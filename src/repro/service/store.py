@@ -39,7 +39,7 @@ import json
 import os
 import tempfile
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
@@ -68,19 +68,15 @@ class JobNotFound(KeyError):
 class JobRecord(Wire):
     """One durable job: a scenario config payload plus queue bookkeeping.
 
-    ``config`` is the canonical ``ScenarioConfig.to_dict()`` document for
-    ``kind="scenario"`` jobs and ``None`` for ``kind="group"`` parents,
-    which exist only to aggregate their ``children``'s progress and are
-    never claimable.  ``digest`` is the config's content hash when known
-    (always set at HTTP submit time; workers compute it otherwise).
+    ``config`` is the canonical ``ScenarioConfig.to_dict()`` document of
+    the job's one scenario.  ``digest`` is the config's content hash when
+    known (always set at HTTP submit time; workers compute it otherwise).
     """
 
     job_id: str
     config: Optional[Dict[str, object]] = None
     digest: Optional[str] = None
     state: str = "queued"
-    kind: str = "scenario"
-    children: List[str] = field(default_factory=list)
     attempts: int = 0
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     #: Epoch seconds before which the job may not be claimed (retry backoff).
@@ -94,8 +90,6 @@ class JobRecord(Wire):
             raise SpecError(
                 f"unknown job state {self.state!r}; known: {list(JOB_STATES)}"
             )
-        if self.kind not in ("scenario", "group"):
-            raise SpecError(f"unknown job kind {self.kind!r}; known: ['scenario', 'group']")
 
     @property
     def terminal(self) -> bool:
@@ -162,8 +156,6 @@ class JobStore:
         *,
         digest: Optional[str] = None,
         job_id: Optional[str] = None,
-        kind: str = "scenario",
-        children: Optional[List[str]] = None,
         state: str = "queued",
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> JobRecord:
@@ -178,8 +170,6 @@ class JobStore:
             config=config,
             digest=digest,
             state=state,
-            kind=kind,
-            children=list(children or []),
             max_attempts=max_attempts,
             created_s=clock.wall_s(),
             finished_s=clock.wall_s() if state in ("done", "failed") else None,
@@ -238,20 +228,4 @@ class JobStore:
 
     def queue_depth(self) -> int:
         """Jobs waiting to run (``queued`` + ``leased``)."""
-        depth = 0
-        for record in self.records():
-            if record.state in ("queued", "leased") and record.kind == "scenario":
-                depth += 1
-        return depth
-
-    def group_progress(self, record: JobRecord) -> Dict[str, int]:
-        """Per-state tally of a group job's children."""
-        progress = {state: 0 for state in JOB_STATES}
-        progress["total"] = len(record.children)
-        for child_id in record.children:
-            try:
-                child = self.get(child_id)
-            except (JobNotFound, JobStoreError):
-                continue
-            progress[child.state] += 1
-        return progress
+        return sum(1 for record in self.records() if record.state in ("queued", "leased"))

@@ -74,8 +74,6 @@ class Worker:
         from repro.experiments.parallel import SweepRunner, config_digest
         from repro.experiments.runner import ScenarioConfig
 
-        if record.config is None:
-            raise ValueError("job has no config payload (group jobs are not runnable)")
         config = ScenarioConfig.from_dict(record.config)
         digest = record.digest or config_digest(config)
         # The shared cache makes this the instant path for known digests

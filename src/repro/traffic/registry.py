@@ -103,22 +103,18 @@ class _VoipDriver(_UdpDriver):
         return self.voip.quality()
 
 
-def _controller_for(config, flow, override: Optional[str] = None):
+def _controller_for(config, flow):
     """Resolve the congestion controller for one TCP-backed flow.
 
-    Precedence: an explicit traffic-kind param (``--set
-    traffic.transport=cubic``) beats the flow's own
-    :class:`~repro.topology.spec.FlowSpec.transport`, which beats the
-    scenario-level :class:`~repro.spec.TransportSpec`.  Returns None when
-    nothing is configured, so :class:`~repro.transport.tcp.TcpSender`
+    The flow's own :class:`~repro.topology.spec.FlowSpec.transport` beats
+    the scenario-level :class:`~repro.spec.TransportSpec`.  Returns None
+    when nothing is configured, so :class:`~repro.transport.tcp.TcpSender`
     constructs its default Reno without touching the registry.
     """
     from repro.transport.registry import build_controller
 
-    name = override
+    name = getattr(flow, "transport", None)
     params: dict = {}
-    if name is None:
-        name = getattr(flow, "transport", None)
     if name is None:
         spec = getattr(config, "transport", None)
         if spec is None:
@@ -128,14 +124,11 @@ def _controller_for(config, flow, override: Optional[str] = None):
 
 
 @register_traffic("tcp")
-def _install_tcp(
-    network, config, flow, *, tcp_window: int = None, transport: str = None
-) -> FlowDriver:
+def _install_tcp(network, config, flow) -> FlowDriver:
     """A long-lived FTP transfer over TCP (the paper's bulk flows; Reno default)."""
     from repro.traffic.ftp import FtpApplication
     from repro.transport.tcp import TcpSender, TcpSink
 
-    window = config.tcp_window if tcp_window is None else int(tcp_window)
     src_host = network.node(flow.src).transport
     dst_host = network.node(flow.dst).transport
     sender = TcpSender(
@@ -143,8 +136,8 @@ def _install_tcp(
         src_host,
         flow.flow_id,
         flow.dst,
-        awnd_segments=window,
-        controller=_controller_for(config, flow, transport),
+        awnd_segments=config.tcp_window,
+        controller=_controller_for(config, flow),
     )
     sink = TcpSink(network.sim, dst_host, flow.flow_id, peer=flow.src)
     app = FtpApplication(sender)
@@ -153,14 +146,11 @@ def _install_tcp(
 
 
 @register_traffic("web")
-def _install_web(
-    network, config, flow, *, tcp_window: int = None, transport: str = None
-) -> FlowDriver:
+def _install_web(network, config, flow) -> FlowDriver:
     """ON/OFF web transfers: Pareto sizes separated by exponential think times."""
     from repro.traffic.web import WebFlow
     from repro.transport.tcp import TcpSender, TcpSink
 
-    window = config.tcp_window if tcp_window is None else int(tcp_window)
     src_host = network.node(flow.src).transport
     dst_host = network.node(flow.dst).transport
     sender = TcpSender(
@@ -168,8 +158,8 @@ def _install_web(
         src_host,
         flow.flow_id,
         flow.dst,
-        awnd_segments=window,
-        controller=_controller_for(config, flow, transport),
+        awnd_segments=config.tcp_window,
+        controller=_controller_for(config, flow),
     )
     sink = TcpSink(network.sim, dst_host, flow.flow_id, peer=flow.src)
     web = WebFlow(network.sim, sender, network.rng.stream_for("web", flow.flow_id))

@@ -92,9 +92,9 @@ def _instances():
         ScenarioResult(_config(), [flow], {1: quality}, 1234),
         flow,
         quality,
-        JobRecord("job-1", config={"seed": 1}, digest="ab", children=["c"], finished_s=1.5),
+        JobRecord("job-1", config={"seed": 1}, digest="ab", attempts=1, finished_s=1.5),
         Lease("job-1", "worker-1", 12.5),
-        SubmitRequest(spec=baseline_document(), seeds=[1, 2], sweep={"scheme_label": ["D"]}),
+        SubmitRequest(spec=baseline_document(), max_attempts=5),
     ]
 
 
@@ -176,8 +176,6 @@ def _mistyped_values(hint):
 class TestMistypedScalars:
     def test_mistyped_values_are_named(self, cls, document):
         for field, hint in typing.get_type_hints(cls).items():
-            if field == "seeds" and cls is SubmitRequest:
-                continue  # an int N is shorthand for seeds 1..N (tests/service/test_schemas.py)
             for value in _mistyped_values(hint):
                 mutated = dict(document)
                 mutated[field] = value

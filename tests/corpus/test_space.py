@@ -81,6 +81,16 @@ class TestConstraints:
         assert space.violated(combo).id == "mobility-fixed-layout"
         assert space.violated(dict(base, topology=line, mobility=moving)) is None
 
+    def test_every_constraint_rejects_some_combination(self, space):
+        """A rule that can never fire polices nothing; delete it instead."""
+        spaces = (space, default_space(trace_paths=("/nonexistent/never.csv",)))
+        for constraint in CONSTRAINTS:
+            assert any(
+                not constraint.allows(candidate.combo_at(index))
+                for candidate in spaces
+                for index in range(candidate.size())
+            ), constraint.id
+
     def test_missing_trace_file_is_inadmissible(self):
         space = default_space(trace_paths=("/nonexistent/never.csv",))
         bad = next(

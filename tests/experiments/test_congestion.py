@@ -18,13 +18,8 @@ from repro.experiments.congestion import (
 )
 from repro.experiments.figures import FIGURES
 from repro.experiments.parallel import ResultCache, SweepRunner, config_digest
-from repro.experiments.runner import (
-    PAPER_SCHEMES,
-    ScenarioConfig,
-    ScenarioResult,
-    run_scenario,
-)
-from repro.spec import TransportSpec
+from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.spec import PAPER_SCHEMES, TransportSpec
 from repro.topology.standard import line_topology
 
 

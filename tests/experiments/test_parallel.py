@@ -1,21 +1,10 @@
-"""Parallel sweep runner: grids, digests, caching, and serial/parallel parity."""
+"""Sweep runner: digests, caching, and serial/parallel parity."""
 
 import json
 
-import pytest
-
-from repro.experiments.parallel import (
-    ResultCache,
-    SweepRunner,
-    config_digest,
-    expand_grid,
-)
-from repro.experiments.runner import (
-    ScenarioConfig,
-    ScenarioResult,
-    run_scenario,
-    sweep_schemes,
-)
+from repro.experiments.grids import scenario_grid
+from repro.experiments.parallel import ResultCache, SweepRunner, config_digest
+from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.topology.standard import fig1_topology
 
 
@@ -29,6 +18,10 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+def small_grid(**axes):
+    return scenario_grid(small_config(), axes)[0]
 
 
 class TestConfigDigest:
@@ -107,31 +100,14 @@ class TestSerializationRoundTrip:
             assert rebuilt.voip_quality[flow_id] == quality
 
 
-class TestExpandGrid:
-    def test_cartesian_product_order(self):
-        grid = expand_grid(small_config(), scheme_label=["D", "R16"], seed=[1, 2])
-        assert [(c.mac.name, c.seed) for c in grid] == [
-            ("dcf", 1), ("dcf", 2), ("ripple", 1), ("ripple", 2)
-        ]
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(TypeError):
-            expand_grid(small_config(), not_a_field=[1, 2])
-
-    def test_empty_axes_yield_base(self):
-        grid = expand_grid(small_config())
-        assert len(grid) == 1
-        assert grid == [small_config()]
-
-
 class TestSweepRunner:
     def test_results_in_input_order(self):
-        grid = expand_grid(small_config(), scheme_label=["D", "R1"])
+        grid = small_grid(scheme_label=["D", "R1"])
         results = SweepRunner().run(grid)
         assert [r.config.mac.name for r in results] == ["dcf", "ripple1"]
 
     def test_parallel_matches_serial_bit_for_bit(self):
-        grid = expand_grid(small_config(), scheme_label=["D", "R16"], seed=[1, 2])
+        grid = small_grid(scheme_label=["D", "R16"], seed=[1, 2])
         serial = SweepRunner(jobs=1).run(grid)
         parallel = SweepRunner(jobs=4).run(grid)
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
@@ -139,17 +115,6 @@ class TestSweepRunner:
     def test_runner_matches_direct_run_scenario(self):
         config = small_config()
         assert SweepRunner().run_one(config).to_dict() == run_scenario(config).to_dict()
-
-    def test_sweep_schemes_goes_through_runner(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        base = small_config()
-        first = sweep_schemes(base, ("D", "R1"), runner=SweepRunner(cache=cache))
-        assert cache.misses == 2 and cache.hits == 0
-        second = sweep_schemes(base, ("D", "R1"), runner=SweepRunner(cache=cache))
-        assert cache.hits == 2
-        assert {k: v.to_dict() for k, v in first.items()} == {
-            k: v.to_dict() for k, v in second.items()
-        }
 
 
 class TestResultCache:
@@ -165,7 +130,7 @@ class TestResultCache:
         assert cached.to_dict() == result.to_dict()
 
     def test_second_sweep_served_from_cache(self, tmp_path):
-        grid = expand_grid(small_config(), scheme_label=["D", "R1"], seed=[1, 2])
+        grid = small_grid(scheme_label=["D", "R1"], seed=[1, 2])
         cache = ResultCache(tmp_path)
         first = SweepRunner(jobs=1, cache=cache).run(grid)
         assert cache.hits == 0 and cache.misses == len(grid)

@@ -7,18 +7,19 @@ import pytest
 
 import repro.experiments.runner as runner
 from repro.experiments.report import format_table, nested_to_rows, render_panel
-from repro.experiments.runner import (
-    DEFAULT_SCHEME_LABELS,
-    PAPER_SCHEMES,
-    ScenarioConfig,
-    build_network,
-    resolve_scheme,
-    run_scenario,
-)
+from repro.experiments.runner import ScenarioConfig, build_network, run_scenario
 from repro.mobility.spec import MobilitySpec
 from repro.phy.channel import WirelessChannel
 from repro.phy.params import LOW_RATE_PHY
-from repro.spec import TransportSpec
+from repro.serialization import SpecError
+from repro.spec import (
+    DEFAULT_SCHEME_LABELS,
+    PAPER_SCHEMES,
+    MacSpec,
+    RoutingSpec,
+    TransportSpec,
+    expand_scheme_label,
+)
 from repro.topology.roofnet import roofnet_scenario
 from repro.topology.standard import fig1_topology, line_topology
 from repro.topology.wigle import wigle_topology
@@ -29,27 +30,31 @@ class TestSchemeMapping:
         assert set(DEFAULT_SCHEME_LABELS) == {"S", "D", "R1", "A", "R16"}
 
     def test_s_uses_direct_route(self):
-        scheme, route_set = resolve_scheme("S", "ROUTE0")
-        assert scheme == "dcf" and route_set == "DIRECT"
+        assert expand_scheme_label("S") == (
+            MacSpec("dcf"), RoutingSpec("static", {"route_set": "DIRECT"})
+        )
 
     def test_d_uses_requested_route(self):
-        scheme, route_set = resolve_scheme("D", "ROUTE2")
-        assert scheme == "dcf" and route_set == "ROUTE2"
+        assert expand_scheme_label("D") == (MacSpec("dcf"), RoutingSpec("static"))
+        config = ScenarioConfig(topology=line_topology(3), scheme_label="D", route_set="ROUTE2")
+        assert config.route_set == "ROUTE2" and config.routing == RoutingSpec("static")
 
     def test_r16_is_ripple(self):
-        assert resolve_scheme("R16", "ROUTE0") == ("ripple", "ROUTE0")
+        assert ScenarioConfig(topology=fig1_topology(), scheme_label="R16").mac == MacSpec("ripple")
 
     def test_r1_is_ripple_without_aggregation(self):
-        assert resolve_scheme("R1", "ROUTE0") == ("ripple1", "ROUTE0")
+        assert ScenarioConfig(topology=fig1_topology(), scheme_label="R1").mac == MacSpec("ripple1")
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_scheme("XYZ", "ROUTE0")
+        with pytest.raises(SpecError, match="XYZ"):
+            expand_scheme_label("XYZ")
+        with pytest.raises(SpecError, match="XYZ"):
+            ScenarioConfig(topology=fig1_topology(), scheme_label="XYZ")
 
     def test_all_labels_resolve(self):
-        for label in PAPER_SCHEMES:
-            scheme, route_set = resolve_scheme(label, "ROUTE0")
-            assert isinstance(scheme, str) and isinstance(route_set, str)
+        for label, (scheme, _route_set) in PAPER_SCHEMES.items():
+            mac, routing = expand_scheme_label(label)
+            assert mac == MacSpec(scheme) and routing.name == "static"
 
 
 class TestBuildNetwork:

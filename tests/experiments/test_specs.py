@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.experiments.parallel import config_digest
-from repro.experiments.runner import PAPER_SCHEMES, ScenarioConfig, run_scenario
+from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.mac.registry import MAC_SCHEMES
 from repro.mobility.models import MOBILITY_MODELS
 from repro.mobility.spec import MobilitySpec
@@ -14,6 +14,7 @@ from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY, PhyParams
 from repro.routing.registry import ROUTING_STRATEGIES
 from repro.serialization import SpecError
 from repro.spec import (
+    PAPER_SCHEMES,
     PHY_PROFILES,
     MacSpec,
     RoutingSpec,

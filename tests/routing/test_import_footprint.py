@@ -1,11 +1,11 @@
 """What a process of the package loads: no networkx, no HTTP stack, no process pool.
 
 Routes come from :mod:`repro.routing.graph`; networkx is only the tests'
-oracle.  The service's HTTP client and server, its distributed executor
-and the sweep's process pool are imported where they are used, so a
-process that runs scenarios, serial sweeps and in-process service round
-trips loads none of ``urllib.request``, ``http.client``, ``http.server``,
-``ssl``, ``email`` or ``multiprocessing``.  A fresh interpreter imports
+oracle.  The service's HTTP client and server and the sweep's process
+pool are imported where they are used, so a process that runs scenarios,
+serial sweeps and in-process service round trips loads none of
+``urllib.request``, ``http.client``, ``http.server``, ``ssl``, ``email``
+or ``multiprocessing``.  A fresh interpreter imports
 every entry point, runs a Roofnet scenario, a mobile scenario whose
 routes are re-estimated mid-run, a serial sweep and a service round
 trip, and reports what it loaded.
@@ -21,7 +21,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Standard-library modules only HTTP, the executor or a process pool need.
+#: Standard-library modules only HTTP or a process pool need.
 UNUSED_STDLIB = ("email", "http.client", "http.server", "multiprocessing", "ssl", "urllib.request")
 
 SCRIPT = """

@@ -46,3 +46,15 @@ def store(tmp_path):
 @pytest.fixture
 def cache(store):
     return ResultCache(store.cache_dir)
+
+
+@pytest.fixture
+def old_group_record(store):
+    """Id of a record written before jobs were single scenarios.
+
+    It carries ``kind`` and ``children``, which the strict codec refuses.
+    """
+    store.path_for("001-old").write_text(
+        '{"job_id": "001-old", "kind": "group", "children": []}'
+    )
+    return "001-old"

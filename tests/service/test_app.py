@@ -12,6 +12,7 @@ import pytest
 from repro.experiments.parallel import config_digest
 from repro.experiments.runner import run_scenario
 from repro.service.app import SimulationService
+from repro.service.worker import Worker
 from repro.spec import ScenarioConfig
 
 
@@ -29,7 +30,6 @@ class TestSubmit:
         status, payload = post_jobs(service, {"spec": small_spec})
         assert status == 202
         assert payload["state"] == "queued"
-        assert payload["kind"] == "scenario"
         expected = config_digest(ScenarioConfig.from_dict(small_spec))
         assert payload["digest"] == expected
         assert store.get(payload["job_id"]).config is not None
@@ -65,16 +65,14 @@ class TestSubmit:
         assert status == 200
         assert result == run_scenario(config).to_dict()
 
-    def test_seeds_fan_out_into_group(self, service, store, small_spec):
-        status, payload = post_jobs(service, {"spec": small_spec, "seeds": 3})
-        assert status == 202
-        assert payload["kind"] == "group"
-        assert len(payload["children"]) == 3
-        assert len(set(payload["digests"])) == 3
-        assert payload["progress"] == {
-            "total": 3, "queued": 3, "leased": 0, "done": 0, "failed": 0,
-        }
-        assert store.queue_depth() == 3
+    @pytest.mark.parametrize("grid", [{"seeds": 2}, {"sweep": {"scheme_label": ["D", "R16"]}}])
+    def test_grid_body_is_a_400_naming_the_field(self, service, store, small_spec, grid):
+        (name,) = grid
+        status, payload = post_jobs(service, {"spec": small_spec, **grid})
+        assert status == 400
+        assert payload["error"]["type"] == "SpecError"
+        assert name in payload["error"]["message"]
+        assert store.job_ids() == []
 
 
 class TestBackpressure:
@@ -107,6 +105,11 @@ class TestReads:
         assert status == 404
         assert payload["error"]["type"] == "NotFound"
 
+    def test_unreadable_record_is_a_store_error(self, service, old_group_record):
+        status, payload = service.route("GET", f"/jobs/{old_group_record}")
+        assert status == 500
+        assert payload["error"]["type"] == "StoreError"
+
     def test_result_validation_and_miss(self, service):
         status, payload = service.route("GET", "/results/not-hex!")
         assert status == 400
@@ -129,12 +132,19 @@ class TestHealthAndMetrics:
     def test_metrics_track_queue_cache_and_throughput(
         self, service, store, cache, small_spec
     ):
-        post_jobs(service, {"spec": small_spec, "seeds": 2})
+        for seed in (1, 2):
+            post_jobs(service, {"spec": dict(small_spec, seed=seed)})
         status, payload = service.route("GET", "/metrics")
         assert status == 200
-        # Group parents are excluded from depth but present in the state tally.
-        assert payload["queue_depth"] == 2
-        assert payload["jobs"]["queued"] == 3
+        assert payload["queue_depth"] == payload["jobs"]["queued"] == 2
         assert payload["submitted"] == 2
         assert payload["cache"] == {"hits": 0, "misses": 2, "quarantined": 0}
         assert payload["uptime_s"] > 0
+
+    def test_drained_store_has_no_queued_jobs(self, service, store, cache, small_spec):
+        for seed in (1, 2):
+            post_jobs(service, {"spec": dict(small_spec, seed=seed)})
+        assert Worker(store, cache=cache).run_until_idle() == 2
+        _, payload = service.route("GET", "/metrics")
+        assert payload["queue_depth"] == payload["jobs"]["queued"] == 0
+        assert payload["jobs"]["done"] == 2

@@ -68,17 +68,14 @@ def test_fresh_and_warm_submissions_match_direct_run(service_stack, small_spec):
     assert resubmitted["digest"] == job["digest"]
 
 
-def test_seed_fanout_group_completes_with_per_seed_results(service_stack, small_spec):
-    client, _store, _cache = service_stack
-    submitted = client.submit(small_spec, seeds=2)
-    assert submitted["kind"] == "group"
-    group = client.wait(submitted["job_id"], timeout_s=120)
-    assert group["state"] == "done"
-    assert group["progress"]["done"] == 2
-    for seed, digest in zip((1, 2), submitted["digests"]):
-        config = ScenarioConfig.from_dict(dict(small_spec, seed=seed))
-        assert digest == config_digest(config)
-        assert client.result(digest) == run_scenario(config).to_dict()
+def test_grid_body_is_a_400_over_http(service_stack, small_spec):
+    client, store, _cache = service_stack
+    with pytest.raises(ServiceError) as excinfo:
+        client._request("POST", "/jobs", {"spec": small_spec, "seeds": 2})
+    assert excinfo.value.status == 400
+    assert excinfo.value.payload["error"]["type"] == "SpecError"
+    assert "seeds" in str(excinfo.value)
+    assert store.job_ids() == []
 
 
 def test_failed_job_surfaces_through_wait(service_stack):

@@ -50,8 +50,7 @@ class TestClaim:
         assert queue.claim("w1").job_id == "001-a"
         assert queue.claim("w2") is None
 
-    def test_skips_groups_terminal_and_backoff_gated_jobs(self, store, queue, wall):
-        store.submit(None, job_id="001-g", kind="group", children=[])
+    def test_skips_terminal_and_backoff_gated_jobs(self, store, queue, wall):
         store.submit({"x": 1}, job_id="002-d", state="done")
         gated = store.submit({"x": 2}, job_id="003-b")
         gated.not_before = wall.now + 5.0
@@ -59,6 +58,11 @@ class TestClaim:
         assert queue.claim("w1") is None
         wall.advance(5.0)
         assert queue.claim("w1").job_id == "003-b"
+
+    def test_skips_records_it_cannot_read(self, store, queue, old_group_record):
+        store.submit({"x": 1}, job_id="002-a")
+        assert queue.claim("w1").job_id == "002-a"
+        assert queue.claim("w1") is None
 
     def test_claim_rechecks_record_under_lease(self, store, queue):
         # The record completes between the scan and the lease: claim must

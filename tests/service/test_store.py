@@ -37,11 +37,9 @@ class TestJobRecord:
         with pytest.raises(SpecError, match="job_id"):
             JobRecord.from_dict({"state": "queued"})
 
-    def test_invalid_state_and_kind_rejected(self):
+    def test_invalid_state_rejected(self):
         with pytest.raises(SpecError, match="state"):
             JobRecord(job_id="x", state="running")
-        with pytest.raises(SpecError, match="kind"):
-            JobRecord(job_id="x", kind="batch")
 
     def test_config_must_be_dict_or_null(self):
         with pytest.raises(SpecError, match="config"):
@@ -120,21 +118,13 @@ class TestAggregates:
         poisoned.state = "failed"
         poisoned.attempts = poisoned.max_attempts
         store.update(poisoned)
-        store.submit(None, job_id="004-g", kind="group", children=["001-a", "002-b"])
         counts = store.counts()
-        # The group parent is 'queued' in counts but never occupies a worker.
         assert counts == {
-            "queued": 2, "leased": 0, "done": 1, "failed": 1,
+            "queued": 1, "leased": 0, "done": 1, "failed": 1,
             "quarantined": 1, "leases": 0,
         }
         assert store.queue_depth() == 1
 
-    def test_group_progress(self, store):
-        store.submit({"x": 1}, job_id="001-a")
-        store.submit({"x": 2}, job_id="002-b", state="done")
-        group = store.submit(
-            None, kind="group", children=["001-a", "002-b", "009-missing"]
-        )
-        progress = store.group_progress(group)
-        assert progress["total"] == 3
-        assert progress["queued"] == 1 and progress["done"] == 1
+    def test_record_with_group_fields_is_unreadable(self, store, old_group_record):
+        with pytest.raises(JobStoreError, match="kind"):
+            store.get(old_group_record)

@@ -73,17 +73,17 @@ class TestFlowSpecTransport:
 
 
 class TestControllerResolution:
-    """Precedence: traffic param > FlowSpec.transport > scenario TransportSpec."""
+    """Precedence: FlowSpec.transport > scenario TransportSpec."""
 
     class _Config:
         def __init__(self, transport=None):
             self.transport = transport
 
-    def resolve(self, config_transport=None, flow_transport=None, override=None):
+    def resolve(self, config_transport=None, flow_transport=None):
         from repro.traffic.registry import _controller_for
 
         flow = FlowSpec(flow_id=1, src=0, dst=3, transport=flow_transport)
-        return _controller_for(self._Config(config_transport), flow, override)
+        return _controller_for(self._Config(config_transport), flow)
 
     def test_nothing_configured_yields_none(self):
         assert self.resolve() is None
@@ -98,11 +98,3 @@ class TestControllerResolution:
             config_transport=TransportSpec("cubic"), flow_transport="tahoe"
         )
         assert isinstance(controller, TahoeController)
-
-    def test_traffic_param_beats_everything(self):
-        controller = self.resolve(
-            config_transport=TransportSpec("cubic"),
-            flow_transport="tahoe",
-            override="newreno",
-        )
-        assert isinstance(controller, NewRenoController)
