@@ -37,11 +37,12 @@ digest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.metrics.flows import FlowResult, total_throughput_mbps
 from repro.metrics.mos import VoipQuality
 from repro.phy.error_models import BitErrorModel
+from repro.routing.base import RouteNotFound, RoutingProtocol
 from repro.routing.dynamic import AdaptiveEtxRouting
 from repro.serialization import Wire
 from repro.sim.units import seconds
@@ -93,6 +94,12 @@ def build_network(config: ScenarioConfig) -> Tuple[WirelessNetwork, object]:
     radios and periodically re-estimates links so routes and forwarder
     lists track the changing topology.  A ``None`` or static spec leaves
     the build byte-for-byte identical to the fixed-placement path.
+
+    Without live mobility the routes are fixed for the run, so the channel
+    dispatches only to :func:`reachable_stations` (see
+    :mod:`repro.phy.channel`, "Stations no route reaches").  Under live
+    mobility the adaptive routes can run through any station, and every
+    station is dispatched to.
     """
     from repro.routing.registry import ROUTING_STRATEGIES
 
@@ -119,7 +126,42 @@ def build_network(config: ScenarioConfig) -> Tuple[WirelessNetwork, object]:
     network.install_transport()
     if mobile:
         network.install_mobility(config.mobility)
+    else:
+        network.channel.restrict_dispatch(reachable_stations(config, routing))
     return network, routing
+
+
+def reachable_stations(config: ScenarioConfig, routing: RoutingProtocol) -> Set[int]:
+    """The stations the active flows' traffic can make transmit or name in a frame.
+
+    Starts from the active flows' end points.  For every station ``n``
+    found and every end point ``d`` other than ``n``, it adds each station
+    ``routing.route_decision(n, d, opportunistic)`` names, as next hop,
+    forwarder or final destination, under both values of
+    ``opportunistic``, until nothing is added; a pair without a route adds
+    nothing.  A packet held by a station the set contains is routed from
+    it towards an end point, and a MAC transmits only for its own queue or
+    for a frame that names its station (:class:`~repro.mac.base.MacLayer`),
+    so with routes fixed no other station ever transmits or is named.
+    """
+    endpoints = sorted({node for flow in _active_flows(config) for node in (flow.src, flow.dst)})
+    reachable = set(endpoints)
+    pending = list(endpoints)
+    while pending:
+        node = pending.pop()
+        for dst in endpoints:
+            if dst == node:
+                continue
+            for opportunistic in (False, True):
+                try:
+                    decision = routing.route_decision(node, dst, opportunistic)
+                except RouteNotFound:
+                    continue
+                for named in (decision.next_hop, decision.final_dst, *decision.forwarder_list):
+                    if named is not None and named not in reachable:
+                        reachable.add(named)
+                        pending.append(named)
+    return reachable
 
 
 def _active_flows(config: ScenarioConfig) -> List[FlowSpec]:

@@ -198,6 +198,17 @@ class MacLayer(abc.ABC):
     holds the flag while it contends; RIPPLE also holds it while a relay
     waits for the medium.  A MAC that breaks the promise changes the
     simulation.
+
+    A MAC transmits, or hands a packet up, only because of its own queue
+    or because of a frame that names its station (as receiver, final
+    destination or forwarder).  preExOR's and MCExOR's :meth:`acts_on`
+    accept every ACK, but at a station holding no tracked reception an ACK
+    naming another station only changes counters.  With routes fixed for
+    the run, the channel relies on this to leave out of dispatch every
+    station no route reaches (see :mod:`repro.phy.channel`): such a
+    station's queue stays empty and no frame names it, so what it senses
+    changes nothing.  A MAC that breaks this contract stops the run at the
+    channel's guard instead of changing it.
     """
 
     #: Most sub-packets one data frame carries; sizes the duplicate filter.

@@ -73,6 +73,25 @@ depend on when stations moved (deterministically: the same seed gives
 the same run).  A link that leaves every plan keeps its carry until one
 takes it again.
 
+Stations no route reaches
+-------------------------
+A scenario whose routes are fixed for the run names, before it starts,
+every station its traffic can make transmit or name in a frame
+(:func:`repro.experiments.runner.reachable_stations`).  Any other station
+never transmits and is never a frame's receiver, final destination or
+forwarder, so whatever it senses or decodes changes nothing any other
+station does.  :meth:`WirelessChannel.restrict_dispatch` leaves such
+stations out of every plan, as plans leave out a station beyond the cull
+margin: no column, no fade generator, no sensing code and no signal-run
+item.  Each column a plan keeps is its own link's stream, so every kept
+link draws what it would draw with nobody left out, and the kept stations'
+callbacks keep their instants and their order.  The runs lose only the
+left-out stations' items, which lowers ``events_processed``.
+:meth:`~WirelessChannel.start_transmission` raises
+:class:`UnreachableStation` when a left-out station transmits or a frame
+names one, so a route the set missed stops the run instead of changing
+it.
+
 A finished network is cyclic garbage (radio and channel, radio and MAC,
 and the radio callbacks in the plans refer to each other), so only a full
 collection would free the plans' matrices and the links' streams.
@@ -106,7 +125,7 @@ import itertools
 import math
 from operator import itemgetter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -273,6 +292,10 @@ class ChannelStats:
     deliveries_attempted: int = 0
 
 
+class UnreachableStation(RuntimeError):
+    """A station left out of dispatch transmitted, or a frame named one."""
+
+
 class WirelessChannel:
     """Shared wireless medium connecting every radio in the scenario."""
 
@@ -288,6 +311,7 @@ class WirelessChannel:
         "_ids",
         "_distance_cache",
         "_plans",
+        "_excluded",
         "_link_fades",
         "_link_uniforms",
         "_prob_cache",
@@ -334,6 +358,8 @@ class WirelessChannel:
         self._distance_cache: Dict[Tuple[int, int], float] = {}
         #: Per-sender dispatch plans (see module docstring).
         self._plans: Dict[int, _DispatchPlan] = {}
+        #: Node ids left out of every plan (module notes); empty: none.
+        self._excluded: FrozenSet[int] = frozenset()
         #: Per-link fade streams; keyed by (sender, receiver) node ids and
         #: deliberately *not* geometry-invalidated (fades are i.i.d. per
         #: frame, so they stay valid when stations move).
@@ -367,11 +393,44 @@ class WirelessChannel:
         """
         return list(self._radios)
 
+    def restrict_dispatch(self, reachable: Iterable[int]) -> None:
+        """Leave every registered station outside ``reachable`` out of dispatch.
+
+        ``reachable`` holds node ids: the stations the scenario's traffic
+        can make transmit or name in a frame (module notes).  Plans are
+        rebuilt without the others, and a transmission by one of them, or a
+        frame naming one, raises :class:`UnreachableStation`.  A station
+        registered later is dispatched to.
+        """
+        kept = set(reachable)
+        self._excluded = frozenset(
+            radio.node_id for radio in self._radios if radio.node_id not in kept
+        )
+        self._invalidate_geometry()
+
+    @property
+    def excluded(self) -> FrozenSet[int]:
+        """Node ids left out of dispatch by :meth:`restrict_dispatch` (empty: none)."""
+        return self._excluded
+
     # ------------------------------------------------------------------
     # Transmission dispatch
     # ------------------------------------------------------------------
     def start_transmission(self, sender: Radio, frame, duration_ns: int) -> Transmission:
         """Propagate ``frame`` from ``sender`` to every radio that can hear it."""
+        excluded = self._excluded
+        if excluded and (
+            sender.node_id in excluded
+            or frame.receiver in excluded
+            or frame.final_dst in excluded
+            or not excluded.isdisjoint(frame.forwarder_list)
+        ):
+            raise UnreachableStation(
+                f"station {sender.node_id} sent frame {frame.frame_id} (receiver "
+                f"{frame.receiver}, final_dst {frame.final_dst}, forwarders "
+                f"{list(frame.forwarder_list)}), but stations {sorted(excluded)} are "
+                f"left out of dispatch: no route was found to reach them"
+            )
         sim = self.sim
         duration_ns = int(duration_ns)
         now = sim.now
@@ -428,9 +487,11 @@ class WirelessChannel:
         the largest fade the propagation model can produce
         (:meth:`~repro.phy.propagation.ShadowingPropagation.max_shadowing_db`)
         still misses the carrier-sense threshold — a *sound* cull, not a
-        heuristic one.  Each entry carries the link's deterministic power
-        and propagation delay (both pure functions of the frozen geometry)
-        so per-frame dispatch is one precomputed code per candidate.  The
+        heuristic one — or when :meth:`restrict_dispatch` left its station
+        out, which is as sound (module notes).  Each entry carries the
+        link's deterministic power and propagation delay (both pure
+        functions of the frozen geometry) so per-frame dispatch is one
+        precomputed code per candidate.  The
         per-link fade streams outlive the plan, so rebuilding it after a
         move continues each link's draws instead of restarting them, minus
         the rows of the old plan's current block that it never served.
@@ -442,9 +503,10 @@ class WirelessChannel:
         mean_power = propagation.mean_received_power_dbm
         model_delay = self.model_propagation_delay
         sender_id = sender.node_id
+        excluded = self._excluded
         candidates: List[Tuple[int, Radio, _LinkFadeStream, float]] = []
         for radio in self._radios:
-            if radio is sender:
+            if radio is sender or radio.node_id in excluded:
                 continue
             distance = self.distance(sender, radio)
             mean_dbm = mean_power(tx_power, distance)

@@ -47,6 +47,12 @@ most of the time in neither state, so most edges cost the radio its
 carrier-sense bookkeeping and no call.  That bookkeeping (``_sensing``,
 :attr:`busy`, ``_clean``, ``_idle_since``) still runs at every edge, so
 whatever the MAC reads when it wakes is current.
+
+With routes fixed for the run, a station no route reaches gets no signal
+at all (:meth:`~repro.phy.channel.WirelessChannel.restrict_dispatch`):
+its radio stays idle and its counters stay at zero, since what it would
+sense changes nothing another station does.  So :class:`RadioStats`
+count the signals of reachable stations only.
 """
 
 from __future__ import annotations

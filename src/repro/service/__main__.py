@@ -8,7 +8,8 @@
     python -m repro.service status --url http://HOST:PORT JOB_ID
 
 ``serve`` optionally spawns local worker processes (``--workers N``)
-that drain the same store the HTTP app enqueues into; additional
+that drain the same store the HTTP app enqueues into, and stops them
+when it is stopped by Ctrl-C or SIGTERM; additional
 ``worker`` processes may be started on any machine sharing the store's
 filesystem.  ``submit`` reads one scenario JSON document (the same
 format ``python -m repro.experiments run --spec`` takes, ``-`` for
@@ -54,6 +55,11 @@ def _spawn_workers(count: int, args) -> List[subprocess.Popen]:
     return [subprocess.Popen(command) for _ in range(count)]
 
 
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler: stop ``serve`` the way Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args) -> int:
     from repro.service.server import make_server
 
@@ -62,17 +68,23 @@ def _cmd_serve(args) -> int:
     service = SimulationService(store, cache, max_queue=args.max_queue)
     server = make_server(service, args.host, args.port, verbose=args.verbose)
     host, port = server.server_address[:2]
-    workers = _spawn_workers(args.workers, args) if args.workers else []
-    print(
-        f"serving on http://{host}:{port} (store {store.root}, "
-        f"{len(workers)} local worker(s))",
-        flush=True,
-    )
+    # A plain `kill` takes the same way out as Ctrl-C, through the
+    # `finally` that stops the spawned workers.
+    signal.signal(signal.SIGTERM, _interrupt)
+    workers: List[subprocess.Popen] = []
     try:
+        workers = _spawn_workers(args.workers, args) if args.workers else []
+        print(
+            f"serving on http://{host}:{port} (store {store.root}, "
+            f"{len(workers)} local worker(s))",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        # A second SIGTERM must not cut the workers' shutdown short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
         server.server_close()
         for process in workers:
             process.send_signal(signal.SIGTERM)

@@ -4,7 +4,8 @@ Any number of workers — threads, processes, or machines sharing the
 store's filesystem — drain one :class:`~repro.service.store.JobStore` by
 *claiming* jobs through lease files:
 
-* **Claim** — scan queued jobs in id order and atomically create
+* **Claim** — scan the waiting jobs (``jobs/``, never the finished ones
+  in ``done/``) in id order and atomically create
   ``leases/<job_id>.json`` with ``O_CREAT | O_EXCL``; exactly one
   claimant can win, which is the entire mutual-exclusion story (no
   server, no locks, works across machines on a shared POSIX
@@ -128,10 +129,13 @@ class WorkQueue:
         """
         owner = owner or f"worker-{uuid.uuid4().hex[:8]}"
         now = clock.wall_s()
-        for job_id in self.store.job_ids():
+        for job_id in self.store.waiting_ids():
             try:
-                record = self.store.get(job_id)
+                record = self.store.get_waiting(job_id)
             except (JobNotFound, JobStoreError):
+                continue
+            if record.terminal:
+                self.store.update(record)  # written before done/ existed: move it there
                 continue
             if record.state != "queued" or record.not_before > now:
                 continue
@@ -139,9 +143,9 @@ class WorkQueue:
                 continue
             # Re-read under the lease: the record may have moved on
             # between the scan and the claim (e.g. a reclaim requeued it
-            # with new bookkeeping, or a duplicate submit completed it).
+            # with new bookkeeping, or it finished and left jobs/).
             try:
-                record = self.store.get(job_id)
+                record = self.store.get_waiting(job_id)
             except (JobNotFound, JobStoreError):
                 self.release(job_id)
                 continue
@@ -201,7 +205,9 @@ class WorkQueue:
         exists* (claims are blocked by ``O_EXCL``), then the lease is
         unlinked — so a concurrent claimant can never see the job
         half-reclaimed.  Leases pointing at terminal records (a worker
-        died after completing but before releasing) are simply dropped.
+        died after completing but before releasing) are dropped, after
+        the record's move to ``done/`` is finished in case the worker died
+        between its two steps.
         """
         reclaimed: List[str] = []
         now = clock.wall_s()
@@ -228,5 +234,7 @@ class WorkQueue:
                     record.not_before = now + self.backoff_s(record.attempts)
                 self.store.update(record)
                 reclaimed.append(job_id)
+            elif record.terminal:
+                self.store.update(record)
             self.release(job_id)
         return reclaimed

@@ -3,9 +3,13 @@
 A :class:`JobStore` is a directory (typically on a filesystem shared by
 several machines) holding one JSON file per job plus a ``leases/``
 subdirectory used by :class:`repro.service.queue.WorkQueue` for
-work-stealing claims.  Results never live here: a job's payload is a
-canonical ``ScenarioConfig.to_dict()`` document and its *result* is
-addressed by the existing content hash
+work-stealing claims.  A job waiting to run (``queued`` or ``leased``)
+lives in ``jobs/``; a job that turns terminal (``done`` or ``failed``)
+moves to ``done/``, so a submit's queue-depth check and a worker's claim
+scan cost what the queue holds, not the store's whole history.  Results
+never live here: a job's payload is a canonical
+``ScenarioConfig.to_dict()`` document and its *result* is addressed by
+the existing content hash
 (:func:`repro.experiments.parallel.config_digest`) in the shared
 :class:`~repro.experiments.parallel.ResultCache` that sits next to the
 store (``<root>/cache`` by default).  A job whose digest is already
@@ -14,7 +18,8 @@ cached therefore completes instantly without simulating anything.
 Layout::
 
     <root>/
-      jobs/   <job_id>.json      one JobRecord per job (atomic writes)
+      jobs/   <job_id>.json      one JobRecord per waiting job (atomic writes)
+      done/   <job_id>.json      one JobRecord per terminal job
       leases/ <job_id>.json      live claims (see queue.py)
       cache/  ab/<digest>.json   the shared ResultCache (default location)
 
@@ -30,7 +35,13 @@ Every write is atomic (tmp file + ``os.replace``, exactly like
 ``ResultCache.store``), so a SIGKILL at any point leaves either the old
 or the new record on disk, never a torn one.  State-field transitions
 are the single source of truth; lease files only arbitrate *who* may
-drive the next transition.
+drive the next transition.  A record turning terminal is written to
+``done/`` before its ``jobs/`` file is removed, and :meth:`JobStore.get`
+reads ``done/`` first, so a crash between the two steps leaves a stale
+waiting copy that no reader serves; the lease sweep removes it (see
+queue.py).  A terminal record found in ``jobs/``, as a store written
+before ``done/`` existed holds them, is moved by the claim scan that
+meets it.
 """
 
 from __future__ import annotations
@@ -125,16 +136,18 @@ class JobStore:
             root = os.environ.get("REPRO_SERVICE_DIR", DEFAULT_STORE_DIR)
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
+        self.done_dir = self.root / "done"
         self.leases_dir = self.root / "leases"
         self.cache_dir = self.root / "cache"
-        for directory in (self.jobs_dir, self.leases_dir):
+        for directory in (self.jobs_dir, self.done_dir, self.leases_dir):
             directory.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
     # Record IO
     # ------------------------------------------------------------------
-    def path_for(self, job_id: str) -> Path:
-        return self.jobs_dir / f"{job_id}.json"
+    def path_for(self, job_id: str, terminal: bool = False) -> Path:
+        """Where a waiting (or, with ``terminal``, a finished) job's record lives."""
+        return (self.done_dir if terminal else self.jobs_dir) / f"{job_id}.json"
 
     def _write_atomic(self, path: Path, payload: Dict[str, object]) -> None:
         text = json.dumps(payload, sort_keys=True)
@@ -174,20 +187,29 @@ class JobStore:
             created_s=clock.wall_s(),
             finished_s=clock.wall_s() if state in ("done", "failed") else None,
         )
-        path = self.path_for(record.job_id)
-        if path.exists():
-            raise JobStoreError(f"job id collision: {record.job_id}")
-        self._write_atomic(path, record.to_dict())
+        job_id = record.job_id
+        if self.path_for(job_id).exists() or self.path_for(job_id, terminal=True).exists():
+            raise JobStoreError(f"job id collision: {job_id}")
+        self._write_atomic(self.path_for(job_id, record.terminal), record.to_dict())
         return record
 
     def get(self, job_id: str) -> JobRecord:
-        """Load one record; :class:`JobNotFound` if absent, error if torn."""
-        path = self.path_for(job_id)
+        """Load one record, a finished one first; :class:`JobNotFound` if absent, error if torn."""
+        try:
+            return self._read(self.path_for(job_id, terminal=True))
+        except JobNotFound:
+            return self._read(self.path_for(job_id))
+
+    def get_waiting(self, job_id: str) -> JobRecord:
+        """Load one record from ``jobs/`` only, without looking in ``done/``."""
+        return self._read(self.path_for(job_id))
+
+    def _read(self, path: Path) -> JobRecord:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
         except FileNotFoundError:
-            raise JobNotFound(job_id) from None
+            raise JobNotFound(path.stem) from None
         except (OSError, ValueError) as exc:
             raise JobStoreError(f"unreadable job record {path}: {exc}") from exc
         try:
@@ -196,12 +218,22 @@ class JobStore:
             raise JobStoreError(f"malformed job record {path}: {exc}") from exc
 
     def update(self, record: JobRecord) -> None:
-        """Persist ``record`` (atomic replace of its file)."""
-        self._write_atomic(self.path_for(record.job_id), record.to_dict())
+        """Persist ``record`` (atomic replace); a terminal one moves to ``done/``."""
+        self._write_atomic(self.path_for(record.job_id, record.terminal), record.to_dict())
+        if record.terminal:
+            try:
+                os.unlink(self.path_for(record.job_id))
+            except FileNotFoundError:
+                pass
+
+    def waiting_ids(self) -> List[str]:
+        """Ids of the records in ``jobs/``, sorted (approximate FIFO order)."""
+        return sorted(path.stem for path in self.jobs_dir.glob("*.json"))
 
     def job_ids(self) -> List[str]:
-        """All job ids, lexicographically sorted (approximate FIFO order)."""
-        return sorted(path.stem for path in self.jobs_dir.glob("*.json"))
+        """Every job id, waiting or finished, lexicographically sorted."""
+        finished = (path.stem for path in self.done_dir.glob("*.json"))
+        return sorted(set(self.waiting_ids()).union(finished))
 
     def records(self) -> Iterator[JobRecord]:
         """Iterate every readable record in id order (skips torn/foreign files)."""
@@ -227,5 +259,5 @@ class JobStore:
         return counts
 
     def queue_depth(self) -> int:
-        """Jobs waiting to run (``queued`` + ``leased``)."""
-        return sum(1 for record in self.records() if record.state in ("queued", "leased"))
+        """Jobs waiting to run (``queued`` + ``leased``): the files in ``jobs/``, unparsed."""
+        return len(self.waiting_ids())

@@ -52,11 +52,13 @@ class TestCacheSchemaVersion:
         # backoff: every payload's events_processed fell, so schema-6
         # entries carry counts this code never produces.  8 = one
         # scenario type, one field-driven codec: config dicts carry every
-        # field.  Bump this pin together with the constant — never adjust
+        # field.  9 = stations no route reaches get no dispatch: outcomes
+        # are unchanged, but events_processed fell wherever one was left
+        # out.  Bump this pin together with the constant — never adjust
         # the pin alone.
         import repro.experiments.parallel as parallel
 
-        assert parallel.CACHE_SCHEMA_VERSION == 8
+        assert parallel.CACHE_SCHEMA_VERSION == 9
 
     def test_digest_incorporates_schema_version(self, monkeypatch):
         """An old-schema digest must differ for the *same* config.

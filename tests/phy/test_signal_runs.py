@@ -6,7 +6,9 @@ no-capture model in its most literal form:
 * :class:`ReferenceChannel` keeps each plan in registration order, draws
   each link's fades into a buffer of its own, 64 at a time, takes 16 of them
   per plan refill and compares float powers with the thresholds; a plan
-  dropped when stations move loses the rest of its 16 rows.  It puts two
+  dropped when stations move loses the rest of its 16 rows.  It leaves out
+  the stations :meth:`~repro.phy.channel.WirelessChannel.restrict_dispatch`
+  left out, as the channel under test does.  It puts two
   entries on the heap per sensed reception, its start and its end, each
   carrying a :class:`Reception` record;
 * :class:`ReferenceRadio` keeps a dict of those records with ``interfered``
@@ -189,7 +191,7 @@ class ReferenceChannel(WirelessChannel):
         floor = params.cs_threshold_dbm - propagation.max_shadowing_db()
         entries, links, means = [], [], []
         for radio in self._radios:
-            if radio is sender:
+            if radio is sender or radio.node_id in self.excluded:
                 continue
             distance = self.distance(sender, radio)
             mean = propagation.mean_received_power_dbm(params.tx_power_dbm, distance)
@@ -231,7 +233,8 @@ class ReferenceChannel(WirelessChannel):
 SCENARIOS = {
     # Hidden terminals: receptions collide at relays the senders cannot sense.
     "fig5b": dict(topology=fig5b_topology(), duration_s=0.15),
-    # ~23 sensed receivers per frame, with delays from 0 to 3.1 us.
+    # ~8 sensed receivers per frame at the 11 reachable stations, with
+    # delays from 0.07 to 1.9 us.
     "roofnet": dict(topology=roofnet_scenario(seed=7), phy=LOW_RATE_PHY, duration_s=0.15),
     # Every mobility tick rebuilds the plans while runs are in flight.
     "mobile": dict(

@@ -68,7 +68,7 @@ class TestClaim:
         # The record completes between the scan and the lease: claim must
         # notice on re-read and back out, releasing the lease it grabbed.
         record = store.submit({"x": 1}, job_id="001-a")
-        original_get = store.get
+        original_get = store.get_waiting
 
         def complete_then_get(job_id):
             current = original_get(job_id)
@@ -76,11 +76,11 @@ class TestClaim:
                 return current  # the pre-lease scan sees it queued
             current.state = "done"
             store.update(current)
-            return original_get(job_id)
+            return original_get(job_id)  # gone from jobs/: JobNotFound
 
-        store.get = complete_then_get
+        store.get_waiting = complete_then_get
         assert queue.claim("w1") is None
-        store.get = original_get
+        store.get_waiting = original_get
         assert store.get(record.job_id).state == "done"
         assert not queue.lease_path(record.job_id).exists()
 

@@ -1,8 +1,15 @@
 """JobStore/JobRecord: durable records, strict parsing, aggregates."""
 
+import builtins
+import json
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.serialization import SpecError
+from repro.service.app import SimulationService
+from repro.service.queue import WorkQueue
 from repro.service.store import (
     DEFAULT_MAX_ATTEMPTS,
     JobNotFound,
@@ -128,3 +135,63 @@ class TestAggregates:
     def test_record_with_group_fields_is_unreadable(self, store, old_group_record):
         with pytest.raises(JobStoreError, match="kind"):
             store.get(old_group_record)
+
+
+class TestFinishedRecords:
+    """A job that turns terminal leaves ``jobs/`` for ``done/``."""
+
+    def test_terminal_update_moves_the_record(self, store):
+        record = store.submit({"x": 1}, job_id="001-a")
+        assert store.path_for("001-a").exists()
+        record.state = "done"
+        store.update(record)
+        assert not store.path_for("001-a").exists()
+        assert store.path_for("001-a", terminal=True).exists()
+        assert store.get("001-a").state == "done"
+        assert store.job_ids() == ["001-a"] and store.waiting_ids() == []
+        assert store.queue_depth() == 0
+
+    def test_get_prefers_the_finished_copy(self, store):
+        # A crash between writing done/ and unlinking jobs/ leaves both.
+        record = store.submit({"x": 1}, job_id="001-a")
+        record.state = "leased"
+        store.update(record)
+        record.state = "done"
+        store._write_atomic(store.path_for("001-a", terminal=True), record.to_dict())
+        assert store.get("001-a").state == "done"
+        assert store.get_waiting("001-a").state == "leased"
+        assert store.job_ids() == ["001-a"]
+
+    def test_claim_moves_a_terminal_record_left_in_jobs(self, store):
+        # A store written before done/ existed keeps finished records in jobs/.
+        record = JobRecord(job_id="001-old", state="done", digest="ab" * 32)
+        store.path_for("001-old").write_text(json.dumps(record.to_dict()))
+        assert store.queue_depth() == 1
+        assert WorkQueue(store).claim("w1") is None
+        assert store.queue_depth() == 0
+        assert store.get("001-old") == record
+
+    def test_submit_and_claim_open_no_finished_record(self, store, cache, small_spec, monkeypatch):
+        for index in range(1000):
+            store.submit({"x": index}, job_id=f"000-{index:04d}", state="done")
+        touched = []
+
+        def recording(function):
+            def record(path, *args, **kwargs):
+                touched.append(Path(os.fsdecode(path)))
+                return function(path, *args, **kwargs)
+
+            return record
+
+        for module, name in ((builtins, "open"), (os, "open"), (os, "scandir"), (os, "listdir")):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        status, payload = SimulationService(store, cache).submit(
+            json.dumps({"spec": small_spec}).encode()
+        )
+        claimed = WorkQueue(store).claim("w1")
+        monkeypatch.undo()
+        assert status == 202 and payload["state"] == "queued"
+        assert claimed.job_id == payload["job_id"]
+        assert touched
+        done = store.done_dir
+        assert [path for path in touched if path == done or done in path.parents] == []
