@@ -12,13 +12,17 @@ covers every registered component, plus one document per fading model
 ``mobility=random_waypoint`` document's mobility block, so dispatch plans
 invalidated by moves meet each model's fade draws.  Those two are labelled
 ``cross:<propagation label>+<mobility label>``, which no golden label can
-take.  ``run`` parses each document with the
-tree's ``ScenarioConfig.from_dict``, runs it through ``run_scenario`` and
-records its canonical ``ScenarioResult.to_dict()`` and the tree's
+take.  ``run`` parses each document with the tree's
+``ScenarioConfig.from_dict``, runs it through ``run_scenario`` and records,
+apart, the canonical config the tree parsed and each outcome field of the
+result (``flows``, ``voip_quality``, ``events_processed``), plus the tree's
 ``CACHE_SCHEMA_VERSION``; a document the tree cannot parse is recorded
-with its error.  ``compare`` prints one line per document and exits 1
-when a document both trees ran gives different results while both trees
-have the same schema version: a changed result needs a schema bump.
+with its error.  ``compare`` prints one line per document: ``identical``,
+``config only`` (the trees parsed it into different configs, as when a
+field goes, but every outcome is the same) or ``DIFFER`` with the outcome
+fields that moved.  It exits 1 when a document both trees ran differs in
+any way while both trees have the same schema version: a changed result
+needs a schema bump.
 """
 
 import json
@@ -56,12 +60,20 @@ def run_documents(documents_path, out_path):
             errors[label] = f"{type(exc).__name__}: {exc}"
             continue
         result = run_scenario(config).to_dict()
-        results[label] = json.dumps(result, sort_keys=True, separators=(",", ":"))
+        results[label] = {key: _canonical(value) for key, value in result.items()}
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(
             {"schema": CACHE_SCHEMA_VERSION, "results": results, "errors": errors},
             handle, indent=1, sort_keys=True,
         )
+
+
+def _canonical(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: The result fields that are simulated outcomes; the rest is ``config``.
+OUTCOMES = ("flows", "voip_quality", "events_processed")
 
 
 def compare(parent_path, change_path):
@@ -86,11 +98,17 @@ def compare(parent_path, change_path):
             print(f"skipped {label}: not in the change's panel")
         elif label not in parent["results"]:
             print(f"skipped {label}: not in the parent's run")
-        elif parent["results"][label] == change["results"][label]:
-            print(f"identical {label}")
         else:
+            before, after = parent["results"][label], change["results"][label]
+            moved = [key for key in OUTCOMES if before[key] != after[key]]
+            if moved:
+                print(f"DIFFER {label}: {', '.join(moved)}")
+            elif before["config"] != after["config"]:
+                print(f"config only {label}")
+            else:
+                print(f"identical {label}")
+                continue
             differ += 1
-            print(f"DIFFER {label}")
     print(f"results: {differ} of {len(labels)} documents differ")
     if change["errors"]:
         return 1

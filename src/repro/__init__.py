@@ -47,7 +47,7 @@ from repro.routing import (
 from repro.serialization import SpecError
 from repro.sim import RandomStreams, Simulator, seconds, us
 from repro.spec import MacSpec, RoutingSpec, ScenarioConfig, TopologyRef, TrafficSpec
-from repro.topology import SCHEMES, Node, WirelessNetwork
+from repro.topology import Node, WirelessNetwork
 
 __version__ = "1.2.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "Simulator",
     "seconds",
     "us",
-    "SCHEMES",
     "Node",
     "WirelessNetwork",
     "__version__",

@@ -443,9 +443,17 @@ class RippleMac(MacLayer):
             self.access.defer_to(pending.event.time)
 
     def _put_relay(self, pending: _PendingRelay) -> None:
-        """Add a pending relay; the first one holds the radio's busy/idle edges."""
+        """Add a pending relay; the first one holds the radio's busy/idle edges.
+
+        A relay of the same frame id replaces the pending one, whose armed
+        event is cancelled: left armed, it would fire at the old deferral,
+        drop the newer entry and send the relay early.
+        """
         if not self._pending_relays:
             self.radio.hold_mac_active()
+        replaced = self._pending_relays.get(pending.frame.frame_id)
+        if replaced is not None and replaced.event is not None:
+            replaced.event.cancel()
         self._pending_relays[pending.frame.frame_id] = pending
 
     def _pop_relay(self, frame_id: int) -> Optional[_PendingRelay]:

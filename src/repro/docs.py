@@ -195,9 +195,8 @@ def registry_sections() -> List[RegistrySection]:
             set_key="transport",
             rows=_plain_rows(TRANSPORT_SCHEMES, skip=0),
             note=(
-                "Congestion control for TCP-backed flows. The default (no "
-                "`transport=`) is `reno`, bit-identical to pre-registry runs. "
-                "A `FlowSpec.transport` name overrides it per flow."
+                "Congestion control for every TCP-backed flow of a scenario. The "
+                "default (no `transport=`) is `reno`, bit-identical to pre-registry runs."
             ),
         ),
         RegistrySection(

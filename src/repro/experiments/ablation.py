@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 
 from repro.experiments.grids import scenario_grid
 from repro.experiments.runner import ScenarioConfig
+from repro.spec import MacSpec
 from repro.topology.standard import fig1_topology, line_topology
 
 
@@ -39,7 +40,8 @@ def aggregation_ablation_grid(
         duration_s=duration_s,
         seed=seed,
     )
-    configs, _keys = scenario_grid(base, {"max_aggregation": levels})
+    macs = [MacSpec("ripple", {"max_aggregation": level}) for level in levels]
+    configs, _keys = scenario_grid(base, {"mac": macs})
     return configs, [("R", level) for level in levels]
 
 

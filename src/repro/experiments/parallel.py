@@ -84,8 +84,15 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: 9 = with routes fixed for the run, stations no route reaches get no
 #: dispatch (see :mod:`repro.phy.channel`): simulated outcomes are
 #: unchanged, but ``events_processed`` is lower wherever a station is left
-#: out (a Roofnet run's falls to 39%), as it fell for schema 7.
-CACHE_SCHEMA_VERSION = 9
+#: out (a Roofnet run's falls to 39%), as it fell for schema 7;
+#: 10 = one knob per setting and fixed values: a config dict no longer
+#: carries ``max_aggregation`` (it lives in ``mac.params``) nor a flow's
+#: ``transport`` (``transport`` names the scenario's one controller); a
+#: replaced RIPPLE relay no longer fires on its old timer; after a warmup
+#: only packets created after the boundary are counted; and the Rician
+#: fade tail is one pure-Python series, so ETX routes no longer depend
+#: on whether scipy is installed.
+CACHE_SCHEMA_VERSION = 10
 
 
 def config_digest(config: ScenarioConfig) -> str:

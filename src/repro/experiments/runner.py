@@ -119,10 +119,7 @@ def build_network(config: ScenarioConfig) -> Tuple[WirelessNetwork, object]:
             fallback=routing,
             max_forwarders=config.max_forwarders,
         )
-    mac_kwargs = dict(mac_spec.params)
-    if config.max_aggregation is not None:
-        mac_kwargs["max_aggregation"] = config.max_aggregation
-    network.install_stack(mac_spec.name, routing, **mac_kwargs)
+    network.install_stack(mac_spec.name, routing, **mac_spec.params)
     network.install_transport()
     if mobile:
         network.install_mobility(config.mobility)

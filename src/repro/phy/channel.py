@@ -583,22 +583,15 @@ class WirelessChannel:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def apply_bit_errors(self, frame, receiver: Optional[Radio] = None,
-                         sender: Optional[Radio] = None) -> FrameErrorResult:
+    def apply_bit_errors(self, frame, receiver: Radio, sender: Radio) -> FrameErrorResult:
         """Run the i.i.d. BER model over a decoded frame's header and sub-packets.
 
-        When the receiving radio (and the transmitting one) are known the
-        draws come from the link's keyed stream — buffered through a
+        The draws come from the link's keyed stream — buffered through a
         :class:`~repro.sim.rng.UniformStream`, which serves the identical
         uniform sequence as scalar draws — keeping bit-error sample paths
         independent across forwarders.  What the receiver owes the link
-        (``receiver.owed``, module notes) is skipped first.  Anonymous
-        callers fall back to the shared ``biterror`` stream.
+        (``receiver.owed``, module notes) is skipped first.
         """
-        if receiver is None or sender is None:
-            rng = self.rng.stream("biterror")
-            subpacket_bits = [subpacket.bits for subpacket in frame.subpackets]
-            return self.error_model.evaluate_frame(frame.header_bits, subpacket_bits, rng)
         subpackets = frame.subpackets
         sender_id = sender.node_id
         key = (sender_id, receiver.node_id)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -276,19 +275,34 @@ class RicianFading(PathLossModel):
         """P[unclipped channel power gain >= ``gain``] (the fade CCDF).
 
         ``2*(K+1)*|h|^2`` is noncentral chi-squared with 2 degrees of
-        freedom and noncentrality ``2K``; scipy evaluates that exactly,
-        and a numpy trapezoid integration of the Rician power pdf stands
-        in when scipy is unavailable (the numpy-only CI jobs run it).
+        freedom and noncentrality ``2K``, a Poisson(K) mixture of
+        Gamma(j+1, 1) variables scaled by 2: the tail is
+        ``sum_j Pois(j; K) * P[Gamma(j+1, 1) >= (K+1)*gain]``.  The terms
+        rise to one peak and then fall, so the sum stops once a term past
+        ``K`` is below 1e-18 of the total.  Each factor is updated from
+        the last in log space, so neither underflows at a large K or gain.
         """
         if gain <= 0.0:
             return 1.0
         k = self.k_factor
-        try:
-            from scipy.stats import ncx2  # local import: scipy is an optional heavy dep
-
-            return float(ncx2.sf(2.0 * (k + 1.0) * gain, df=2, nc=2.0 * k))
-        except ImportError:
-            return _rician_tail_numpy(gain, k)
+        y = (k + 1.0) * gain
+        log_k = math.log(k) if k > 0.0 else -math.inf
+        log_y = math.log(y)
+        log_weight = -k  # log Pois(j; K)
+        log_step = -y  # log of P[Pois(y) = j]
+        gamma_tail = 0.0  # P[Gamma(j+1, 1) >= y] = P[Pois(y) <= j]
+        total = 0.0
+        j = 0
+        while True:
+            gamma_tail += math.exp(log_step)
+            term = math.exp(log_weight) * gamma_tail
+            total += term
+            if j > k and term <= 1e-18 * total:
+                return min(1.0, total)
+            j += 1
+            log_j = math.log(j)
+            log_weight += log_k - log_j
+            log_step += log_y - log_j
 
     def reception_probability(
         self, tx_power_dbm: float, distance_m: float, threshold_dbm: float
@@ -348,25 +362,6 @@ class RayleighFading(RicianFading):
         if gain <= 0.0:
             return 1.0
         return math.exp(-gain)
-
-
-@lru_cache(maxsize=4096)
-def _rician_tail_numpy(gain: float, k: float) -> float:
-    """Trapezoid integration of the Rician power pdf on [0, ``gain``].
-
-    pdf(w) = (K+1) * exp(-K - (K+1) w) * I0(2 sqrt(K (K+1) w)); integrating
-    the *head* and returning ``1 - cdf`` avoids truncating the unbounded
-    tail.  Only used when scipy is absent; accuracy (~1e-6 at 20k points)
-    is ample for the ETX link metric this feeds.  Memoised because ETX
-    re-estimation queries the same (distance-derived) gains for every node
-    pair on every tick — an all-pairs sweep over a 40-node mesh would
-    otherwise re-integrate tens of thousands of times.
-    """
-    points = 20_001
-    w = np.linspace(0.0, gain, points)
-    pdf = (k + 1.0) * np.exp(-k - (k + 1.0) * w) * np.i0(2.0 * np.sqrt(k * (k + 1.0) * w))
-    head = float(np.trapezoid(pdf, w)) if hasattr(np, "trapezoid") else float(np.trapz(pdf, w))
-    return max(0.0, min(1.0, 1.0 - head))
 
 
 def propagation_delay_ns(distance_m: float) -> int:

@@ -281,7 +281,6 @@ class ScenarioConfig(Wire):
     phy: Union[PhyParams, str, None] = None
     tcp_window: int = 64
     max_forwarders: int = 5
-    max_aggregation: Optional[int] = None
     #: Time-varying topology; None (or a static spec) reproduces the paper's
     #: fixed-placement behaviour exactly.
     mobility: Optional[MobilitySpec] = None

@@ -1,6 +1,6 @@
 """Scenario containers and the paper's topologies."""
 
-from repro.topology.network import SCHEMES, SchemeInfo, WirelessNetwork
+from repro.topology.network import SchemeInfo, WirelessNetwork
 from repro.topology.node import Node
 from repro.topology.registry import TOPOLOGIES, build_topology, register_topology
 from repro.topology.roofnet import roofnet_scenario, roofnet_topology
@@ -21,7 +21,6 @@ __all__ = [
     "register_topology",
     "voip_topology",
     "web_topology",
-    "SCHEMES",
     "SchemeInfo",
     "WirelessNetwork",
     "Node",

@@ -43,10 +43,6 @@ from repro.sim.rng import RandomStreams
 from repro.sim.units import seconds
 from repro.topology.node import Node
 
-#: Backward-compatible alias for the scheme registry (a read-only mapping
-#: view of :data:`repro.mac.registry.MAC_SCHEMES`).
-SCHEMES = MAC_SCHEMES
-
 
 class WirelessNetwork:
     """A complete simulated wireless network (stations, channel, stacks)."""
@@ -99,9 +95,9 @@ class WirelessNetwork:
 
     def install_stack(self, scheme: str, routing: RoutingProtocol, **mac_kwargs) -> None:
         """Create the MAC + network agent of ``scheme`` on every node."""
-        info = SCHEMES.get(scheme)
+        info = MAC_SCHEMES.get(scheme)
         if info is None:
-            raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(SCHEMES)}")
+            raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(MAC_SCHEMES)}")
         info.validate_kwargs(mac_kwargs)
         self.scheme = info
         self.routing = routing

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.serialization import Wire
 
@@ -30,9 +30,6 @@ class FlowSpec(Wire):
     dst: int
     kind: str = "tcp"  # "tcp" | "udp-saturating" | "voip" | "web"
     label: str = ""
-    #: Per-flow congestion-control override (a TRANSPORT_SCHEMES name);
-    #: None defers to the scenario-level TransportSpec (default: reno).
-    transport: Optional[str] = None
 
 
 @dataclass

@@ -100,33 +100,15 @@ class _VoipDriver(_UdpDriver):
         self.voip.reset_stats()
 
     def quality(self):
-        return self.voip.quality()
-
-
-def _controller_for(config, flow):
-    """Resolve the congestion controller for one TCP-backed flow.
-
-    The flow's own :class:`~repro.topology.spec.FlowSpec.transport` beats
-    the scenario-level :class:`~repro.spec.TransportSpec`.  Returns None
-    when nothing is configured, so :class:`~repro.transport.tcp.TcpSender`
-    constructs its default Reno without touching the registry.
-    """
-    from repro.transport.registry import build_controller
-
-    name = getattr(flow, "transport", None)
-    params: dict = {}
-    if name is None:
-        spec = getattr(config, "transport", None)
-        if spec is None:
-            return None
-        name, params = spec.name, spec.params
-    return build_controller(str(name), **params)
+        """The call's MoS, or None for a call that sent nothing in the window."""
+        return self.voip.quality() if self.voip.stats.packets_sent else None
 
 
 @register_traffic("tcp")
 def _install_tcp(network, config, flow) -> FlowDriver:
     """A long-lived FTP transfer over TCP (the paper's bulk flows; Reno default)."""
     from repro.traffic.ftp import FtpApplication
+    from repro.transport.registry import build_controller
     from repro.transport.tcp import TcpSender, TcpSink
 
     src_host = network.node(flow.src).transport
@@ -137,7 +119,7 @@ def _install_tcp(network, config, flow) -> FlowDriver:
         flow.flow_id,
         flow.dst,
         awnd_segments=config.tcp_window,
-        controller=_controller_for(config, flow),
+        controller=build_controller(config.transport.name, **config.transport.params),
     )
     sink = TcpSink(network.sim, dst_host, flow.flow_id, peer=flow.src)
     app = FtpApplication(sender)
@@ -149,6 +131,7 @@ def _install_tcp(network, config, flow) -> FlowDriver:
 def _install_web(network, config, flow) -> FlowDriver:
     """ON/OFF web transfers: Pareto sizes separated by exponential think times."""
     from repro.traffic.web import WebFlow
+    from repro.transport.registry import build_controller
     from repro.transport.tcp import TcpSender, TcpSink
 
     src_host = network.node(flow.src).transport
@@ -159,7 +142,7 @@ def _install_web(network, config, flow) -> FlowDriver:
         flow.flow_id,
         flow.dst,
         awnd_segments=config.tcp_window,
-        controller=_controller_for(config, flow),
+        controller=build_controller(config.transport.name, **config.transport.params),
     )
     sink = TcpSink(network.sim, dst_host, flow.flow_id, peer=flow.src)
     web = WebFlow(network.sim, sender, network.rng.stream_for("web", flow.flow_id))

@@ -3,10 +3,10 @@
 The seventh component registry.  Each entry is a factory ``scheme(**params)
 -> CongestionController`` returning a *fresh* controller instance — state
 is per flow, so every :class:`~repro.transport.tcp.TcpSender` calls the
-factory once and owns the result.  Selection rides the spec layer
-(:class:`~repro.spec.TransportSpec`, ``--set transport=cubic``) or a
-per-flow ``FlowSpec.transport`` override, with ``reno`` the default that
-keeps every pre-registry scenario digest and result bit-identical.
+factory once and owns the result.  A scenario names one scheme for all
+its TCP-backed flows (:class:`~repro.spec.TransportSpec`, ``--set
+transport=cubic``), with ``reno`` the default that keeps every
+pre-registry result bit-identical.
 """
 
 from __future__ import annotations

@@ -385,6 +385,7 @@ class TcpSink:
         "_out_of_order",
         "_highest_seen",
         "_in_order_base",
+        "_window_start_ns",
     )
 
     def __init__(
@@ -407,33 +408,38 @@ class TcpSink:
         self._out_of_order: set[int] = set()
         self._highest_seen = -1
         self._in_order_base = 0
+        self._window_start_ns = -1
         host.register_flow(flow_id, self._on_packet)
 
     def reset_stats(self) -> None:
         """Zero the counters while keeping protocol state (sequence tracking).
 
         Called at the warmup/measurement boundary so that goodput and
-        re-ordering statistics cover only the measurement window.
+        re-ordering statistics cover only the measurement window.  From
+        then on only segments created after that instant are counted: one
+        sent before it was counted by a sender that was reset too.
         """
         self.stats = TcpSinkStats()
         self._in_order_base = self.next_expected
+        self._window_start_ns = self.sim.now
 
     def _on_packet(self, packet: Packet) -> None:
         payload = packet.payload
         if not isinstance(payload, TcpSegment):
             return
         now = self.sim.now
-        if self.stats.first_arrival_ns is None:
-            self.stats.first_arrival_ns = now
-        self.stats.last_arrival_ns = now
+        stats = self.stats if packet.created_ns > self._window_start_ns else TcpSinkStats()
+        if stats.first_arrival_ns is None:
+            stats.first_arrival_ns = now
+        stats.last_arrival_ns = now
         seq = payload.seq
-        self.stats.segments_received += 1
+        stats.segments_received += 1
         if seq < self.next_expected or seq in self._out_of_order:
-            self.stats.duplicate_segments += 1
+            stats.duplicate_segments += 1
         else:
-            self.stats.unique_bytes += packet.size_bytes
+            stats.unique_bytes += packet.size_bytes
             if seq < self._highest_seen:
-                self.stats.reordered_segments += 1
+                stats.reordered_segments += 1
             self._highest_seen = max(self._highest_seen, seq)
             if seq == self.next_expected:
                 self.next_expected += 1

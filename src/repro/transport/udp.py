@@ -83,7 +83,7 @@ class UdpSender:
 class UdpReceiver:
     """Datagram sink recording delivery, duplicates and one-way delay."""
 
-    __slots__ = ("sim", "host", "flow_id", "stats", "_seen", "_on_receive")
+    __slots__ = ("sim", "host", "flow_id", "stats", "_seen", "_on_receive", "_window_start_ns")
 
     def __init__(
         self,
@@ -98,21 +98,27 @@ class UdpReceiver:
         self.stats = UdpStats()
         self._seen: set[int] = set()
         self._on_receive = on_receive
+        self._window_start_ns = -1
         host.register_flow(flow_id, self._on_packet)
 
     def reset_stats(self) -> None:
-        """Zero the counters while keeping duplicate-detection state."""
+        """Zero the counters while keeping duplicate-detection state.
+
+        From now on only datagrams created after this instant are counted:
+        one sent before it was counted by a sender that was reset too.
+        """
         self.stats = UdpStats()
+        self._window_start_ns = self.sim.now
 
     def _on_packet(self, packet: Packet) -> None:
         payload = packet.payload
         if not isinstance(payload, UdpDatagram):
             return
+        stats = self.stats if packet.created_ns > self._window_start_ns else UdpStats()
         if payload.seq in self._seen:
-            self.stats.duplicates += 1
+            stats.duplicates += 1
             return
         self._seen.add(payload.seq)
-        stats = self.stats
         stats.received += 1
         stats.received_bytes += packet.size_bytes
         delay = self.sim.now - packet.created_ns

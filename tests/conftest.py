@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.packet import Packet
@@ -70,3 +72,21 @@ def collect_deliveries(network, node_id: int):
 def chain_factory():
     """Fixture exposing the chain builder to tests."""
     return build_chain_network
+
+
+def removed_key_documents():
+    """Scenario documents carrying a key that no longer exists: ``{id: (document, key)}``.
+
+    ``max_aggregation`` lives in ``mac.params`` and a flow's controller in
+    the scenario's ``transport``; the strict codec names either leftover.
+    """
+    from repro.spec import ScenarioConfig
+    from repro.topology.standard import line_topology
+
+    document = ScenarioConfig(topology=line_topology(2), duration_s=0.02).to_dict()
+    with_flow_transport = copy.deepcopy(document)
+    with_flow_transport["topology"]["flows"][0]["transport"] = "cubic"
+    return {
+        "max_aggregation": (dict(document, max_aggregation=8), "max_aggregation"),
+        "flow-transport": (with_flow_transport, "transport"),
+    }

@@ -69,6 +69,31 @@ class TestRelaying:
             assert net.node(forwarder).mac.ripple_stats.data_relays <= frames_sent
 
 
+class TestRelayReplacement:
+    def test_replaced_relay_goes_out_once_at_its_own_deferral(self, monkeypatch):
+        # A second relay of the same frame id replaces the pending one.  The
+        # first entry's timer must die with it: left armed, it fired at the
+        # first deferral and sent the relay before the second's was over.
+        net, _ = build_chain_network("ripple", n_nodes=4, ber=0.0, shadowing_deviation=0.0)
+        mac = net.node(1).mac
+        sent = []
+        monkeypatch.setattr(
+            type(mac.radio),
+            "transmit",
+            lambda radio, frame, airtime_ns: sent.append((radio.node_id, net.sim.now, frame)),
+        )
+        first = build_data_frame(DEFAULT_TIMING, 0, 3, 1, None, [], forwarder_list=(3, 2, 1))
+        second = first.relay_copy(transmitter=1)
+        mac._schedule_relay(first, 50_000)
+        first_event = mac._pending_relays[first.frame_id].event
+        net.run(10_000)
+        mac._schedule_relay(second, 100_000)
+        assert first_event.cancelled
+        net.run(1_000_000)
+        assert sent == [(1, 100_000, second)]
+        assert mac.ripple_stats.data_relays == 1
+
+
 class TestOrderingInvariant:
     """RIPPLE's core claim: relaying never re-orders packets."""
 

@@ -68,7 +68,6 @@ def _config():
         mobility=MobilitySpec.random_waypoint(3.0, mobile_nodes=[2, 1]),
         phy="low_rate",
         active_flows=(1,),
-        max_aggregation=8,
         duration_s=0.25,
         seed=9,
     )
@@ -88,7 +87,7 @@ def _instances():
         PhyParams(propagation="rician", propagation_params={"k_factor": 8.0}),
         MobilitySpec.random_waypoint(3.0, mobile_nodes=[2, 1]),
         fig1_topology(),
-        FlowSpec(1, 0, 3, transport="cubic"),
+        FlowSpec(1, 0, 3, kind="voip", label="call"),
         ScenarioResult(_config(), [flow], {1: quality}, 1234),
         flow,
         quality,

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments.ablation import aggregation_ablation_grid
 from repro.experiments.grids import Axis, propagation_axis, scenario_grid, topology_axis
+from repro.experiments.runner import build_network
 from repro.phy.params import LOW_RATE_PHY
 from repro.spec import ScenarioConfig
 from repro.topology.standard import fig1_topology, line_topology
@@ -75,3 +77,13 @@ class TestAxisHelpers:
             replace(LOW_RATE_PHY, propagation="shadowing", propagation_params=None),
             replace(LOW_RATE_PHY, propagation="rician", propagation_params={"k_factor": 8}),
         ]
+
+
+class TestAblationGrids:
+    def test_aggregation_level_reaches_every_mac(self):
+        levels = (1, 2, 4, 8, 16)
+        configs, keys = aggregation_ablation_grid(levels, duration_s=0.05)
+        assert keys == [("R", level) for level in levels]
+        for config, level in zip(configs, levels):
+            network, _routing = build_network(config)
+            assert {node.mac.max_aggregation for node in network.nodes.values()} == {level}

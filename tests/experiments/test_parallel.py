@@ -5,6 +5,7 @@ import json
 from repro.experiments.grids import scenario_grid
 from repro.experiments.parallel import ResultCache, SweepRunner, config_digest
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.spec import MacSpec
 from repro.topology.standard import fig1_topology
 
 
@@ -36,7 +37,7 @@ class TestConfigDigest:
         assert config_digest(small_config(warmup_s=0.01)) != base
 
     def test_digest_survives_serialization_roundtrip(self):
-        config = small_config(scheme_label="R16", max_aggregation=4)
+        config = small_config(scheme_label=None, mac=MacSpec("ripple", {"max_aggregation": 4}))
         rebuilt = ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert config_digest(rebuilt) == config_digest(config)
 
@@ -54,11 +55,13 @@ class TestCacheSchemaVersion:
         # scenario type, one field-driven codec: config dicts carry every
         # field.  9 = stations no route reaches get no dispatch: outcomes
         # are unchanged, but events_processed fell wherever one was left
-        # out.  Bump this pin together with the constant — never adjust
-        # the pin alone.
+        # out.  10 = config dicts lost ``max_aggregation`` and a flow's
+        # ``transport``, and three fixes moved values (RIPPLE relay timer,
+        # warmup accounting, the Rician tail).  Bump this pin together
+        # with the constant — never adjust the pin alone.
         import repro.experiments.parallel as parallel
 
-        assert parallel.CACHE_SCHEMA_VERSION == 9
+        assert parallel.CACHE_SCHEMA_VERSION == 10
 
     def test_digest_incorporates_schema_version(self, monkeypatch):
         """An old-schema digest must differ for the *same* config.

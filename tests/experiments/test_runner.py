@@ -1,11 +1,13 @@
 """Experiment harness: scheme mapping, scenario construction, result collection."""
 
+import dataclasses
 import gc
 import tracemalloc
 
 import pytest
 
 import repro.experiments.runner as runner
+from repro.experiments.mobility import mobility_voip_grid
 from repro.experiments.report import format_table, nested_to_rows, render_panel
 from repro.experiments.runner import ScenarioConfig, build_network, run_scenario
 from repro.mobility.spec import MobilitySpec
@@ -65,10 +67,12 @@ class TestBuildNetwork:
         assert all(node.mac is not None for node in network.nodes.values())
         assert all(node.transport is not None for node in network.nodes.values())
 
-    def test_max_aggregation_override(self):
-        config = ScenarioConfig(topology=fig1_topology(), scheme_label="R16", max_aggregation=4)
+    def test_mac_params_reach_every_node(self):
+        config = ScenarioConfig(
+            topology=fig1_topology(), mac=MacSpec("ripple", {"max_aggregation": 4})
+        )
         network, _ = build_network(config)
-        assert network.node(0).mac.max_aggregation == 4
+        assert {node.mac.max_aggregation for node in network.nodes.values()} == {4}
 
     def test_missing_route_set_rejected(self):
         config = ScenarioConfig(topology=line_topology(3), scheme_label="D", route_set="ROUTE9")
@@ -200,6 +204,12 @@ class TestReleaseAfterRun:
         ]
 
 
+def _mobile_voip_d(duration_s: float) -> ScenarioConfig:
+    """Ten VoIP calls under random waypoint at 10 m/s, D, scenario seed 1, 0.1 s warmup."""
+    configs, _keys = mobility_voip_grid((10.0,), ("D",), 10, duration_s, 1)
+    return dataclasses.replace(configs[0], warmup_s=0.1)
+
+
 class TestWarmupAccounting:
     """Warmup-period traffic must not count towards the reported summaries."""
 
@@ -233,6 +243,32 @@ class TestWarmupAccounting:
         assert warm_udp.throughput_mbps < 1.5 * full_udp.throughput_mbps
         # packets_sent is the sender-side count for the measurement window.
         assert warm_udp.packets_sent < full_udp.packets_sent
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _mobile_voip_d(1.0),
+            lambda: ScenarioConfig(
+                topology=line_topology(5), scheme_label="D", duration_s=0.5, warmup_s=0.2, seed=2
+            ),
+            lambda: ScenarioConfig(
+                topology=roofnet_scenario(seed=7), scheme_label="R16", phy=LOW_RATE_PHY,
+                duration_s=0.5, warmup_s=0.2, seed=2,
+            ),
+        ],
+        ids=["mobile-voip", "line-tcp", "roofnet-tcp"],
+    )
+    def test_nothing_sent_before_the_boundary_counts_as_received(self, build):
+        # A packet in flight at the boundary was counted by the sender before
+        # its reset; the receiver used to count it after its own.
+        for flow in run_scenario(build()).flows:
+            assert flow.packets_received <= flow.packets_sent, flow.flow_id
+
+    def test_a_call_silent_through_the_window_has_no_quality(self):
+        result = run_scenario(_mobile_voip_d(1.0))
+        silent = {flow.flow_id for flow in result.flows if flow.packets_sent == 0}
+        assert silent == {2}
+        assert set(result.voip_quality) == {flow.flow_id for flow in result.flows} - silent
 
     def test_zero_warmup_unchanged(self):
         config = ScenarioConfig(

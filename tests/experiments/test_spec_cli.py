@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.__main__ import _apply_sets, main
 from repro.serialization import SpecError
+from tests.conftest import removed_key_documents
 
 
 class TestApplySets:
@@ -139,6 +140,15 @@ class TestRunSpecCli:
         code = main(["run", "--no-cache", "--set", "topology=line", "mac=warp"])
         assert code == 2
         assert "bad scenario spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(removed_key_documents()))
+    def test_removed_key_in_spec_file_is_a_clean_error(self, tmp_path, capsys, case):
+        document, key = removed_key_documents()[case]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        code = main(["run", "--no-cache", "--spec", str(path)])
+        assert code == 2
+        assert f"unknown field '{key}'" in capsys.readouterr().err
 
     def test_missing_topology_is_a_clean_error(self, capsys):
         code = main(["run", "--no-cache", "--set", "mac=dcf"])

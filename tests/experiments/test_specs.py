@@ -16,6 +16,7 @@ from repro.serialization import SpecError
 from repro.spec import (
     PAPER_SCHEMES,
     PHY_PROFILES,
+    SCENARIO_FIELDS,
     MacSpec,
     RoutingSpec,
     ScenarioSpec,
@@ -26,6 +27,7 @@ from repro.spec import (
 from repro.topology.registry import TOPOLOGIES
 from repro.topology.standard import fig1_topology
 from repro.traffic.registry import TRAFFIC_KINDS
+from tests.conftest import removed_key_documents
 
 
 def roundtrip(spec):
@@ -147,6 +149,19 @@ class TestStrictFromDict:
         with pytest.raises(SpecError, match="'schemes' for ScenarioConfig"):
             ScenarioSpec.from_dict({"topology": {"name": "fig1"}, "schemes": ["D"]})
 
+    @pytest.mark.parametrize("case", sorted(removed_key_documents()))
+    def test_removed_key_is_named(self, case):
+        document, key = removed_key_documents()[case]
+        with pytest.raises(SpecError, match=f"unknown field '{key}'"):
+            ScenarioConfig.from_dict(document)
+
+    def test_one_knob_per_setting(self):
+        from repro.topology.spec import FlowSpec
+
+        assert "max_aggregation" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert "max_aggregation" not in SCENARIO_FIELDS
+        assert "transport" not in {f.name for f in dataclasses.fields(FlowSpec)}
+
     def test_unknown_component_name_rejected_at_construction(self):
         with pytest.raises(SpecError, match="unknown MAC scheme 'warp'"):
             MacSpec("warp")
@@ -267,9 +282,8 @@ class TestComponentParamValidation:
             (dict(mac=MacSpec("ripple1", {"max_aggregation": 8})), "ripple1"),
             (dict(mac=MacSpec("rate_adapt", {"inner": "preexor", "max_aggregation": 8})),
              "preexor"),
-            (dict(scheme_label="MCExOR", max_aggregation=8), "mcexor"),
         ],
-        ids=["preexor", "mcexor", "ripple1", "rate_adapt(preexor)", "config-level"],
+        ids=["preexor", "mcexor", "ripple1", "rate_adapt(preexor)"],
     )
     def test_max_aggregation_only_where_a_mac_reads_it(self, fields, scheme):
         """preExOR, MCExOR and R1 never read it, so it would only change the digest."""

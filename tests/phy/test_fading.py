@@ -9,19 +9,19 @@ closed forms (the statistical sanity the new models are worth having for).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from repro.phy.params import PhyParams
-from repro.phy.propagation import (
-    RayleighFading,
-    RicianFading,
-    ShadowingPropagation,
-    _rician_tail_numpy,
-)
+from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY, PhyParams
+from repro.phy.propagation import RayleighFading, RicianFading, ShadowingPropagation
 from repro.phy.registry import PROPAGATION_MODELS, build_propagation
+from repro.routing.graph import shortest_path
+from repro.topology.network import WirelessNetwork
+from repro.topology.standard import line_topology
 
 
 class TestRegistry:
@@ -191,11 +191,13 @@ class TestStatistics:
             RayleighFading().gain_tail_probability(0.7), abs=1e-9
         )
 
-    def test_numpy_tail_fallback_matches_scipy(self):
+    @pytest.mark.parametrize("k_factor", [0.0, 0.5, 4.0, 16.0, 32.0])
+    def test_tail_series_matches_scipy(self, k_factor):
         ncx2 = pytest.importorskip("scipy.stats").ncx2
-        for k, gain in ((0.5, 0.3), (4.0, 1.0), (10.0, 1.5)):
-            exact = float(ncx2.sf(2.0 * (k + 1.0) * gain, df=2, nc=2.0 * k))
-            assert _rician_tail_numpy(gain, k) == pytest.approx(exact, abs=1e-6)
+        model = RicianFading(k_factor=k_factor)
+        for gain in np.logspace(-4.0, 1.0, 101):
+            exact = float(ncx2.sf(2.0 * (k_factor + 1.0) * gain, df=2, nc=2.0 * k_factor))
+            assert model.gain_tail_probability(float(gain)) == pytest.approx(exact, abs=1e-12)
 
     def test_reception_probability_saturates_at_the_clip_bounds(self):
         model = RayleighFading(max_fade_db=6.0, min_fade_db=-30.0)
@@ -205,3 +207,30 @@ class TestStatistics:
         assert model.reception_probability(tx, 100.0, mean + model.min_fade_db) == 1.0
         mid = model.reception_probability(tx, 100.0, mean)
         assert 0.0 < mid < 1.0
+
+
+class TestEnvironmentIndependence:
+    """Routes under Rician fading do not depend on what is installed."""
+
+    @staticmethod
+    def _graph_and_routes(phy):
+        network = WirelessNetwork(phy=phy, seed=1)
+        network.add_nodes(line_topology(7).positions)
+        graph = network.connectivity_graph()
+        routes = {
+            (src, dst): shortest_path(graph, src, dst, weight="etx")
+            for src in graph
+            for dst in graph
+            if src != dst
+        }
+        return graph, routes
+
+    @pytest.mark.parametrize("profile", [HIGH_RATE_PHY, LOW_RATE_PHY], ids=["high", "low"])
+    def test_same_etx_routes_without_scipy(self, profile, monkeypatch):
+        phy = dataclasses.replace(
+            profile, propagation="rician", propagation_params={"k_factor": 8.0}
+        )
+        with_scipy = self._graph_and_routes(phy)
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        assert self._graph_and_routes(phy) == with_scipy

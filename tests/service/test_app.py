@@ -14,6 +14,7 @@ from repro.experiments.runner import run_scenario
 from repro.service.app import SimulationService
 from repro.service.worker import Worker
 from repro.spec import ScenarioConfig
+from tests.conftest import removed_key_documents
 
 
 @pytest.fixture
@@ -72,6 +73,15 @@ class TestSubmit:
         assert status == 400
         assert payload["error"]["type"] == "SpecError"
         assert name in payload["error"]["message"]
+        assert store.job_ids() == []
+
+    @pytest.mark.parametrize("case", sorted(removed_key_documents()))
+    def test_removed_key_is_a_400_naming_the_field(self, service, store, case):
+        document, key = removed_key_documents()[case]
+        status, payload = post_jobs(service, {"spec": document})
+        assert status == 400
+        assert payload["error"]["type"] == "SpecError"
+        assert f"unknown field '{key}'" in payload["error"]["message"]
         assert store.job_ids() == []
 
 

@@ -1,4 +1,4 @@
-"""The transport registry, TransportSpec and per-flow controller resolution."""
+"""The transport registry, TransportSpec and the controller a scenario's flows run."""
 
 from __future__ import annotations
 
@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from repro.experiments.runner import build_network
 from repro.registry import RegistryError
-from repro.spec import SpecError, TransportSpec
-from repro.topology.spec import FlowSpec
+from repro.spec import ScenarioConfig, SpecError, TransportSpec
+from repro.topology.standard import line_topology
+from repro.traffic.registry import TRAFFIC_KINDS
 from repro.transport import TRANSPORT_SCHEMES, build_controller
 from repro.transport.congestion import (
     CubicController,
@@ -64,37 +66,17 @@ class TestTransportSpec:
             TransportSpec.from_dict({"name": "reno", "parms": {}})
 
 
-class TestFlowSpecTransport:
-    def test_roundtrip_with_override(self):
-        flow = FlowSpec(flow_id=1, src=0, dst=3, transport="cubic")
-        data = flow.to_dict()
-        assert data["transport"] == "cubic"
-        assert FlowSpec.from_dict(json.loads(json.dumps(data))) == flow
-
-
 class TestControllerResolution:
-    """Precedence: FlowSpec.transport > scenario TransportSpec."""
-
-    class _Config:
-        def __init__(self, transport=None):
-            self.transport = transport
-
-    def resolve(self, config_transport=None, flow_transport=None):
-        from repro.traffic.registry import _controller_for
-
-        flow = FlowSpec(flow_id=1, src=0, dst=3, transport=flow_transport)
-        return _controller_for(self._Config(config_transport), flow)
-
-    def test_nothing_configured_yields_none(self):
-        assert self.resolve() is None
+    """Every TCP-backed flow runs the controller ``ScenarioConfig.transport`` names."""
 
     def test_scenario_spec_applies(self):
-        controller = self.resolve(config_transport=TransportSpec("cubic", {"beta": 0.6}))
+        config = ScenarioConfig(
+            topology=line_topology(3),
+            scheme_label="D",
+            transport=TransportSpec("cubic", {"beta": 0.6}),
+        )
+        network, _routing = build_network(config)
+        installed = TRAFFIC_KINDS.lookup("tcp")(network, config, config.topology.flows[0])
+        controller = installed.sender.controller
         assert isinstance(controller, CubicController)
         assert controller.beta == 0.6
-
-    def test_flow_override_beats_scenario_spec(self):
-        controller = self.resolve(
-            config_transport=TransportSpec("cubic"), flow_transport="tahoe"
-        )
-        assert isinstance(controller, TahoeController)
