@@ -39,6 +39,7 @@ import numpy as np
 from repro.mac.base import ChannelAccess, MacLayer, RouteDecision
 from repro.mac.frames import FrameKind, MacFrame, SubPacket, build_ack_frame, build_data_frame
 from repro.mac.queues import DropTailQueue, ReorderBuffer
+from repro.mac.timetable import frame_airtime_ns, mtxop_timeout_ns
 from repro.mac.timing import MacTiming
 from repro.packet import Packet
 from repro.phy.params import PhyParams
@@ -225,11 +226,11 @@ class RippleMac(MacLayer):
         if len(frame.subpackets) > 1:
             self.stats.aggregated_frames += 1
         self.ripple_stats.mtxop_started += 1
-        self.radio.transmit(frame, frame.airtime_ns(self.phy))
+        self.radio.transmit(frame, frame_airtime_ns(frame, self.phy))
 
     def on_transmission_complete(self, frame: MacFrame) -> None:
         if frame.kind is FrameKind.DATA and frame is self._current_frame:
-            timeout = self.mtxop_timeout_ns(frame)
+            timeout = mtxop_timeout_ns(self.timing, self.phy, frame)
             self._ack_timeout_event = self.sim.schedule(timeout, self._on_ack_timeout)
 
     def mtxop_timeout_ns(self, frame: MacFrame) -> int:
@@ -237,7 +238,8 @@ class RippleMac(MacLayer):
 
         Covers every forwarder relaying the data with its maximum deferral,
         the destination's SIFS-spaced ACK, and the ACK being relayed all the
-        way back, plus a slack slot per hop.
+        way back, plus a slack slot per hop.  The MAC looks this up in
+        :mod:`repro.mac.timetable`, which this method is the reference for.
         """
         n = len(frame.forwarder_list)
         data_airtime = frame.airtime_ns(self.phy)
@@ -378,7 +380,7 @@ class RippleMac(MacLayer):
         if self.radio.is_transmitting:
             return
         self.stats.ack_frames_sent += 1
-        self.radio.transmit(ack, ack.airtime_ns(self.phy))
+        self.radio.transmit(ack, frame_airtime_ns(ack, self.phy))
 
     # ------------------------------------------------------------------
     # Forwarder behaviour: data relays
@@ -503,7 +505,7 @@ class RippleMac(MacLayer):
         else:
             self.ripple_stats.ack_relays += 1
             self.stats.relayed_ack_frames += 1
-        self.radio.transmit(frame, frame.airtime_ns(self.phy))
+        self.radio.transmit(frame, frame_airtime_ns(frame, self.phy))
 
     def _cancel_relay(self, frame_id: int, suppressed: bool) -> None:
         pending = self._pop_relay(frame_id)

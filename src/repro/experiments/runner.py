@@ -203,7 +203,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     events_processed = network.sim.processed_events
     flow_results = [driver.summarize(duration_ns) for driver in drivers]
     qualities = [(driver.flow.flow_id, driver.quality()) for driver in drivers]
-    network.channel.release()
+    network.release()
     return ScenarioResult(
         config=config,
         flows=[flow for flow in flow_results if flow is not None],

@@ -31,14 +31,16 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RandomStreams, UniformStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteDecision:
     """Routing output attached to a packet when it is handed to the MAC.
 
     ``next_hop`` is used by predetermined/shortest-path forwarding;
     ``forwarder_list`` (priority-ordered, closest-to-destination first,
     *excluding* the destination itself) is used by the opportunistic
-    schemes.  ``final_dst`` is the packet's destination node.
+    schemes.  ``final_dst`` is the packet's destination node.  Frozen, so
+    the packets one route carries share one decision
+    (:meth:`~repro.routing.base.RoutingProtocol.route_decision`).
     """
 
     final_dst: int
@@ -85,7 +87,8 @@ class ChannelAccess:
         # Backoff draws come from the station's keyed stream, buffered so
         # each draw is a float multiply instead of a numpy scalar call
         # (``floor(u * cw)`` is uniform over [0, cw) for u ~ U[0, 1)).
-        self._uniforms = UniformStream(rng)
+        # None once released.
+        self._uniforms: Optional[UniformStream] = UniformStream(rng)
         self._on_granted = on_granted
         self._difs_ns = timing.difs_ns
         self._slot_ns = timing.slot_ns
@@ -125,6 +128,10 @@ class ChannelAccess:
         if grant is not None and grant.time == when and when > self._count_from:
             grant.cancel()
             self._grant = self._sim.schedule_at(when, self._granted)
+
+    def release(self) -> None:
+        """Drop the backoff draws of a finished run; the access must not contend again."""
+        self._uniforms = None
 
     def record_success(self) -> None:
         """Reset the contention window after a successful exchange."""
@@ -217,6 +224,9 @@ class MacLayer(abc.ABC):
     #: Whether the radio must report every busy/idle edge (class notes).
     needs_every_edge = True
 
+    #: The channel access a contending MAC wins the medium with.
+    access: Optional[ChannelAccess] = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -289,6 +299,16 @@ class MacLayer(abc.ABC):
     def report_drop(self, packet: Packet) -> None:
         """Count a packet the MAC dropped after its last retry."""
         self.stats.packets_dropped_retry += 1
+
+    def release(self) -> None:
+        """Drop the backoff stream of a finished run; the counters stay.
+
+        Called by :meth:`~repro.topology.network.WirelessNetwork.release`.
+        The MAC must not send again afterwards.
+        """
+        self.rng = None
+        if self.access is not None:
+            self.access.release()
 
     # ------------------------------------------------------------------
     # Radio callbacks

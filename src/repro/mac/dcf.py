@@ -28,6 +28,7 @@ import numpy as np
 from repro.mac.base import ChannelAccess, MacLayer, RouteDecision
 from repro.mac.frames import FrameKind, MacFrame, SubPacket, build_ack_frame, build_data_frame
 from repro.mac.queues import DropTailQueue
+from repro.mac.timetable import ack_timeout_ns, frame_airtime_ns
 from repro.mac.timing import MacTiming
 from repro.packet import Packet
 from repro.phy.params import PhyParams
@@ -145,7 +146,7 @@ class DcfMac(MacLayer):
             return
         frame = self._build_frame()
         self._current_frame = frame
-        airtime = frame.airtime_ns(self.phy)
+        airtime = frame_airtime_ns(frame, self.phy)
         self.stats.data_frames_sent += 1
         self.stats.subpackets_sent += len(frame.subpackets)
         if len(frame.subpackets) > 1:
@@ -154,7 +155,7 @@ class DcfMac(MacLayer):
 
     def on_transmission_complete(self, frame: MacFrame) -> None:
         if frame.kind is FrameKind.DATA and frame is self._current_frame:
-            timeout = self.timing.ack_timeout_ns(self.phy)
+            timeout = ack_timeout_ns(self.timing, self.phy)
             self._ack_timeout_event = self.sim.schedule(timeout, self._on_ack_timeout)
 
     # ------------------------------------------------------------------
@@ -197,7 +198,7 @@ class DcfMac(MacLayer):
 
     def _transmit_ack(self, ack: MacFrame) -> None:
         self.stats.ack_frames_sent += 1
-        self.radio.transmit(ack, ack.airtime_ns(self.phy))
+        self.radio.transmit(ack, frame_airtime_ns(ack, self.phy))
 
     def _handle_ack(self, frame: MacFrame) -> None:
         if frame.receiver != self.address:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.mac.timing import ACK_BODY_BYTES, FORWARDER_ENTRY_BYTES, MacTiming
+from repro.mac.timing import MacTiming, ack_bits
 from repro.packet import Packet
 from repro.phy.params import PhyParams
 
@@ -195,14 +195,13 @@ def build_ack_frame(
     it (the data frame's origin); for RIPPLE the ACK is relayed along the
     reversed forwarder list.
     """
-    ack_bits = (ACK_BODY_BYTES + FORWARDER_ENTRY_BYTES * len(forwarder_list)) * 8
     return MacFrame(
         kind=FrameKind.ACK,
         origin=origin,
         final_dst=final_dst,
         transmitter=transmitter,
         receiver=receiver,
-        header_bits=ack_bits,
+        header_bits=ack_bits(len(forwarder_list)),
         subpackets=[],
         forwarder_list=tuple(forwarder_list),
         acked_seqs=tuple(acked_seqs),

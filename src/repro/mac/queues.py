@@ -75,18 +75,22 @@ class DropTailQueue:
 
         Used to assemble aggregated frames: all sub-packets of one frame must
         share the same next hop (or forwarder list), so the builder skims the
-        queue for matching entries without disturbing the rest.
+        queue for matching entries without disturbing the rest.  The MACs ask
+        for entries like the head one, so matching entries are popped off the
+        head in place, and the queue is rebuilt only once a non-matching entry
+        has to be skipped.
         """
+        entries = self._entries
         taken: List[Tuple[Packet, object]] = []
-        remaining: Deque[Tuple[Packet, object]] = deque()
-        while self._entries and len(taken) < limit:
-            packet, metadata = self._entries.popleft()
-            if predicate(packet, metadata):
-                taken.append((packet, metadata))
-            else:
-                remaining.append((packet, metadata))
-        remaining.extend(self._entries)
-        self._entries = remaining
+        while entries and len(taken) < limit and predicate(*entries[0]):
+            taken.append(entries.popleft())
+        if entries and len(taken) < limit:
+            remaining: Deque[Tuple[Packet, object]] = deque()
+            while entries and len(taken) < limit:
+                entry = entries.popleft()
+                (taken if predicate(*entry) else remaining).append(entry)
+            remaining.extend(entries)
+            self._entries = remaining
         self.stats.dequeued += len(taken)
         return taken
 

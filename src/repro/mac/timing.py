@@ -26,6 +26,11 @@ SUBPACKET_OVERHEAD_BYTES = 12
 ACK_BODY_BYTES = 20
 
 
+def ack_bits(forwarders: int = 0) -> int:
+    """Size of a MAC ACK carrying ``forwarders`` forwarder-list entries, in bits."""
+    return (ACK_BODY_BYTES + FORWARDER_ENTRY_BYTES * forwarders) * 8
+
+
 @dataclass(frozen=True)
 class MacTiming:
     """802.11 DCF timing parameters.
@@ -65,8 +70,7 @@ class MacTiming:
 
     def ack_airtime_ns(self, phy: PhyParams, forwarders: int = 0) -> int:
         """Airtime of a MAC ACK (sent at the basic rate)."""
-        bits = (ACK_BODY_BYTES + FORWARDER_ENTRY_BYTES * forwarders) * 8
-        return phy.control_airtime_ns(bits)
+        return phy.control_airtime_ns(ack_bits(forwarders))
 
     def header_bits(self, forwarders: int = 0) -> int:
         """MAC header + FCS + forwarder list size, in bits."""

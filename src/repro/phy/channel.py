@@ -62,16 +62,21 @@ the signals it senses plus the one clean frame among them (see
 :mod:`repro.phy.radio`).  Plans are invalidated whenever any radio moves
 or registers; runs already in flight keep the entries they were given.
 The per-link fade streams survive invalidation, so a rebuilt plan
-continues each link's draws instead of restarting them: before a plan is
-dropped it hands each link its raw draws beyond the current block (one
-copy per plan), and a rebuilt plan's first fill serves each link's carry
-first, topping columns up from their generators only to the longest
-carry among its links, so it draws no fade a whole-batch fill would not.
-The rows of the dropped plan's current block that no frame was served
-yet are lost with it, so under mobility the fades a link's frames get
-depend on when stations moved (deterministically: the same seed gives
-the same run).  A link that leaves every plan keeps its carry until one
-takes it again.
+continues each link's draws instead of restarting them.  A dropped plan
+is kept until its sender's next plan is built.  When the new plan holds
+the same links in the same order, as it mostly does under mobility, it
+adopts the old plan's raw draws and their position, starting at the next
+block.  Otherwise the old plan hands each link its raw draws beyond the
+current block (one copy per plan), and the new plan's first fill serves
+each link's carry first, topping columns up from their generators only
+to the longest carry among its links, so it draws no fade a whole-batch
+fill would not.  Both ways give each link the same draws: only its own
+sender's plan reads a link's column, so nothing reads it between the
+drop and the rebuild.  The rows of the dropped plan's current block that
+no frame was served yet are lost with it, so under mobility the fades a
+link's frames get depend on when stations moved (deterministically: the
+same seed gives the same run).  A link that leaves every plan keeps its
+carry until one takes it again.
 
 Stations no route reaches
 -------------------------
@@ -95,9 +100,11 @@ it.
 A finished network is cyclic garbage (radio and channel, radio and MAC,
 and the radio callbacks in the plans refer to each other), so only a full
 collection would free the plans' matrices and the links' streams.
-:meth:`WirelessChannel.release` drops them, without handing draws back,
-and the per-link generators the stream registry keeps, as soon as a run
-is summarised; the counters stay.
+:meth:`WirelessChannel.release` drops them, kept plans included, without
+handing draws back, and the per-link generators the stream registry
+keeps, as soon as a run is summarised
+(:meth:`~repro.topology.network.WirelessNetwork.release`); the counters
+stay.
 
 Owed bit-error draws
 --------------------
@@ -254,8 +261,17 @@ class _DispatchPlan:
                 fill(link.generator, column[kept:end])
         self._end = end
 
+    def adopt(self, dropped: "_DispatchPlan") -> None:
+        """Continue the raw draws of ``dropped``, a plan over the same links, at its next block.
+
+        The rows from its ``_next`` on are exactly what it would hand back.
+        """
+        self._raw = dropped._raw
+        self._next = dropped._next
+        self._end = dropped._end
+
     def hand_back(self) -> None:
-        """Give every link the raw draws beyond the current block, as this plan is dropped.
+        """Give every link the raw draws beyond the current block, for a plan over other links.
 
         One copy for the whole plan; each link's carry is its column of
         it.  The current block's unserved rows are lost (module notes).  A
@@ -311,6 +327,7 @@ class WirelessChannel:
         "_ids",
         "_distance_cache",
         "_plans",
+        "_dropped",
         "_excluded",
         "_link_fades",
         "_link_uniforms",
@@ -358,6 +375,9 @@ class WirelessChannel:
         self._distance_cache: Dict[Tuple[int, int], float] = {}
         #: Per-sender dispatch plans (see module docstring).
         self._plans: Dict[int, _DispatchPlan] = {}
+        #: Plans dropped by an invalidation, kept until their sender's next
+        #: plan is built (module notes).
+        self._dropped: Dict[int, _DispatchPlan] = {}
         #: Node ids left out of every plan (module notes); empty: none.
         self._excluded: FrozenSet[int] = frozenset()
         #: Per-link fade streams; keyed by (sender, receiver) node ids and
@@ -522,7 +542,7 @@ class WirelessChannel:
         # the same frame at the same nanosecond, which needs a delay spread
         # at least as long as the frame: kilometres.
         candidates.sort(key=itemgetter(0))
-        return _DispatchPlan(
+        plan = _DispatchPlan(
             [candidate[1] for candidate in candidates],
             [(delay, radio._signal_start, radio._signal_end) for delay, radio, _, _ in candidates],
             [candidate[2] for candidate in candidates],
@@ -531,6 +551,13 @@ class WirelessChannel:
             propagation,
             params,
         )
+        dropped = self._dropped.pop(sender_id, None)
+        if dropped is not None:
+            if dropped.links == plan.links:
+                plan.adopt(dropped)
+            else:
+                dropped.hand_back()
+        return plan
 
     def _fades_for(self, sender_id: int, receiver_id: int) -> _LinkFadeStream:
         """The (cached) fade stream of one directed link."""
@@ -557,12 +584,11 @@ class WirelessChannel:
     def _invalidate_geometry(self) -> None:
         """Drop every geometry-derived cache (distances, dispatch plans).
 
-        Each dropped plan first hands its links the draws beyond its
-        current block, so the next plans continue them (module notes).
+        Each dropped plan is kept until its sender's next plan is built,
+        which adopts its draws or has it hand them back (module notes).
         """
         self._distance_cache.clear()
-        for plan in self._plans.values():
-            plan.hand_back()
+        self._dropped.update(self._plans)
         self._plans.clear()
 
     def release(self) -> None:
@@ -575,6 +601,7 @@ class WirelessChannel:
         """
         self._distance_cache.clear()
         self._plans.clear()
+        self._dropped.clear()
         self._link_fades.clear()
         self._link_uniforms.clear()
         self.rng.forget("shadowing")

@@ -16,6 +16,16 @@ consume):
 RIPPLE deliberately works with *any* forwarder selection (Section
 III-B1); the experiments exercise it both with the paper's predetermined
 ROUTE0/1/2 paths and with ETX-selected paths.
+
+The network layer asks for a :class:`~repro.mac.base.RouteDecision` for
+every packet at every hop, yet the answer changes only with the route
+table.  So :meth:`RoutingProtocol.route_decision` keeps one decision per
+``(node, dst, opportunistic)``, shared by every packet it routes (a
+decision is frozen), until :meth:`RoutingProtocol.invalidate` drops them:
+a protocol calls it whenever its routes change (a new graph, an added
+path), and so must a caller that edits a protocol's table or graph in
+place.  A missing route is not cached.  ``max_forwarders`` is fixed
+after construction, since decisions already made keep the lists it cut.
 """
 
 from __future__ import annotations
@@ -36,6 +46,10 @@ class RoutingProtocol(abc.ABC):
 
     #: Paper default: at most 5 forwarders on a path (Section III-B4).
     max_forwarders: int = 5
+
+    def __init__(self) -> None:
+        #: Decisions made so far, by ``(node, dst, opportunistic)`` (module notes).
+        self._decisions: Dict[Tuple[int, int, bool], RouteDecision] = {}
 
     @abc.abstractmethod
     def path(self, src: int, dst: int) -> List[int]:
@@ -67,16 +81,26 @@ class RoutingProtocol(abc.ABC):
         Called periodically by the mobility subsystem after it rebuilds the
         ETX graph from current positions.  Protocols with predetermined
         routes (the paper's ROUTE0/1/2 tables) ignore it; graph-driven
-        protocols swap in the new graph and drop cached routes so packets
-        routed from now on see the new link state.
+        protocols swap in the new graph and :meth:`invalidate` their
+        decisions so packets routed from now on see the new link state.
         """
 
+    def invalidate(self) -> None:
+        """Drop every cached route decision (after the routes changed)."""
+        self._decisions.clear()
+
     def route_decision(self, node: int, dst: int, opportunistic: bool) -> RouteDecision:
-        """Package the routing answer for the MAC."""
-        if opportunistic:
-            return RouteDecision(
-                final_dst=dst,
-                next_hop=None,
-                forwarder_list=self.forwarder_list(node, dst),
-            )
-        return RouteDecision(final_dst=dst, next_hop=self.next_hop(node, dst))
+        """Package the routing answer for the MAC, cached until :meth:`invalidate`."""
+        key = (node, dst, opportunistic)
+        decision = self._decisions.get(key)
+        if decision is None:
+            if opportunistic:
+                decision = RouteDecision(
+                    final_dst=dst,
+                    next_hop=None,
+                    forwarder_list=self.forwarder_list(node, dst),
+                )
+            else:
+                decision = RouteDecision(final_dst=dst, next_hop=self.next_hop(node, dst))
+            self._decisions[key] = decision
+        return decision

@@ -28,9 +28,12 @@ from repro.routing.shortest_path import Metric, ShortestPathRouting
 class AdaptiveEtxRouting(ShortestPathRouting):
     """Minimum-ETX routes over a connectivity graph that changes mid-run.
 
-    The bidirectional Dijkstra search and the route cache are inherited from
+    The bidirectional Dijkstra search is inherited from
     :class:`ShortestPathRouting`; this class adds the static fallback and
-    an update counter for diagnostics.
+    an update counter for diagnostics.  Decisions taken from the fallback
+    are cached like the others, so a change to the fallback's table
+    reaches them at the next :meth:`update_graph` or
+    :meth:`~repro.routing.base.RoutingProtocol.invalidate`.
     """
 
     def __init__(

@@ -32,6 +32,7 @@ import numpy as np
 from repro.mac.base import ChannelAccess, MacLayer, RouteDecision
 from repro.mac.frames import FrameKind, MacFrame, SubPacket, build_ack_frame, build_data_frame
 from repro.mac.queues import DropTailQueue
+from repro.mac.timetable import frame_airtime_ns
 from repro.mac.timing import MacTiming
 from repro.packet import Packet
 from repro.phy.params import PhyParams
@@ -151,7 +152,7 @@ class OpportunisticMac(MacLayer, abc.ABC):
         self._heard_ack_for_current = False
         self.stats.data_frames_sent += 1
         self.stats.subpackets_sent += 1
-        self.radio.transmit(frame, frame.airtime_ns(self.phy))
+        self.radio.transmit(frame, frame_airtime_ns(frame, self.phy))
 
     def on_transmission_complete(self, frame: MacFrame) -> None:
         if frame.kind is FrameKind.DATA and frame is self._current_frame:
@@ -246,7 +247,7 @@ class OpportunisticMac(MacLayer, abc.ABC):
         )
         tracked.acked_by_us = True
         self.stats.ack_frames_sent += 1
-        self.radio.transmit(ack, ack.airtime_ns(self.phy))
+        self.radio.transmit(ack, frame_airtime_ns(ack, self.phy))
 
     def _decide_ownership(self, tracked: _TrackedReception) -> None:
         tracked.decision_event = None

@@ -11,7 +11,10 @@ Two metrics are supported:
 
 Both run the bidirectional Dijkstra search of :mod:`repro.routing.graph`
 with the metric as the edge weight, so equal-cost routes are broken by
-the graph's adjacency order.
+the graph's adjacency order.  A search runs only when
+:meth:`~repro.routing.base.RoutingProtocol.route_decision` has no
+decision cached for the pair, so a caller that edits :attr:`graph` in
+place calls :meth:`~repro.routing.base.RoutingProtocol.invalidate`.
 """
 
 from __future__ import annotations
@@ -30,26 +33,16 @@ class ShortestPathRouting(RoutingProtocol):
     def __init__(self, graph: Graph, metric: Metric = "hops", max_forwarders: int = 5) -> None:
         if metric not in ("hops", "etx"):
             raise ValueError(f"unknown metric {metric!r}")
+        super().__init__()
         self.graph = graph
         self.metric = metric
         self.max_forwarders = max_forwarders
-        self._cache: dict[tuple[int, int], List[int]] = {}
 
     def path(self, src: int, dst: int) -> List[int]:
-        key = (src, dst)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return list(cached)
         try:
-            route = shortest_path(self.graph, src, dst, weight=self.metric)
+            return shortest_path(self.graph, src, dst, weight=self.metric)
         except NoPath as exc:
             raise RouteNotFound(f"no route from {src} to {dst}: {exc}") from exc
-        self._cache[key] = route
-        return list(route)
-
-    def invalidate(self) -> None:
-        """Drop cached routes (after the graph is modified)."""
-        self._cache.clear()
 
     def update_graph(self, graph: Graph) -> None:
         """Swap in a re-estimated connectivity graph (mobility hook)."""

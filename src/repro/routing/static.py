@@ -23,6 +23,7 @@ class StaticRouting(RoutingProtocol):
         max_forwarders: int = 5,
         add_reverse: bool = True,
     ) -> None:
+        super().__init__()
         self.max_forwarders = max_forwarders
         self._paths: Dict[Tuple[int, int], List[int]] = {}
         for (src, dst), route in paths.items():
@@ -65,10 +66,11 @@ class StaticRouting(RoutingProtocol):
         return list(self._paths.keys())
 
     def add_path(self, route: Sequence[int], add_reverse: bool = True) -> None:
-        """Register an additional path after construction."""
+        """Register an additional path after construction; decisions made so far go."""
         route = list(route)
         src, dst = route[0], route[-1]
         self._validate(src, dst, route)
         self._paths[(src, dst)] = route
         if add_reverse and (dst, src) not in self._paths:
             self._paths[(dst, src)] = list(reversed(route))
+        self.invalidate()

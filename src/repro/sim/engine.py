@@ -149,7 +149,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_heap",
         "_seq",
         "_running",
@@ -170,7 +170,10 @@ class Simulator:
     FREELIST_MAX = 4096
 
     def __init__(self, start_time: int = 0) -> None:
-        self._now: int = int(start_time)
+        #: Current simulation time in nanoseconds: a plain slot, not a
+        #: property, since every timer and carrier-sense edge reads it.
+        #: Only :meth:`run`, :meth:`step` and the signal-run walker write it.
+        self.now: int = int(start_time)
         self._heap: List[HeapEntry] = []
         self._seq: int = 0
         self._running: bool = False
@@ -181,13 +184,8 @@ class Simulator:
         self._horizon: int = _INLINE_NEVER
 
     # ------------------------------------------------------------------
-    # Clock
+    # Counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     @property
     def processed_events(self) -> int:
         """Number of callbacks executed so far (cancelled events excluded)."""
@@ -213,7 +211,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` nanoseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + int(delay)
+        when = self.now + int(delay)
         seq = self._seq
         self._seq = seq + 1
         free = self._free
@@ -232,9 +230,9 @@ class Simulator:
     def schedule_at(self, when: int, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run at absolute time ``when``."""
         when = int(when)
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} ns, current time is {self._now} ns"
+                f"cannot schedule at {when} ns, current time is {self.now} ns"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -318,7 +316,7 @@ class Simulator:
                     top_time = heap[0][0]
                     if when > top_time or (when == top_time and seq + 2 * index > heap[0][1]):
                         break
-                self._now = when
+                self.now = when
                 item[slot](payloads[index])
                 index += 1
                 self._processed += 1
@@ -386,9 +384,9 @@ class Simulator:
             entry = heapq.heappop(heap)
             when = entry[0]
             if len(entry) == 4:
-                if when < self._now:
+                if when < self.now:
                     raise SimulationError("event heap corrupted: time went backwards")
-                self._now = when
+                self.now = when
                 entry[2](entry[3])
                 self._processed += 1
                 return True
@@ -398,9 +396,9 @@ class Simulator:
                 if len(free) < free_max:
                     free.append(event)
                 continue
-            if when < self._now:
+            if when < self.now:
                 raise SimulationError("event heap corrupted: time went backwards")
-            self._now = when
+            self.now = when
             event.cancelled = True  # guards against double-execution via stale handles
             event.callback(*event.args)
             if len(free) < free_max:
@@ -451,9 +449,9 @@ class Simulator:
                 heappop(heap)
                 if len(entry) == 4:
                     # Signal fast path: fixed-shape, never cancelled.
-                    if when < self._now:
+                    if when < self.now:
                         raise SimulationError("event heap corrupted: time went backwards")
-                    self._now = when
+                    self.now = when
                     entry[2](entry[3])
                     executed += 1
                     continue
@@ -464,17 +462,17 @@ class Simulator:
                         free.append(event)
                     budget += 1  # consumed a dead entry, not an event
                     continue
-                if when < self._now:
+                if when < self.now:
                     raise SimulationError("event heap corrupted: time went backwards")
-                self._now = when
+                self.now = when
                 event.cancelled = True  # guards against stale-handle re-execution
                 event.callback(*event.args)
                 if len(free) < free_max:
                     free.append(event)
                 executed += 1
-            if until is not None and until > self._now:
+            if until is not None and until > self.now:
                 if not truncated or not self._has_runnable_event_before(until):
-                    self._now = until
+                    self.now = until
         finally:
             self._processed += executed
             self._running = False
@@ -489,4 +487,4 @@ class Simulator:
 
     def run_for(self, duration: int) -> None:
         """Run for ``duration`` nanoseconds of simulated time from now."""
-        self.run(until=self._now + int(duration))
+        self.run(until=self.now + int(duration))

@@ -192,3 +192,23 @@ class WirelessNetwork:
     def run_seconds(self, duration_s: float) -> None:
         """Advance the simulation by ``duration_s`` seconds."""
         self.run(seconds(duration_s))
+
+    def release(self) -> None:
+        """Free what a finished run kept for drawing and routing; the counters stay.
+
+        A finished network is cyclic garbage (stations, channel and MACs
+        refer to each other), so only a full collection would free it.
+        This drops at once the channel's plans and per-link streams
+        (:meth:`~repro.phy.channel.WirelessChannel.release`), every
+        station's backoff stream and buffer, the registry's ``mac``
+        streams and the routing protocol's cached decisions.  Every
+        counter stays readable.  A released network must not run again:
+        its links and stations would restart their draws.
+        """
+        self.channel.release()
+        for node in self.nodes.values():
+            if node.mac is not None:
+                node.mac.release()
+        self.rng.forget("mac")
+        if self.routing is not None:
+            self.routing.invalidate()

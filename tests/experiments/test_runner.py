@@ -204,6 +204,40 @@ class TestReleaseAfterRun:
         ]
 
 
+class TestNetworkRelease:
+    """run_scenario releases the whole network: channel, stations and routes."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ScenarioConfig(topology=line_topology(3), scheme_label="D", duration_s=0.1),
+            lambda: ScenarioConfig(topology=line_topology(3), scheme_label="R16", duration_s=0.1),
+            lambda: ScenarioConfig(
+                topology=fig1_topology(), scheme_label="preExOR", active_flows=[1], duration_s=0.1
+            ),
+            lambda: _mobile_voip_d(0.2),
+        ],
+        ids=["D", "R16", "preExOR", "mobile-voip"],
+    )
+    def test_a_finished_run_keeps_no_backoff_stream_plan_or_decision(self, monkeypatch, build):
+        built = []
+
+        def capture(config):
+            built.append(build_network(config))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "build_network", capture)
+        run_scenario(build())
+        network, routing = built[0]
+        for node in network.nodes.values():
+            assert node.mac.rng is None
+            assert node.mac.access._uniforms is None
+        assert sum(node.mac.stats.data_frames_sent for node in network.nodes.values()) > 0
+        assert not [key for key in network.rng._keyed if key[0] == "mac"]
+        assert not network.channel._plans and not network.channel._dropped
+        assert routing._decisions == {}
+
+
 def _mobile_voip_d(duration_s: float) -> ScenarioConfig:
     """Ten VoIP calls under random waypoint at 10 m/s, D, scenario seed 1, 0.1 s warmup."""
     configs, _keys = mobility_voip_grid((10.0,), ("D",), 10, duration_s, 1)

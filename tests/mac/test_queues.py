@@ -1,5 +1,7 @@
 """Interface queue (drop tail) and the RIPPLE re-ordering buffer (Rq)."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +70,50 @@ class TestDropTailQueue:
         for i, hop in enumerate(hops):
             queue.push(pkt(i), hop)
         assert len(queue) <= 7
+
+    @given(
+        hops=st.lists(st.integers(min_value=0, max_value=3), max_size=50),
+        calls=st.lists(
+            st.tuples(
+                st.sets(st.integers(min_value=0, max_value=3)),
+                st.integers(min_value=0, max_value=20),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_pop_matching_equals_the_whole_queue_rebuild(self, hops, calls):
+        """Popping matching head entries in place takes what the full rebuild took."""
+        queue = DropTailQueue(capacity=50)
+        for i, hop in enumerate(hops):
+            queue.push(pkt(i), hop)
+        expected = deque(queue)
+        dequeued = 0
+        for wanted, limit in calls:
+
+            def predicate(_packet, hop):
+                return hop in wanted
+
+            taken, expected = _rebuilding_pop_matching(expected, predicate, limit)
+            dequeued += len(taken)
+            assert queue.pop_matching(predicate, limit) == taken
+            assert list(queue) == list(expected)
+            assert queue.stats.dequeued == dequeued
+
+
+def _rebuilding_pop_matching(entries, predicate, limit):
+    """``pop_matching`` as it was: every call rebuilds the whole queue."""
+    entries = deque(entries)
+    taken = []
+    remaining = deque()
+    while entries and len(taken) < limit:
+        packet, metadata = entries.popleft()
+        if predicate(packet, metadata):
+            taken.append((packet, metadata))
+        else:
+            remaining.append((packet, metadata))
+    remaining.extend(entries)
+    return taken, remaining
 
 
 class TestReorderBuffer:

@@ -203,6 +203,36 @@ def test_a_rebuilt_plan_tops_columns_up_only_to_the_longest_carry(name):
     rig.assert_blocks_match()
 
 
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("offset", [0, 5, 16, 47, 64])
+def test_a_plan_rebuilt_over_the_same_links_takes_the_old_draws_whole(name, offset):
+    per_fade = MODELS[name].raw_per_fade
+    rig = Rig(MODELS[name], _line(60, 140, 230))
+    rig.transmit(16 + offset)
+    old = rig.channel._plans[0]
+    rig.move(3, (231.0, 0.0))  # the same candidates, in the same delay order
+    rig.move(2, (141.0, 0.0))  # a second move before the sender's next frame
+    rig.transmit(1)
+    plan = rig.channel._plans[0]
+    assert plan is not old and plan.links == old.links
+    assert plan._raw is old._raw  # adopted, not copied through the links' carries
+    assert all(link.carry is None for link in plan.links)
+    drawn = 64 if 16 + offset < 48 else 128
+    assert [rig.draws(node) for node in (1, 2, 3)] == [drawn * per_fade] * 3
+    rig.transmit(100)
+    rig.assert_blocks_match()
+
+
+def test_release_drops_kept_plans_without_handing_draws_back():
+    rig = Rig(MODELS["shadowing"], _line(60, 140))
+    rig.transmit(16)
+    links = rig.channel._plans[0].links
+    rig.move(2, (141.0, 0.0))  # the plan is kept for the sender's next frame
+    rig.channel.release()
+    assert not rig.channel._plans and not rig.channel._dropped
+    assert [link.carry for link in links] == [None, None]
+
+
 def test_release_drops_plans_without_handing_draws_back():
     rig = Rig(MODELS["shadowing"], _line(60, 140))
     rig.transmit(16)  # 48 rows beyond the current block: a hand-back would carry them
