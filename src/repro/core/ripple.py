@@ -32,7 +32,7 @@ segments (Section III-B6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class RippleMac(MacLayer):
         else:
             self.stats.packets_dropped_queue += 1
         return accepted
-
-    @property
-    def has_backlog(self) -> bool:
-        return bool(self._pending) or not self.queue.is_empty
 
     # ======================================================================
     # Source side: aggregation, channel access, end-to-end retransmission

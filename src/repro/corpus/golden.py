@@ -165,11 +165,3 @@ def verify_golden(stored: Dict[str, object]) -> List[str]:
             f"{DEFAULT_GOLDEN_PATH} to cover it"
         )
     return messages
-
-
-def verify_golden_file(path: str) -> List[str]:
-    """Load + verify a pin file (missing file is itself a finding)."""
-    target = Path(path)
-    if not target.is_file():
-        return [f"golden digest file {path} is missing; write it with --write-golden"]
-    return verify_golden(json.loads(target.read_text()))

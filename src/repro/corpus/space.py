@@ -122,7 +122,7 @@ def topology_choices(trace_paths: Sequence[str] = ()) -> List[Choice]:
 
 def _is_wrapper(info) -> bool:
     """Whether a MAC registry entry wraps another scheme (``inner`` param)."""
-    return "inner" in getattr(info, "params", ())
+    return "inner" in info.params
 
 
 def contention_inner_names() -> List[str]:

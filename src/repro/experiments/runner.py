@@ -68,12 +68,6 @@ class ScenarioResult(Wire):
     def total_throughput_mbps(self) -> float:
         return total_throughput_mbps([f for f in self.flows if f.kind == "tcp"])
 
-    def flow_throughput(self, flow_id: int) -> float:
-        for flow in self.flows:
-            if flow.flow_id == flow_id:
-                return flow.throughput_mbps
-        raise KeyError(f"flow {flow_id} not in results")
-
     @property
     def reordering_ratio(self) -> float:
         received = sum(f.packets_received for f in self.flows if f.kind == "tcp")

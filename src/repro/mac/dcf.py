@@ -78,11 +78,6 @@ class DcfMac(MacLayer):
             self.stats.packets_dropped_queue += 1
         return accepted
 
-    @property
-    def has_backlog(self) -> bool:
-        """Whether the MAC still holds packets it has not delivered to the air."""
-        return bool(self._pending) or not self.queue.is_empty
-
     # ------------------------------------------------------------------
     # Transmit path
     # ------------------------------------------------------------------

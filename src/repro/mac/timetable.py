@@ -2,10 +2,11 @@
 
 Every data and ACK transmission needs its frame's airtime, and every data
 frame sets the time its sender waits for the answer: DCF's ACK timeout or
-RIPPLE's mTXOP timeout.  Each is a pure function of a few numbers fixed
-for the run (the PLCP header, a rate, SIFS, the slot, the frame's bits
-and forwarder count), so the MACs look them up here instead of
-recomputing them per frame.  Like the block success probabilities of
+RIPPLE's mTXOP timeout.  preExOR and MCExOR space their ACK slots, and
+size their ACK windows, by the airtime of a plain ACK.  Each is a pure
+function of a few numbers fixed for the run (the PLCP header, a rate,
+SIFS, the slot, the frame's bits and forwarder count), so the MACs look
+them up here instead of recomputing them per frame.  Like the block success probabilities of
 :mod:`repro.phy.error_models`, the table is process-wide and bounded, and
 it keeps nothing on any station.
 
@@ -14,7 +15,8 @@ never by bits alone: rate adaptation (:mod:`repro.mac.rate_adapt`)
 swaps ``mac.phy`` at every rate step.
 
 The references are :meth:`~repro.mac.frames.MacFrame.airtime_ns`,
-:meth:`~repro.mac.timing.MacTiming.ack_timeout_ns` and
+:meth:`~repro.mac.timing.MacTiming.ack_timeout_ns`,
+:meth:`~repro.mac.timing.MacTiming.ack_airtime_ns` and
 :meth:`~repro.core.ripple.RippleMac.mtxop_timeout_ns`, which stay as they
 were; ``tests/mac/test_timetable.py`` holds the table to them.
 """
@@ -44,6 +46,11 @@ def frame_airtime_ns(frame: MacFrame, phy: PhyParams) -> int:
 def ack_timeout_ns(timing: MacTiming, phy: PhyParams) -> int:
     """``timing.ack_timeout_ns(phy)``: how long a DCF sender waits for its ACK."""
     return _ack_timeout_ns(timing.sifs_ns, timing.slot_ns, phy.phy_header_ns, phy.basic_rate_bps)
+
+
+def ack_airtime_ns(phy: PhyParams) -> int:
+    """``timing.ack_airtime_ns(phy)``: a plain ACK, no forwarder list, at the basic rate."""
+    return _airtime_ns(phy.phy_header_ns, phy.basic_rate_bps, ack_bits())
 
 
 def mtxop_timeout_ns(timing: MacTiming, phy: PhyParams, frame: MacFrame) -> int:

@@ -84,11 +84,6 @@ class MacTiming:
         """How long a transmitter waits for a MAC ACK before declaring loss."""
         return self.sifs_ns + self.ack_airtime_ns(phy, forwarders) + 2 * self.slot_ns
 
-    def mean_backoff_ns(self, cw: int | None = None) -> int:
-        """Expected duration of a fresh backoff, used in overhead analysis."""
-        window = self.cw_min if cw is None else cw
-        return (window - 1) * self.slot_ns // 2
-
 
 #: Timing profile matching Table I.
 DEFAULT_TIMING = MacTiming()

@@ -15,9 +15,9 @@ Two properties the rest of the system relies on:
   the manager to schedule *nothing*.  The event sequence (and therefore
   ``Simulator.processed_events`` and every tie-break) is bit-identical
   to a run without mobility.
-* **Bounded work** — ticks re-arm themselves one at a time; stopping the
-  manager cancels the pending events, so a manager never outlives its
-  scenario.
+* **Bounded work** — the position tick and each re-estimation re-arm
+  themselves one at a time, so a manager keeps at most one pending event
+  per cadence.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.mobility.models import MobilityModel, Position
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import ns_to_seconds
 
 
@@ -56,10 +56,7 @@ class MobilityManager:
         self._node_ids: List[int] = []
         #: (interval_ns, callback) per registration; each fires on its own cadence.
         self._reestimations: List[Tuple[int, Callable[[], None]]] = []
-        self._tick_event: Optional[Event] = None
-        self._reestimate_events: List[Event] = []
         self._last_advance_ns: int = 0
-        self._stopped: bool = False
         self.updates: int = 0
         self.reestimations: int = 0
 
@@ -89,27 +86,10 @@ class MobilityManager:
             # Bit-identical static runs: a static model — or a mobile-node
             # filter that matches nothing — schedules no events.
             return
-        self._stopped = False
         self._last_advance_ns = self.sim.now
-        self._tick_event = self.sim.schedule(self.update_interval_ns, self._tick)
-        self._reestimate_events = [
+        self.sim.schedule(self.update_interval_ns, self._tick)
+        for index, (interval_ns, _callback) in enumerate(self._reestimations):
             self.sim.schedule(interval_ns, self._reestimate, index)
-            for index, (interval_ns, _callback) in enumerate(self._reestimations)
-        ]
-
-    def stop(self) -> None:
-        """Cancel pending ticks; safe to call from inside a re-estimation callback."""
-        self._stopped = True
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
-        for event in self._reestimate_events:
-            event.cancel()
-        self._reestimate_events = []
-
-    @property
-    def active(self) -> bool:
-        return self._tick_event is not None
 
     # ------------------------------------------------------------------
     # Event-loop callbacks
@@ -135,21 +115,13 @@ class MobilityManager:
                 self._move_node(node_id, after)
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         self._advance_positions()
         self.updates += 1
-        if not self._stopped:  # a move callback may have stopped the manager
-            self._tick_event = self.sim.schedule(self.update_interval_ns, self._tick)
+        self.sim.schedule(self.update_interval_ns, self._tick)
 
     def _reestimate(self, index: int) -> None:
-        if self._stopped:
-            return
         self._advance_positions()
         self.reestimations += 1
         interval_ns, callback = self._reestimations[index]
         callback()
-        if not self._stopped:  # the callback itself may have called stop()
-            self._reestimate_events[index] = self.sim.schedule(
-                interval_ns, self._reestimate, index
-            )
+        self.sim.schedule(interval_ns, self._reestimate, index)

@@ -17,14 +17,6 @@ from repro.mobility.models import MOBILITY_MODELS, Bounds, MobilityModel
 from repro.serialization import Wire
 
 
-def _model_names() -> tuple:
-    return MOBILITY_MODELS.names()
-
-
-#: Model names accepted by :class:`MobilitySpec` (the registry's contents).
-MODEL_NAMES = _model_names()
-
-
 @dataclass
 class MobilitySpec(Wire):
     """Everything needed to reconstruct a scenario's mobility, JSON-safely."""
@@ -42,7 +34,7 @@ class MobilitySpec(Wire):
     def __post_init__(self) -> None:
         if self.model not in MOBILITY_MODELS:
             raise ValueError(
-                f"unknown mobility model {self.model!r}; known: {_model_names()}"
+                f"unknown mobility model {self.model!r}; known: {MOBILITY_MODELS.names()}"
             )
         if self.update_interval_s <= 0:
             raise ValueError("update_interval_s must be positive")

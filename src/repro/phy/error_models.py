@@ -7,17 +7,17 @@ and a 'clear' channel state respectively."
 The granularity matters: with packet aggregation (AFR and RIPPLE) a MAC
 frame carries several upper-layer packets each protected by its own CRC,
 so bit errors corrupt individual *sub-packets* while the rest of the frame
-survives.  This model therefore evaluates errors per sub-packet (and
-separately for the MAC header, whose corruption loses the whole frame).
+survives.  The channel (:meth:`repro.phy.channel.WirelessChannel.apply_bit_errors`)
+therefore draws errors per sub-packet, and separately for the MAC header,
+whose corruption loses the whole frame, each against this model's
+:meth:`BitErrorModel.success_probability`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 
 @lru_cache(maxsize=4096)
@@ -44,20 +44,10 @@ class FrameErrorResult:
     header_ok: bool
     subpacket_ok: List[bool]
 
-    @property
-    def any_payload_ok(self) -> bool:
-        """True when at least one sub-packet survived."""
-        return any(self.subpacket_ok)
-
-    @property
-    def all_payload_ok(self) -> bool:
-        """True when every sub-packet survived."""
-        return all(self.subpacket_ok)
-
 
 @dataclass(frozen=True, slots=True)
 class BitErrorModel:
-    """i.i.d. per-bit error model with the paper's two operating points."""
+    """i.i.d. per-bit error model: BER 1e-6 is the paper's clear channel, 1e-5 its noisy one."""
 
     bit_error_rate: float = 1e-6
 
@@ -68,24 +58,3 @@ class BitErrorModel:
         if self.bit_error_rate <= 0:
             return 1.0
         return _block_success_probability(self.bit_error_rate, bits)
-
-    def block_ok(self, bits: int, rng: np.random.Generator) -> bool:
-        """Draw whether a block of ``bits`` survives the channel."""
-        return bool(rng.random() < self.success_probability(bits))
-
-    def evaluate_frame(
-        self, header_bits: int, subpacket_bits: Sequence[int], rng: np.random.Generator
-    ) -> FrameErrorResult:
-        """Apply bit errors to a frame's header and each of its sub-packets."""
-        success = self.success_probability
-        random = rng.random
-        header_ok = bool(random() < success(header_bits))
-        subpacket_ok = [bool(random() < success(bits)) for bits in subpacket_bits]
-        return FrameErrorResult(header_ok=header_ok, subpacket_ok=subpacket_ok)
-
-
-#: Clear channel operating point from Section IV.
-CLEAR_CHANNEL = BitErrorModel(bit_error_rate=1e-6)
-
-#: Noisy channel operating point from Section IV.
-NOISY_CHANNEL = BitErrorModel(bit_error_rate=1e-5)

@@ -185,26 +185,6 @@ class ShadowingPropagation(PathLossModel):
         z = offset / self.shadowing_deviation_db
         return 0.5 * math.erfc(z / math.sqrt(2.0))
 
-    def range_for_probability(
-        self, tx_power_dbm: float, threshold_dbm: float, probability: float
-    ) -> float:
-        """Distance at which the reception probability equals ``probability``.
-
-        Convenience used when laying out synthetic topologies: e.g. "place
-        relays at the 95 %-reception distance and the end points at the
-        10 %-reception distance".
-        """
-        if not 0.0 < probability < 1.0:
-            raise ValueError("probability must be strictly between 0 and 1")
-        # Invert: P[mean + X >= threshold] = probability
-        #   mean = threshold - sigma * Phi^{-1}(1 - probability)
-        from statistics import NormalDist
-
-        offset = self.shadowing_deviation_db * NormalDist().inv_cdf(1.0 - probability)
-        target_mean = threshold_dbm - offset
-        loss_db = tx_power_dbm - target_mean - self.reference_loss_db()
-        return self.reference_distance_m * 10.0 ** (loss_db / (10.0 * self.path_loss_exponent))
-
 
 @dataclass(frozen=True)
 class RicianFading(PathLossModel):

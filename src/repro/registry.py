@@ -46,10 +46,8 @@ class RegistryError(ValueError):
 class Registry:
     """A named, write-once mapping of component names to entries.
 
-    Implements the read side of the ``Mapping`` protocol (``in``,
-    ``len``, iteration, ``get``, ``items`` ...), so existing code that
-    treated the old hard-coded dicts as plain mappings keeps working when
-    handed a registry instead.
+    Reads like a mapping where its callers need one: ``in``, iteration
+    over the canonical names, ``get`` and ``items``.
     """
 
     def __init__(self, kind: str) -> None:
@@ -192,12 +190,6 @@ class Registry:
     def items(self):
         return self._entries.items()
 
-    def values(self):
-        return self._entries.values()
-
-    def keys(self):
-        return self._entries.keys()
-
     def __contains__(self, name: object) -> bool:
         return (
             name in self._entries
@@ -207,12 +199,6 @@ class Registry:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, name: str):
-        return self.lookup(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Registry({self.kind!r}, {sorted(self._entries)})"

@@ -3,7 +3,7 @@
 from repro.routing.agent import NetworkAgent
 from repro.routing.base import RouteNotFound, RoutingProtocol
 from repro.routing.dynamic import AdaptiveEtxRouting
-from repro.routing.etx import EtxParams, build_connectivity_graph, link_etx, path_etx
+from repro.routing.etx import EtxParams, build_connectivity_graph, link_etx
 from repro.routing.mcexor import McExorMac
 from repro.routing.preexor import PreExorMac
 from repro.routing.registry import ROUTING_STRATEGIES, register_routing
@@ -20,7 +20,6 @@ __all__ = [
     "EtxParams",
     "build_connectivity_graph",
     "link_etx",
-    "path_etx",
     "McExorMac",
     "PreExorMac",
     "ShortestPathRouting",

@@ -74,14 +74,3 @@ def build_connectivity_graph(
                 "distance": channel.distance(a, b),
             }
     return graph
-
-
-def path_etx(graph: Graph, path: list[int]) -> float:
-    """Total ETX of a node sequence in ``graph`` (inf if an edge is missing)."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        edge = graph.get(a, {}).get(b)
-        if edge is None:
-            return float("inf")
-        total += edge["etx"]
-    return total

@@ -16,6 +16,7 @@ when two receivers cannot hear each other.
 
 from __future__ import annotations
 
+from repro.mac.timetable import ack_airtime_ns
 from repro.routing.opportunistic import OpportunisticMac
 
 
@@ -29,7 +30,7 @@ class McExorMac(OpportunisticMac):
 
     def ack_window_ns(self, n_forwarders: int) -> int:
         """All compressed slots plus one ACK airtime plus a slack slot."""
-        ack_airtime = self.timing.ack_airtime_ns(self.phy)
+        ack_airtime = ack_airtime_ns(self.phy)
         return (n_forwarders + 1) * self.timing.sifs_ns + ack_airtime + self.timing.slot_ns
 
     def suppress_ack_on_overheard_ack(self) -> bool:

@@ -24,8 +24,8 @@ TCP packets re-ordered) and RIPPLE is designed to eliminate.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -106,10 +106,6 @@ class OpportunisticMac(MacLayer, abc.ABC):
         else:
             self.stats.packets_dropped_queue += 1
         return accepted
-
-    @property
-    def has_backlog(self) -> bool:
-        return self._head is not None or not self.queue.is_empty
 
     # ------------------------------------------------------------------
     # Transmit path (owner side)

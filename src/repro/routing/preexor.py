@@ -16,6 +16,7 @@ used — unused slots simply burn air time (the "shadowed ACKs" of Fig. 2).
 
 from __future__ import annotations
 
+from repro.mac.timetable import ack_airtime_ns
 from repro.routing.opportunistic import OpportunisticMac
 
 
@@ -23,12 +24,12 @@ class PreExorMac(OpportunisticMac):
     """Opportunistic forwarding with sequential (uncompressed) MAC ACK slots."""
 
     def ack_delay_ns(self, rank: int, n_forwarders: int) -> int:
-        ack_airtime = self.timing.ack_airtime_ns(self.phy)
+        ack_airtime = ack_airtime_ns(self.phy)
         return self.timing.sifs_ns + rank * (ack_airtime + self.timing.sifs_ns)
 
     def ack_window_ns(self, n_forwarders: int) -> int:
         """Wait out every ACK slot (destination + each forwarder) plus a slack slot."""
-        ack_airtime = self.timing.ack_airtime_ns(self.phy)
+        ack_airtime = ack_airtime_ns(self.phy)
         slots = n_forwarders + 1
         return (
             self.timing.sifs_ns

@@ -64,13 +64,3 @@ class StaticRouting(RoutingProtocol):
     def pairs(self) -> Iterable[Tuple[int, int]]:
         """All (src, dst) pairs with an explicit (non-derived) path."""
         return list(self._paths.keys())
-
-    def add_path(self, route: Sequence[int], add_reverse: bool = True) -> None:
-        """Register an additional path after construction; decisions made so far go."""
-        route = list(route)
-        src, dst = route[0], route[-1]
-        self._validate(src, dst, route)
-        self._paths[(src, dst)] = route
-        if add_reverse and (dst, src) not in self._paths:
-            self._paths[(dst, src)] = list(reversed(route))
-        self.invalidate()

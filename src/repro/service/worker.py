@@ -117,17 +117,6 @@ class Worker:
     # ------------------------------------------------------------------
     # Loops
     # ------------------------------------------------------------------
-    def run_until_idle(self) -> int:
-        """Drain the queue; returns the number of jobs processed."""
-        processed = 0
-        while True:
-            record = self.run_once()
-            if record is None:
-                return processed
-            processed += 1
-            if record.state == "failed":
-                self.jobs_failed += 1
-
     def run_forever(
         self,
         *,

@@ -40,8 +40,7 @@ would have been popped next — and otherwise puts one entry for the rest
 of the run back on the heap.  Every item keeps its own sequence number
 and counts as one processed event, so callbacks fire at the same
 instants and in the same order as if each item had an entry of its own.
-:meth:`Simulator.step` and ``run(max_events=...)`` fire one item per pop
-so their counts stay exact.
+``run(max_events=...)`` fires one item per pop, so its count stays exact.
 
 :class:`Event` objects themselves are recycled through a freelist: an
 event returns to the free pool when its heap entry is consumed (fired,
@@ -106,11 +105,6 @@ class Event:
         if self.on_cancel is not None:
             self.on_cancel()
 
-    @property
-    def active(self) -> bool:
-        """Whether the event is still pending (not cancelled, not fired)."""
-        return not self.cancelled
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(time={self.time}, seq={self.seq}, {state})"
@@ -143,9 +137,9 @@ class Simulator:
 
     Notes
     -----
-    The simulator only advances time when :meth:`run` (or :meth:`step`)
-    is called; callbacks scheduled by other callbacks at the current time
-    are executed in FIFO order before the clock moves on.
+    The simulator only advances time when :meth:`run` is called;
+    callbacks scheduled by other callbacks at the current time are
+    executed in FIFO order before the clock moves on.
     """
 
     __slots__ = (
@@ -172,7 +166,7 @@ class Simulator:
     def __init__(self, start_time: int = 0) -> None:
         #: Current simulation time in nanoseconds: a plain slot, not a
         #: property, since every timer and carrier-sense edge reads it.
-        #: Only :meth:`run`, :meth:`step` and the signal-run walker write it.
+        #: Only :meth:`run` and the signal-run walker write it.
         self.now: int = int(start_time)
         self._heap: List[HeapEntry] = []
         self._seq: int = 0
@@ -372,41 +366,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event, or one item of a signal run.
-
-        Returns False if none remain.
-        """
-        heap = self._heap
-        free = self._free
-        free_max = self.FREELIST_MAX
-        while heap:
-            entry = heapq.heappop(heap)
-            when = entry[0]
-            if len(entry) == 4:
-                if when < self.now:
-                    raise SimulationError("event heap corrupted: time went backwards")
-                self.now = when
-                entry[2](entry[3])
-                self._processed += 1
-                return True
-            event = entry[2]
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                if len(free) < free_max:
-                    free.append(event)
-                continue
-            if when < self.now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            self.now = when
-            event.cancelled = True  # guards against double-execution via stale handles
-            event.callback(*event.args)
-            if len(free) < free_max:
-                free.append(event)
-            self._processed += 1
-            return True
-        return False
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the event queue empties, ``until`` is reached, or ``max_events`` fire.
 
@@ -422,8 +381,7 @@ class Simulator:
         self._running = True
         executed = 0
         truncated = False
-        # The hot loop: local aliases save an attribute lookup per event, the
-        # pop/dispatch is inlined rather than routed through step(), and the
+        # The hot loop: local aliases save an attribute lookup per event, and the
         # optional bounds collapse to plain integer compares (budget counts
         # down from -1 forever when max_events is None and never hits zero;
         # horizon is pushed beyond any event time when until is None).
@@ -484,7 +442,3 @@ class Simulator:
             entry[0] <= when and (len(entry) == 4 or not entry[2].cancelled)
             for entry in self._heap
         )
-
-    def run_for(self, duration: int) -> None:
-        """Run for ``duration`` nanoseconds of simulated time from now."""
-        self.run(until=self.now + int(duration))

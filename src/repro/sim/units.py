@@ -16,7 +16,6 @@ done at the reporting boundary (:func:`ns_to_seconds`).
 
 from __future__ import annotations
 
-NANOSECOND: int = 1
 MICROSECOND: int = 1_000
 MILLISECOND: int = 1_000_000
 SECOND: int = 1_000_000_000
@@ -40,11 +39,6 @@ def seconds(value: float) -> int:
 def ns_to_seconds(value: int) -> float:
     """Convert integer nanoseconds back to floating-point seconds."""
     return value / SECOND
-
-
-def ns_to_us(value: int) -> float:
-    """Convert integer nanoseconds back to floating-point microseconds."""
-    return value / MICROSECOND
 
 
 def transmission_time_ns(bits: int | float, rate_bps: float) -> int:

@@ -95,7 +95,7 @@ class _ComponentSpec(Wire):
     KIND = "component"
 
     def __post_init__(self) -> None:
-        registry = self._registry()
+        registry = self.registry()
         if self.name not in registry and not self._name_exempt(self.name):
             raise SpecError(
                 f"unknown {registry.kind} {self.name!r} for {type(self).__name__}; "
@@ -109,19 +109,9 @@ class _ComponentSpec(Wire):
         object.__setattr__(self, "name", registry.canonical_name(self.name))
 
     @classmethod
-    def _registry(cls):
-        raise NotImplementedError
-
-    @classmethod
     def registry(cls):
-        """The live registry this spec class resolves names in.
-
-        Public introspection hook: the scenario corpus
-        (:mod:`repro.corpus.space`) walks it to enumerate the valid spec
-        space, and the wire-format fuzz tests use it to build known-good
-        documents per spec class.
-        """
-        return cls._registry()
+        """The registry this spec class resolves names in; each subclass names its own."""
+        raise NotImplementedError
 
     @classmethod
     def _name_exempt(cls, name: str) -> bool:
@@ -136,7 +126,7 @@ class MacSpec(_ComponentSpec):
     KIND = "mac"
 
     @classmethod
-    def _registry(cls):
+    def registry(cls):
         from repro.mac.registry import MAC_SCHEMES
 
         return MAC_SCHEMES
@@ -149,7 +139,7 @@ class RoutingSpec(_ComponentSpec):
     KIND = "routing"
 
     @classmethod
-    def _registry(cls):
+    def registry(cls):
         from repro.routing.registry import ROUTING_STRATEGIES
 
         return ROUTING_STRATEGIES
@@ -162,7 +152,7 @@ class TrafficSpec(_ComponentSpec):
     KIND = "traffic"
 
     @classmethod
-    def _registry(cls):
+    def registry(cls):
         from repro.traffic.registry import TRAFFIC_KINDS
 
         return TRAFFIC_KINDS
@@ -193,7 +183,7 @@ class TransportSpec(_ComponentSpec):
     KIND = "transport"
 
     @classmethod
-    def _registry(cls):
+    def registry(cls):
         from repro.transport.registry import TRANSPORT_SCHEMES
 
         return TRANSPORT_SCHEMES
@@ -212,7 +202,7 @@ class TopologyRef(_ComponentSpec):
     KIND = "topology"
 
     @classmethod
-    def _registry(cls):
+    def registry(cls):
         from repro.topology.registry import TOPOLOGIES
 
         return TOPOLOGIES
@@ -222,19 +212,6 @@ class TopologyRef(_ComponentSpec):
         from repro.topology.registry import build_topology
 
         return build_topology(self.name, **self.params)
-
-
-#: Scenario field -> the spec class that names its component.  The
-#: enumeration hook the corpus and the wire-format fuzz tests iterate:
-#: every name-addressed layer appears here exactly once, so "walk all
-#: component registries" never silently misses a newly added layer.
-COMPONENT_SPEC_CLASSES: Dict[str, type] = {
-    "topology": TopologyRef,
-    "mac": MacSpec,
-    "routing": RoutingSpec,
-    "traffic": TrafficSpec,
-    "transport": TransportSpec,
-}
 
 
 def resolve_phy(profile: str) -> PhyParams:

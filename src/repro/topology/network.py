@@ -118,7 +118,7 @@ class WirelessNetwork:
         for node in self.nodes.values():
             if node.network is None:
                 raise RuntimeError("install_stack must be called before install_transport")
-            node.transport = TransportHost(self.sim, node.node_id, node.network)
+            node.transport = TransportHost(node.node_id, node.network)
 
     def install_mobility(self, spec) -> "object":
         """Attach a mobility subsystem described by a :class:`MobilitySpec`.

@@ -75,8 +75,3 @@ def wigle_topology(include_hidden: bool = True) -> TopologySpec:
         route_sets={"ROUTE0": routes},
         description="Wigle AP topology of Fig. 9 (reconstructed) with hidden pair S, R.",
     ).validate()
-
-
-def wigle_flow_paths() -> List[str]:
-    """The flow labels in the order Fig. 10 plots them."""
-    return [flow.label for flow in wigle_topology(include_hidden=False).flows]

@@ -1,6 +1,6 @@
-"""Traffic generators: long-lived TCP, web ON/OFF, VoIP on-off, CBR/saturating UDP, Poisson sessions."""
+"""Traffic generators: long-lived TCP, web ON/OFF, VoIP on-off, saturating UDP, Poisson sessions."""
 
-from repro.traffic.cbr import CbrSource, SaturatingSource
+from repro.traffic.cbr import SaturatingSource
 from repro.traffic.ftp import FtpApplication
 from repro.traffic.poisson import PoissonFlow
 from repro.traffic.registry import TRAFFIC_KINDS, FlowDriver, register_traffic
@@ -11,7 +11,6 @@ __all__ = [
     "TRAFFIC_KINDS",
     "FlowDriver",
     "register_traffic",
-    "CbrSource",
     "SaturatingSource",
     "FtpApplication",
     "PoissonFlow",

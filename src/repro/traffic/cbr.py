@@ -1,14 +1,12 @@
-"""Constant-bit-rate and saturating UDP sources.
+"""The saturating UDP source.
 
 The "hidden" background flows in Fig. 5(b) and in the Wigle / Roofnet
 experiments each send millions of packets during the run — i.e. they are
 effectively saturating sources whose only job is to keep the air busy.
-Two source types are provided:
-
-* :class:`CbrSource` — fixed packet size and inter-packet interval;
-* :class:`SaturatingSource` — keeps the sender's MAC interface queue
-  topped up so the flow is always backlogged without scheduling an event
-  per (mostly dropped) packet.
+:class:`SaturatingSource` keeps the sender's MAC interface queue topped
+up, so the flow is always backlogged without scheduling an event per
+(mostly dropped) packet.  The ``cbr`` traffic kind is an alias of
+``udp-saturating``, which installs it.
 """
 
 from __future__ import annotations
@@ -22,43 +20,9 @@ from repro.transport.udp import UdpSender
 
 @dataclass
 class CbrStats:
-    """Counters for a CBR / saturating source."""
+    """Counters for a saturating source."""
 
     packets_sent: int = 0
-
-
-class CbrSource:
-    """Fixed-rate UDP datagram source."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        sender: UdpSender,
-        packet_bytes: int = 1000,
-        interval_ns: int = ms(1),
-    ) -> None:
-        self.sim = sim
-        self.sender = sender
-        self.packet_bytes = packet_bytes
-        self.interval_ns = int(interval_ns)
-        self.stats = CbrStats()
-        self._running = False
-
-    def start(self, initial_delay_ns: int = 0) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.sim.schedule(initial_delay_ns, self._emit)
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _emit(self) -> None:
-        if not self._running:
-            return
-        self.sender.send(self.packet_bytes)
-        self.stats.packets_sent += 1
-        self.sim.schedule(self.interval_ns, self._emit)
 
 
 class SaturatingSource:
@@ -94,12 +58,7 @@ class SaturatingSource:
         self._running = True
         self.sim.schedule(initial_delay_ns, self._refill)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _refill(self) -> None:
-        if not self._running:
-            return
         capacity = self.mac.queue.capacity
         space = capacity - len(self.mac.queue) - self.headroom
         for _ in range(max(0, space)):

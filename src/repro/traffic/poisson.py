@@ -70,9 +70,6 @@ class PoissonFlow:
         self._running = True
         self.sim.schedule(initial_delay_ns + self._exp_ns(1.0 / self.arrival_rate_hz), self._arrive)
 
-    def stop(self) -> None:
-        self._running = False
-
     def reset_stats(self) -> None:
         """Zero sender-side counters at the warmup/measurement boundary."""
         active = self.stats.sessions_active
@@ -85,8 +82,6 @@ class PoissonFlow:
         return seconds(float(self.rng.exponential(mean_s)))
 
     def _arrive(self) -> None:
-        if not self._running:
-            return
         # Draw order is fixed (holding, then next inter-arrival) so the
         # sample path is reproducible whatever the event engine interleaves.
         self.stats.sessions_started += 1
@@ -96,8 +91,6 @@ class PoissonFlow:
         self.sim.schedule(self._exp_ns(1.0 / self.arrival_rate_hz), self._arrive)
 
     def _emit(self, session_end_ns: int) -> None:
-        if not self._running:
-            return
         if self.sim.now >= session_end_ns:
             self.stats.sessions_active -= 1
             return

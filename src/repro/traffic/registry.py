@@ -61,9 +61,7 @@ class _TcpDriver(FlowDriver):
 
     def reset_stats(self) -> None:
         self.sink.reset_stats()
-        reset = getattr(self.sender, "reset_stats", None)
-        if reset is not None:
-            reset()
+        self.sender.reset_stats()
 
     def summarize(self, duration_ns: int) -> FlowResult:
         flow = self.flow

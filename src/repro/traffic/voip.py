@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.metrics.mos import VoipQuality, evaluate_voip
 from repro.sim.engine import Simulator
-from repro.sim.units import ms, ns_to_seconds, seconds
+from repro.sim.units import ms, seconds
 from repro.transport.udp import UdpReceiver, UdpSender
 
 
@@ -61,9 +61,6 @@ class VoipFlow:
         self._running = True
         self.sim.schedule(initial_delay_ns, self._begin_on_period)
 
-    def stop(self) -> None:
-        self._running = False
-
     def reset_stats(self) -> None:
         """Zero sender-side counters at the warmup/measurement boundary.
 
@@ -83,8 +80,6 @@ class VoipFlow:
     # Internals
     # ------------------------------------------------------------------
     def _begin_on_period(self) -> None:
-        if not self._running:
-            return
         self.stats.on_periods += 1
         duration = seconds(self.rng.exponential(self.mean_on_s))
         self._on_until_ns = self.sim.now + duration
@@ -92,13 +87,11 @@ class VoipFlow:
         self.sim.schedule(duration, self._begin_off_period)
 
     def _begin_off_period(self) -> None:
-        if not self._running:
-            return
         off = seconds(self.rng.exponential(self.mean_off_s))
         self.sim.schedule(off, self._begin_on_period)
 
     def _emit_packet(self) -> None:
-        if not self._running or self.sim.now > self._on_until_ns:
+        if self.sim.now > self._on_until_ns:
             return
         self.sender.send(self.packet_bytes)
         self.stats.packets_sent += 1

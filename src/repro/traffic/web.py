@@ -9,8 +9,7 @@ is exponential with a one-second mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,16 +69,10 @@ class WebFlow:
         self._running = True
         self.sim.schedule(initial_delay_ns, self._begin_transfer)
 
-    def stop(self) -> None:
-        """Stop scheduling further transfers (the current one finishes naturally)."""
-        self._running = False
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _begin_transfer(self) -> None:
-        if not self._running:
-            return
         size = pareto_transfer_bytes(self.rng, self.mean_transfer_bytes, self.pareto_shape)
         self.stats.transfers_started += 1
         self.stats.bytes_requested += size
@@ -88,7 +81,5 @@ class WebFlow:
 
     def _transfer_done(self) -> None:
         self.stats.transfers_completed += 1
-        if not self._running:
-            return
         off_time = self.rng.exponential(self.mean_off_time_s)
         self.sim.schedule(seconds(off_time), self._begin_transfer)

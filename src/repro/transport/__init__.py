@@ -7,7 +7,6 @@ from repro.transport.congestion import (
     RenoController,
     TahoeController,
 )
-from repro.transport.dropscript import DropScript
 from repro.transport.host import TransportHost
 from repro.transport.registry import TRANSPORT_SCHEMES, build_controller
 from repro.transport.tcp import TcpAck, TcpSegment, TcpSender, TcpSink
@@ -16,7 +15,6 @@ from repro.transport.udp import UdpDatagram, UdpReceiver, UdpSender
 __all__ = [
     "CongestionController",
     "CubicController",
-    "DropScript",
     "NewRenoController",
     "RenoController",
     "TahoeController",

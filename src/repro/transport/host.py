@@ -4,56 +4,35 @@ One :class:`TransportHost` lives on each node.  It registers itself as the
 network agent's local-delivery callback and dispatches incoming packets to
 the transport endpoint (TCP sender, TCP sink, UDP receiver, ...) that owns
 the packet's flow id.  Outgoing packets from any endpoint funnel through
-:meth:`send`, which hands them to the network layer — or, when a
-:class:`~repro.transport.dropscript.DropScript` is attached, consults it
-first so tests can force deterministic drops, delays and re-orderings at
-exactly this seam.
+:meth:`send`, which hands them to the network layer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.packet import Packet
 from repro.routing.agent import NetworkAgent
-from repro.sim.engine import Simulator
-from repro.transport.dropscript import DropScript
 
 
 class TransportHost:
     """Flow-id based dispatch between the network layer and transport endpoints."""
 
-    __slots__ = ("sim", "node_id", "network", "_handlers", "undelivered", "drop_script")
+    __slots__ = ("node_id", "network", "_handlers", "undelivered")
 
-    def __init__(self, sim: Simulator, node_id: int, network: NetworkAgent) -> None:
-        self.sim = sim
+    def __init__(self, node_id: int, network: NetworkAgent) -> None:
         self.node_id = node_id
         self.network = network
         self._handlers: Dict[int, List[Callable[[Packet], None]]] = {}
         self.undelivered: int = 0
-        self.drop_script: Optional[DropScript] = None
         network.set_local_delivery(self.receive)
 
     def register_flow(self, flow_id: int, handler: Callable[[Packet], None]) -> None:
         """Register a callback for packets of ``flow_id`` addressed to this node."""
         self._handlers.setdefault(flow_id, []).append(handler)
 
-    def attach_drop_script(self, script: Optional[DropScript]) -> None:
-        """Install (or clear, with None) a scripted fate for outgoing packets."""
-        self.drop_script = script
-
     def send(self, packet: Packet) -> bool:
         """Hand an outgoing packet to the network layer."""
-        script = self.drop_script
-        if script is not None:
-            fate = script.fate(packet)
-            if fate < 0:
-                return True  # scripted drop: swallowed, sender believes it left
-            if fate > 0:
-                # Scripted delay: re-inject into the network later without
-                # the sender observing anything unusual.
-                self.sim.schedule(fate, lambda p=packet: self.network.send(p))
-                return True
         return self.network.send(packet)
 
     def receive(self, packet: Packet) -> None:

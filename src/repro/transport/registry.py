@@ -23,9 +23,6 @@ from repro.transport.congestion import (
 #: The registry of congestion-controller factories.
 TRANSPORT_SCHEMES = Registry("transport scheme")
 
-#: Canonical name of the default controller (the seed's hard-coded machine).
-DEFAULT_TRANSPORT = "reno"
-
 
 def register_transport(name: str):
     """Decorator registering a ``scheme(**params) -> CongestionController`` factory."""

@@ -224,11 +224,6 @@ class TcpSender:
         return self.controller.dupacks
 
     @property
-    def in_fast_recovery(self) -> bool:
-        """True while the controller is in a fast-recovery episode."""
-        return self.controller.in_recovery
-
-    @property
     def recover(self) -> int:
         """Highest sequence outstanding when the current recovery began."""
         return self.controller.recover

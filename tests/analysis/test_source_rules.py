@@ -259,7 +259,6 @@ HOT_PATH_MODULES = (
     "repro/packet.py",
     "repro/mac/frames.py",
     "repro/transport/congestion.py",
-    "repro/transport/dropscript.py",
     "repro/transport/host.py",
     "repro/transport/tcp.py",
     "repro/transport/udp.py",

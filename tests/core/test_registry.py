@@ -57,10 +57,9 @@ class TestRegistry:
         registry.add("b", 2)
         registry.add("a", 1)
         assert sorted(registry) == ["a", "b"]
-        assert len(registry) == 2
         assert registry.get("a") == 1
         assert registry.get("missing") is None
-        assert registry["b"] == 2
+        assert registry.lookup("b") == 2
         assert registry.names() == ("b", "a")  # registration order
 
     def test_empty_name_rejected(self):

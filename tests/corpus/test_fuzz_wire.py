@@ -31,7 +31,6 @@ from repro.service.schemas import SubmitRequest
 from repro.service.store import JobRecord
 from repro.sim.rng import RandomStreams
 from repro.spec import (
-    COMPONENT_SPEC_CLASSES,
     MacSpec,
     RoutingSpec,
     ScenarioConfig,
@@ -44,6 +43,9 @@ from repro.topology.standard import fig1_topology
 
 #: Fuzz iterations per (class, mutation) pair — tiny documents, so cheap.
 ROUNDS = 25
+
+#: Every spec class that names a registered component, one per layer.
+COMPONENT_SPEC_CLASSES = (TopologyRef, MacSpec, RoutingSpec, TrafficSpec, TransportSpec)
 
 
 def _stream(*keys):
@@ -100,7 +102,7 @@ def _instances():
 def _wire_classes():
     """(class, known-good document) for every strict wire format."""
     cases = []
-    for field, cls in COMPONENT_SPEC_CLASSES.items():
+    for cls in COMPONENT_SPEC_CLASSES:
         name = cls.registry().names()[0]
         cases.append((cls, {"name": name, "params": {}}))
     spec_doc = baseline_document()

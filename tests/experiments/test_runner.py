@@ -88,7 +88,6 @@ class TestRunScenario:
         result = run_scenario(config)
         assert len(result.flows) == 1
         assert result.total_throughput_mbps > 1.0
-        assert result.flow_throughput(1) == result.flows[0].throughput_mbps
         assert result.events_processed > 1000
 
     def test_udp_saturating_flow(self):
@@ -102,14 +101,6 @@ class TestRunScenario:
         assert kinds == {"tcp", "udp"}
         udp = [flow for flow in result.flows if flow.kind == "udp"][0]
         assert udp.packets_received > 0
-
-    def test_unknown_flow_id_raises(self):
-        config = ScenarioConfig(
-            topology=fig1_topology(), scheme_label="D", active_flows=[1], duration_s=0.1
-        )
-        result = run_scenario(config)
-        with pytest.raises(KeyError):
-            result.flow_throughput(42)
 
     def test_deterministic_for_fixed_seed(self):
         config = ScenarioConfig(

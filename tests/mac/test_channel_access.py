@@ -247,6 +247,58 @@ class TestAgainstSlotSteppingReference:
         assert all(count >= 5 for count in totals.values()), totals
 
 
+def _idle_backoffs(rounds, seed=1):
+    """Backoff slots of ``rounds`` grants on a medium that stays idle, each at ``cw_min``.
+
+    The reference above draws as ChannelAccess does, so these tests hold
+    the draw itself to the DCF's uniform window.
+    """
+    sim = Simulator()
+    delays = []
+    requested = {"at": 0}
+
+    def request():
+        requested["at"] = sim.now
+        access.request()
+
+    def granted():
+        delays.append(sim.now - requested["at"] - DIFS)
+        access.record_success()
+        if len(delays) < rounds:
+            sim.schedule(0, request)
+
+    access = ChannelAccess(
+        sim, _Medium(), DEFAULT_TIMING, RandomStreams(seed).stream_for("mac", 1), granted
+    )
+    sim.schedule(0, request)
+    sim.run()
+    assert len(delays) == rounds
+    assert all(delay % SLOT == 0 for delay in delays)
+    return [delay // SLOT for delay in delays]
+
+
+class TestBackoffDraws:
+    def test_mean_backoff(self):
+        # 4,000 draws uniform over [0, 16) slots: mean 7.5, standard error 0.07.
+        slots = _idle_backoffs(4000)
+        assert sum(slots) / len(slots) == pytest.approx((DEFAULT_TIMING.cw_min - 1) / 2, abs=0.3)
+
+    def test_backoff_spans_the_whole_window(self):
+        assert set(_idle_backoffs(4000)) == set(range(DEFAULT_TIMING.cw_min))
+
+    def test_failures_double_the_window_up_to_cw_max(self):
+        access = ChannelAccess(
+            Simulator(), _Medium(), DEFAULT_TIMING, RandomStreams(1).stream_for("mac", 1), lambda: None
+        )
+        windows = [access.cw]
+        for _ in range(8):
+            access.record_failure()
+            windows.append(access.cw)
+        assert windows == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
+        access.record_success()
+        assert access.cw == DEFAULT_TIMING.cw_min
+
+
 def _first_at_tie(access_cls, backoff_slots, mac_cls=RippleMac, rank=None):
     """What node 1 sends first when its own grant and a relay or ACK fall due together.
 

@@ -172,7 +172,7 @@ class TestFramesForOtherStations:
         inject_packets(net, 1, 2, 5, flow_id=2)
         mac = net.node(1).mac
         while mac._current_frame is None:  # until the station has a frame of its own out
-            net.sim.step()
+            net.sim.run(max_events=1)
         pending_relays = getattr(mac, "_pending_relays", None)
         if pending_relays is not None:
             relayed = dataclasses.replace(_anycast(origin=0, final_dst=2), forwarder_list=(1,))

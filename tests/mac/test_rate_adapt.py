@@ -127,8 +127,8 @@ class TestEndToEnd:
         baseline = self.run(MacSpec("ripple"))
         # The wrapped scheme must get forwarder lists (it would deadlock at
         # zero throughput without them); adaptation may alter the numbers.
-        assert result.flow_throughput(1) > 0
-        assert baseline.flow_throughput(1) > 0
+        assert result.flows[0].throughput_mbps > 0
+        assert baseline.flows[0].throughput_mbps > 0
 
     def test_deterministic_and_serializable(self):
         spec = MacSpec("rate_adapt", {"inner": "ripple", "up_after": 3})

@@ -1,9 +1,11 @@
 """The timing table against the timings it looks up.
 
-:mod:`repro.mac.timetable` memoises frame airtimes, DCF's ACK timeout and
-RIPPLE's mTXOP timeout process-wide.  Every lookup must equal its
-reference, :meth:`MacFrame.airtime_ns`, :meth:`MacTiming.ack_timeout_ns`
-and :meth:`RippleMac.mtxop_timeout_ns`, for every PHY a MAC can hold: both
+:mod:`repro.mac.timetable` memoises frame airtimes, DCF's ACK timeout,
+the plain-ACK airtime preExOR and MCExOR slot by, and RIPPLE's mTXOP
+timeout process-wide.  Every lookup must equal its reference,
+:meth:`MacFrame.airtime_ns`, :meth:`MacTiming.ack_timeout_ns`,
+:meth:`MacTiming.ack_airtime_ns` and :meth:`RippleMac.mtxop_timeout_ns`,
+for every PHY a MAC can hold: both
 profiles and every rung of rate adaptation's default ladder, looked up in
 an interleaved order so an entry keyed by too little would be served to
 the wrong rate.
@@ -17,7 +19,12 @@ from repro.core.ripple import RippleMac
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.mac.frames import SubPacket, build_ack_frame, build_data_frame
 from repro.mac.rate_adapt import default_rate_ladder
-from repro.mac.timetable import ack_timeout_ns, frame_airtime_ns, mtxop_timeout_ns
+from repro.mac.timetable import (
+    ack_airtime_ns,
+    ack_timeout_ns,
+    frame_airtime_ns,
+    mtxop_timeout_ns,
+)
 from repro.mac.timing import DEFAULT_TIMING, MacTiming
 from repro.packet import Packet
 from repro.phy.params import HIGH_RATE_PHY, LOW_RATE_PHY
@@ -75,6 +82,13 @@ def test_ack_timeouts_equal_the_timings_own():
         for timing in TIMINGS:
             for phy in PHYS + [HIGH_RATE_PHY.with_rates(216e6, 6e6)]:
                 assert ack_timeout_ns(timing, phy) == timing.ack_timeout_ns(phy)
+
+
+def test_ack_airtimes_equal_the_timings_own():
+    for _ in range(2):
+        for timing in TIMINGS:
+            for phy in PHYS + [HIGH_RATE_PHY.with_rates(216e6, 6e6)]:
+                assert ack_airtime_ns(phy) == timing.ack_airtime_ns(phy), phy
 
 
 def test_mtxop_timeouts_equal_ripples_own():

@@ -58,9 +58,6 @@ class TestAirtimes:
         timeout = DEFAULT_TIMING.ack_timeout_ns(HIGH_RATE_PHY)
         assert timeout > DEFAULT_TIMING.sifs_ns + DEFAULT_TIMING.ack_airtime_ns(HIGH_RATE_PHY)
 
-    def test_mean_backoff(self):
-        assert DEFAULT_TIMING.mean_backoff_ns() == (16 - 1) * us(9) // 2
-
 
 class TestSectionIIOverheadExample:
     """The Fig. 2 timeline example of Section II-C1.

@@ -31,7 +31,6 @@ class TestStaticShortCircuit:
         sim.run(until=seconds(1.0))
         assert sim.processed_events == 0
         assert moves == []
-        assert not manager.active
 
     def test_zero_speed_waypoint_schedules_nothing(self):
         sim, manager, moves = make_manager(RandomWaypoint(0.0, 0.0))
@@ -62,16 +61,6 @@ class TestTicking:
         sim.run(until=seconds(1.0))
         assert {node_id for node_id, _ in moves} == {1}
 
-    def test_stop_cancels_pending_ticks(self):
-        sim, manager, moves = make_manager(RandomWaypoint(1.0, 5.0), interval_s=0.1)
-        manager.start({0: (0.0, 0.0)})
-        sim.run(until=seconds(0.35))
-        ticks_at_stop = manager.updates
-        manager.stop()
-        assert not manager.active
-        sim.run(until=seconds(2.0))
-        assert manager.updates == ticks_at_stop
-
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             make_manager(RandomWaypoint(1.0, 5.0), interval_s=0.0)
@@ -86,17 +75,6 @@ class TestReestimation:
         sim.run(until=seconds(1.0))
         assert calls == [seconds(0.5), seconds(1.0)]
         assert manager.reestimations == 2
-
-    def test_stop_from_inside_a_reestimation_callback(self):
-        # "Freeze the topology once routes converge" must stop cleanly, not
-        # crash when the fired event tries to re-arm itself.
-        sim, manager, _moves = make_manager(RandomWaypoint(1.0, 5.0), interval_s=0.1)
-        manager.add_reestimation(seconds(0.3), manager.stop)
-        manager.start({0: (0.0, 0.0)})
-        sim.run(until=seconds(1.0))
-        assert manager.reestimations == 1
-        assert manager.updates == 2  # ticks at 0.1 and 0.2; stopped at 0.3
-        assert not manager.active
 
     def test_no_reestimation_without_callbacks(self):
         sim, manager, _moves = make_manager(RandomWaypoint(1.0, 5.0), interval_s=0.1)

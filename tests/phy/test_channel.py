@@ -298,6 +298,52 @@ class TestBitErrors:
         flags = [ok for _, errors in macs[1].received for ok in errors.subpacket_ok]
         assert any(flags) and not all(flags)
 
+    # The draws the tests below share: 300 frames of four 8,000-bit
+    # sub-packets through the channel's own bit-error path at BER 1e-4,
+    # where a sub-packet survives with e^-0.8 ~ 0.449.
+    FRAMES = 300
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        _, channel, radios, _ = build([(0, 0), (100, 0)], ber=1e-4)
+        frame = make_frame(n_sub=4)
+        for subpacket in frame.subpackets:
+            subpacket.bits = 8000
+        results = [channel.apply_bit_errors(frame, radios[1], radios[0]) for _ in range(self.FRAMES)]
+        return channel.error_model, frame, results
+
+    @staticmethod
+    def within_four_sigma(model, successes, trials, bits):
+        expected = model.success_probability(bits)
+        sigma = (expected * (1 - expected) / trials) ** 0.5
+        return abs(successes / trials - expected) <= 4 * sigma
+
+    def test_one_flag_per_subpacket(self, draws):
+        _, _, results = draws
+        assert all(isinstance(result.header_ok, bool) for result in results)
+        assert all(len(result.subpacket_ok) == 4 for result in results)
+
+    def test_subpackets_fail_independently(self, draws):
+        # Each sub-packet takes its own draw, so most frames deliver some
+        # sub-packets and lose others: the property AFR's and RIPPLE's
+        # partial retransmissions rest on.  Caught mutation: a frame's
+        # sub-packets sharing one uniform (no frame is mixed).
+        _, _, results = draws
+        mixed = sum(any(r.subpacket_ok) and not all(r.subpacket_ok) for r in results)
+        assert mixed > 50
+
+    def test_subpacket_success_matches_the_model_rate(self, draws):
+        # Caught mutation: sub-packets tested against the header's
+        # probability (their rate reads ~0.97).
+        model, _, results = draws
+        subpackets = sum(sum(result.subpacket_ok) for result in results)
+        assert self.within_four_sigma(model, subpackets, 4 * self.FRAMES, 8000)
+
+    def test_header_success_matches_the_model_rate(self, draws):
+        model, frame, results = draws
+        headers = sum(result.header_ok for result in results)
+        assert self.within_four_sigma(model, headers, self.FRAMES, frame.header_bits)
+
     def test_link_delivery_probability_combines_power_and_ber(self):
         sim, channel, radios, macs = build([(0, 0), (100, 0)], ber=1e-5)
         p = channel.link_delivery_probability(radios[0], radios[1], frame_bits=8000)

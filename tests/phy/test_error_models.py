@@ -1,29 +1,35 @@
-"""i.i.d. bit-error model: closed form, sampling, per-sub-packet independence."""
+"""i.i.d. bit-error model: the closed-form block success probability.
 
-import numpy as np
+The draws against it are the channel's, tested in
+``tests/phy/test_channel.py::TestBitErrors``.
+"""
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.phy.error_models import CLEAR_CHANNEL, NOISY_CHANNEL, BitErrorModel
+from repro.phy.error_models import BitErrorModel
+
+#: Section IV's clear and noisy channels.
+CLEAR, NOISY = BitErrorModel(1e-6), BitErrorModel(1e-5)
 
 
 class TestSuccessProbability:
     def test_clear_channel_packet_success(self):
         # 1000-byte packet at BER 1e-6: (1 - 1e-6)^8000 ~ 0.992
-        assert CLEAR_CHANNEL.success_probability(8000) == pytest.approx(0.992, abs=0.001)
+        assert CLEAR.success_probability(8000) == pytest.approx(0.992, abs=0.001)
 
     def test_noisy_channel_packet_success(self):
         # Same packet at BER 1e-5: ~ 0.923
-        assert NOISY_CHANNEL.success_probability(8000) == pytest.approx(0.923, abs=0.002)
+        assert NOISY.success_probability(8000) == pytest.approx(0.923, abs=0.002)
 
     def test_zero_bits_always_succeed(self):
-        assert NOISY_CHANNEL.success_probability(0) == 1.0
+        assert NOISY.success_probability(0) == 1.0
 
     def test_zero_ber_always_succeeds(self):
         assert BitErrorModel(0.0).success_probability(10**6) == 1.0
 
     def test_probability_decreases_with_size(self):
-        model = NOISY_CHANNEL
+        model = NOISY
         probs = [model.success_probability(bits) for bits in (100, 1000, 10_000, 100_000)]
         assert probs == sorted(probs, reverse=True)
 
@@ -32,36 +38,3 @@ class TestSuccessProbability:
         p = BitErrorModel(ber).success_probability(bits)
         assert 0.0 <= p <= 1.0
 
-
-class TestSampling:
-    def test_block_ok_matches_probability(self):
-        rng = np.random.default_rng(1)
-        model = BitErrorModel(1e-4)
-        bits = 8000  # ~45 % success
-        outcomes = [model.block_ok(bits, rng) for _ in range(4000)]
-        assert abs(np.mean(outcomes) - model.success_probability(bits)) < 0.03
-
-    def test_evaluate_frame_shapes(self):
-        rng = np.random.default_rng(2)
-        result = CLEAR_CHANNEL.evaluate_frame(300, [8000, 8000, 400], rng)
-        assert isinstance(result.header_ok, bool)
-        assert len(result.subpacket_ok) == 3
-
-    def test_evaluate_frame_any_all_helpers(self):
-        rng = np.random.default_rng(3)
-        perfect = BitErrorModel(0.0).evaluate_frame(300, [100, 100], rng)
-        assert perfect.all_payload_ok and perfect.any_payload_ok
-        hopeless = BitErrorModel(1.0).evaluate_frame(300, [100, 100], rng)
-        assert not hopeless.any_payload_ok and not hopeless.all_payload_ok
-
-    def test_subpackets_fail_independently(self):
-        # With a harsh BER, some sub-packets survive while others die within
-        # the same frame — the property AFR/RIPPLE partial retransmission uses.
-        rng = np.random.default_rng(4)
-        model = BitErrorModel(1e-4)
-        mixed = 0
-        for _ in range(300):
-            result = model.evaluate_frame(0, [8000] * 4, rng)
-            if result.any_payload_ok and not result.all_payload_ok:
-                mixed += 1
-        assert mixed > 50

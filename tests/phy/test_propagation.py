@@ -1,7 +1,5 @@
 """Shadowing propagation model: monotonicity, calibration, probabilities."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -65,8 +63,15 @@ class TestReceptionProbability:
         assert model.reception_probability(phy.tx_power_dbm, 700, phy.cs_threshold_dbm) < 0.1
 
     def test_at_nominal_range_probability_is_half(self, model):
+        # The nominal range: the distance at which the mean power equals the threshold.
         phy = PhyParams()
-        distance = model.range_for_probability(phy.tx_power_dbm, phy.rx_threshold_dbm, 0.5)
+        loss_db = phy.tx_power_dbm - phy.rx_threshold_dbm - model.reference_loss_db()
+        distance = model.reference_distance_m * 10.0 ** (
+            loss_db / (10.0 * model.path_loss_exponent)
+        )
+        assert model.mean_received_power_dbm(phy.tx_power_dbm, distance) == pytest.approx(
+            phy.rx_threshold_dbm
+        )
         prob = model.reception_probability(phy.tx_power_dbm, distance, phy.rx_threshold_dbm)
         assert prob == pytest.approx(0.5, abs=0.01)
 
@@ -76,35 +81,6 @@ class TestReceptionProbability:
         near = model.reception_probability(phy.tx_power_dbm, 50, phy.rx_threshold_dbm)
         far = model.reception_probability(phy.tx_power_dbm, 2000, phy.rx_threshold_dbm)
         assert near == 1.0 and far == 0.0
-
-    def test_range_for_probability_requires_open_interval(self, model):
-        with pytest.raises(ValueError):
-            model.range_for_probability(20.0, -90.0, 1.0)
-
-    def test_range_for_probability_needs_no_scipy(self, model, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy", None)
-        monkeypatch.setitem(sys.modules, "scipy.stats", None)
-        phy = PhyParams()
-        for probability in (0.1, 0.5, 0.95):
-            distance = model.range_for_probability(
-                phy.tx_power_dbm, phy.rx_threshold_dbm, probability
-            )
-            prob = model.reception_probability(phy.tx_power_dbm, distance, phy.rx_threshold_dbm)
-            assert prob == pytest.approx(probability, abs=1e-9)
-
-    def test_range_for_probability_matches_scipy_quantile(self, model):
-        norm = pytest.importorskip("scipy.stats").norm
-        phy = PhyParams()
-        for probability in (0.001, 0.1, 0.5, 0.95, 0.999):
-            target_mean = phy.rx_threshold_dbm + model.shadowing_deviation_db * norm.ppf(probability)
-            loss_db = phy.tx_power_dbm - target_mean - model.reference_loss_db()
-            expected = model.reference_distance_m * 10.0 ** (
-                loss_db / (10.0 * model.path_loss_exponent)
-            )
-            distance = model.range_for_probability(
-                phy.tx_power_dbm, phy.rx_threshold_dbm, probability
-            )
-            assert distance == pytest.approx(expected, rel=1e-12)
 
 
 class TestShadowingDraws:

@@ -13,7 +13,6 @@ from repro.mac.base import RouteDecision
 from repro.routing.base import RouteNotFound
 from repro.routing.dynamic import AdaptiveEtxRouting
 from repro.routing.shortest_path import ShortestPathRouting
-from repro.routing.static import StaticRouting
 from repro.spec import RoutingSpec
 from repro.topology.roofnet import roofnet_scenario
 from repro.topology.standard import fig1_topology, line_topology
@@ -75,28 +74,21 @@ def test_every_cached_decision_equals_a_fresh_one(topology, routing):
         assert routed < len(keys)
 
 
-def test_a_missing_route_is_not_cached():
-    protocol = StaticRouting({(0, 3): [0, 1, 2, 3]})
-    with pytest.raises(RouteNotFound):
-        protocol.route_decision(0, 4, False)
-    protocol.add_path([0, 4])
-    assert protocol.route_decision(0, 4, False).next_hop == 4
-
-
-def test_add_path_replaces_the_decisions_made_so_far():
-    protocol = StaticRouting({(0, 3): [0, 1, 2, 3]})
-    assert protocol.route_decision(1, 3, False).next_hop == 2
-    assert protocol.route_decision(1, 3, True).forwarder_list == (2,)
-    protocol.add_path([1, 3])
-    assert protocol.route_decision(1, 3, False).next_hop == 3
-    assert protocol.route_decision(1, 3, True).forwarder_list == ()
-
-
 def _line_graph(*edges):
     graph = {node: {} for node in range(4)}
     for a, b in edges:
         graph[a][b] = graph[b][a] = {"etx": 1.0, "hops": 1.0}
     return graph
+
+
+def test_a_missing_route_is_not_cached():
+    graph = _line_graph((0, 1), (1, 2))
+    protocol = ShortestPathRouting(graph, metric="hops")
+    with pytest.raises(RouteNotFound):
+        protocol.route_decision(0, 3, False)
+    graph[2][3] = graph[3][2] = {"etx": 1.0, "hops": 1.0}
+    # No invalidate(): only a lookup that cached nothing sees the new edge.
+    assert protocol.route_decision(0, 3, False).next_hop == 1
 
 
 def test_update_graph_replaces_the_decisions_made_so_far():

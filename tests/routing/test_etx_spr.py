@@ -10,7 +10,7 @@ from repro.phy.params import PhyParams
 from repro.phy.propagation import ShadowingPropagation
 from repro.phy.radio import Radio
 from repro.routing.base import RouteNotFound
-from repro.routing.etx import EtxParams, build_connectivity_graph, link_etx, path_etx
+from repro.routing.etx import EtxParams, build_connectivity_graph, link_etx
 from repro.routing.shortest_path import ShortestPathRouting
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -81,17 +81,6 @@ class TestConnectivityGraph:
         lax = build_connectivity_graph(channel, EtxParams(min_delivery_probability=0.01))
         assert 1 not in strict[0]
         assert 1 in lax[0]
-
-    def test_path_etx_sums_links(self):
-        channel = make_channel([(0, 0), (100, 0), (200, 0)])
-        graph = build_connectivity_graph(channel)
-        total = path_etx(graph, [0, 1, 2])
-        assert total == pytest.approx(graph[0][1]["etx"] + graph[1][2]["etx"])
-
-    def test_path_etx_missing_edge_is_infinite(self):
-        channel = make_channel([(0, 0), (100, 0), (2000, 0)])
-        graph = build_connectivity_graph(channel)
-        assert math.isinf(path_etx(graph, [0, 1, 2]))
 
 
 class TestShortestPathRouting:

@@ -31,11 +31,6 @@ class TestPaths:
         assert routing.next_hop(1, 3) == 2
         assert routing.next_hop(6, 7) == 1
 
-    def test_add_path_after_construction(self, routing):
-        routing.add_path([0, 2, 4])
-        assert routing.path(0, 4) == [0, 2, 4]
-        assert routing.path(4, 0) == [4, 2, 0]
-
 
 class TestValidation:
     def test_path_must_match_endpoints(self):

@@ -154,7 +154,7 @@ class TestHealthAndMetrics:
     def test_drained_store_has_no_queued_jobs(self, service, store, cache, small_spec):
         for seed in (1, 2):
             post_jobs(service, {"spec": dict(small_spec, seed=seed)})
-        assert Worker(store, cache=cache).run_until_idle() == 2
+        assert Worker(store, cache=cache).run_forever(idle_exit_s=0) == 2
         _, payload = service.route("GET", "/metrics")
         assert payload["queue_depth"] == payload["jobs"]["queued"] == 0
         assert payload["jobs"]["done"] == 2

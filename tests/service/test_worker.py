@@ -61,7 +61,7 @@ class TestPoisonJobs:
         # A payload ScenarioConfig.from_dict rejects: every attempt fails,
         # and the cap retires the job instead of looping.
         store.submit({"corrupt": True}, max_attempts=3)
-        processed = worker.run_until_idle()
+        processed = worker.run_forever(idle_exit_s=0)
         assert processed == 3
         assert worker.jobs_failed == 1  # counted once, at quarantine
         (record,) = list(store.records())
@@ -83,7 +83,7 @@ class TestLoops:
     def test_run_until_idle_drains_everything(self, store, worker, small_config):
         for seed in (1, 2):
             store.submit(small_config(seed=seed).to_dict())
-        assert worker.run_until_idle() == 2
+        assert worker.run_forever(idle_exit_s=0) == 2
         assert all(record.state == "done" for record in store.records())
 
     def test_run_forever_max_jobs(self, store, worker, small_config):

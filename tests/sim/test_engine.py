@@ -101,12 +101,6 @@ class TestRunControl:
         sim.run(until=500)
         assert sim.now == 500
 
-    def test_run_for_is_relative(self):
-        sim = Simulator()
-        sim.run(until=100)
-        sim.run_for(50)
-        assert sim.now == 150
-
     def test_max_events(self):
         sim = Simulator()
         fired = []
@@ -227,12 +221,12 @@ class TestTupleSlotsRepresentation:
         second = sim.schedule(10, lambda: None)
         assert (first.time, second.time) == (10, 10)
         assert first.seq < second.seq  # FIFO tie-break ordering key
-        assert first.active and second.active
+        assert not first.cancelled and not second.cancelled
         first.cancel()
-        assert not first.active and second.active
+        assert first.cancelled and not second.cancelled
 
     def test_cancel_after_fire_is_a_noop(self):
-        # step() marks a fired event cancelled to guard stale handles; a
+        # run() marks a fired event cancelled to guard stale handles; a
         # later cancel() must neither call on_cancel bookkeeping twice nor
         # force a compaction of live entries.
         sim = Simulator()
@@ -305,7 +299,7 @@ class TestEventFreelist:
         sim.run()
         new = sim.schedule(10, fired.append, "new")
         assert new is old  # the pool actually recycled the object
-        assert new.active and new.args == ("new",)
+        assert not new.cancelled and new.args == ("new",)
         sim.run()
         assert fired == ["old", "new"]
 
@@ -479,12 +473,12 @@ class TestSignalRuns:
         sim = Simulator()
         log = []
         schedule_frame(sim, log, 10, 30, [0, 0, 5])
-        assert sim.step()
+        sim.run(max_events=1)
         assert (len(log), sim.now, sim.processed_events) == (1, 10, 1)
-        assert sim.step()
+        sim.run(max_events=1)
         assert (len(log), sim.now, sim.processed_events) == (2, 10, 2)
-        while sim.step():
-            pass
+        while sim.pending_events:
+            sim.run(max_events=1)
         assert (len(log), sim.processed_events) == (6, 6)
 
     def test_max_events_counts_items(self):
@@ -573,8 +567,8 @@ class TestSignalRuns:
                 for until in range(0, 200, 7):
                     sim.run(until=until)
             elif mode == "step":
-                while sim.step():
-                    pass
+                while sim.pending_events:
+                    sim.run(max_events=1)
             else:
                 while sim.pending_events:
                     sim.run(max_events=3)

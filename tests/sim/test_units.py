@@ -23,9 +23,6 @@ class TestConversions:
     def test_round_trip_seconds(self):
         assert units.ns_to_seconds(units.seconds(2.5)) == pytest.approx(2.5)
 
-    def test_round_trip_microseconds(self):
-        assert units.ns_to_us(units.us(37.5)) == pytest.approx(37.5)
-
     def test_rounding(self):
         # 0.0004 us = 0.4 ns rounds to 0; 0.6 ns rounds to 1.
         assert units.us(0.0004) == 0

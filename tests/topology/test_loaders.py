@@ -19,7 +19,7 @@ from repro.topology.roofnet import (
     roofnet_topology,
 )
 from repro.topology.spec import FlowSpec, TopologyError, TopologySpec
-from repro.topology.wigle import STATION_R, STATION_S, wigle_flow_paths, wigle_topology
+from repro.topology.wigle import STATION_R, STATION_S, wigle_topology
 
 
 class TestSpecValidation:
@@ -152,8 +152,7 @@ class TestWigleLoader:
         assert math.hypot(sx - x1, sy - y1) > 650.0
 
     def test_flow_paths_match_labels(self):
-        labels = wigle_flow_paths()
-        assert labels == [flow.label for flow in wigle_topology(include_hidden=False).flows]
+        labels = [flow.label for flow in wigle_topology(include_hidden=False).flows]
         assert "1-4-6-8" in labels and "8-7-5" in labels
 
     def test_positions_are_unique(self):

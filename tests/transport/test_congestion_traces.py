@@ -11,7 +11,7 @@ Two layers of coverage:
   the code under test.
 * **Pipe episodes** run a real :class:`~repro.transport.tcp.TcpSender`
   over the deterministic :class:`tests.transport.harness.TcpPipe` with a
-  :class:`~repro.transport.dropscript.DropScript` forcing the named
+  :class:`tests.transport.harness.DropScript` forcing the named
   episode: triple-dupACK fast retransmit, partial ACK (two holes in one
   window), full-window loss -> RTO with exponential backoff, and
   reorder-without-loss (a delayed segment causing a spurious fast

@@ -18,7 +18,6 @@ from repro.transport.congestion import (
     RenoController,
     TahoeController,
 )
-from repro.transport.registry import DEFAULT_TRANSPORT
 
 
 class TestRegistry:
@@ -28,8 +27,8 @@ class TestRegistry:
             assert name in names
 
     def test_default_is_reno(self):
-        assert DEFAULT_TRANSPORT == "reno"
-        assert isinstance(build_controller(DEFAULT_TRANSPORT), RenoController)
+        default = ScenarioConfig(topology=line_topology(2)).transport
+        assert isinstance(build_controller(default.name, **default.params), RenoController)
 
     def test_build_controller_types(self):
         assert isinstance(build_controller("tahoe"), TahoeController)
